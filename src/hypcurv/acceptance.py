@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, plaplace, rigidity
-from .curvature import (cluster_kappas, commutation_residual, codazzi_residual,
-                        fundamental_forms, gauss_residual, ricci_coordinate,
+from .curvature import (cluster_kappas, codazzi_residual, commutation_residual,
+                        gauss_residual, mean_curvature, ricci_coordinate,
                         ricci_from_shape, shape_spectrum)
 from .gridfn import GridFunction
 from .heightfield import Jet2, make_catalog_surface
-from .inequalities import (grad_direction_ricci, key_factors, mean_curvature,
+from .inequalities import (adapted_frame, grad_direction_ricci, key_factors,
                            n_subharmonic_density)
 
 __all__ = ["CriterionResult", "run_suite", "CRITERIA", "random_jet"]
@@ -63,19 +63,18 @@ def criterion_horosphere_identity(seed: int) -> CriterionResult:
             pts = field.sample_points(50, rng)
             for x in pts:
                 jet = field.jet(x)
-                forms = fundamental_forms(jet)
-                spec = shape_spectrum(jet, forms)
-                _check(failures, np.max(np.abs(spec.second_form - forms.metric)) <= tol,
+                spec = shape_spectrum(jet)
+                _check(failures, np.max(np.abs(spec.second_form - spec.forms.metric)) <= tol,
                        f"II != g at n={n} c={c}")
                 _check(failures, np.max(np.abs(spec.kappas - 1.0)) <= tol,
                        f"kappa != 1 at n={n} c={c}")
                 _check(failures, abs(spec.mean - n) <= tol, f"H != n at n={n} c={c}")
-                ric = ricci_coordinate(jet, forms)
-                ric2 = ricci_from_shape(spec, forms, n)
+                ric = ricci_coordinate(jet, spec.forms)
+                ric2 = ricci_from_shape(spec)
                 _check(failures, np.max(np.abs(ric)) <= tol, f"Ric != 0 at n={n} c={c}")
                 _check(failures, np.max(np.abs(ric2)) <= tol,
                        f"shape-route Ric != 0 at n={n} c={c}")
-                dens = n_subharmonic_density(jet, n)
+                dens = n_subharmonic_density(adapted_frame(jet))
                 _check(failures, abs(dens.density) <= tol, f"density != 0 at n={n} c={c}")
     detail = failures[0] if failures else "II=g, kappa=1, H=n, Ric=0, density=0 at 1e-12"
     return CriterionResult("horosphere-identity", not failures, detail, time.time() - t0)
@@ -95,8 +94,7 @@ def criterion_tube_spectrum(seed: int) -> CriterionResult:
         k0s, kts = [], []
         for x in pts:
             jet = field.jet(x)
-            forms = fundamental_forms(jet)
-            spec = shape_spectrum(jet, forms)
+            spec = shape_spectrum(jet)
             clusters = cluster_kappas(spec.kappas)
             _check(failures, len(clusters) == 2 and len(clusters[0]) == 1
                    and len(clusters[1]) == n - 1, f"bad cluster split at s={s}")
@@ -129,13 +127,12 @@ def criterion_two_route_ricci(seed: int) -> CriterionResult:
     for n in (3, 4, 5):
         for _ in range(1000):
             jet = random_jet(rng, n)
-            forms = fundamental_forms(jet)
-            spec = shape_spectrum(jet, forms)
-            r1 = ricci_coordinate(jet, forms)
-            r2 = ricci_from_shape(spec, forms, n)
+            spec = shape_spectrum(jet)
+            r1 = ricci_coordinate(jet, spec.forms)
+            r2 = ricci_from_shape(spec)
             scale = 1.0 + float(np.max(np.abs(r1)))
             dev = float(np.max(np.abs(r1 - r2))) / scale
-            comm = commutation_residual(r1, forms.metric, spec.shape)
+            comm = commutation_residual(r1, spec.forms.metric, spec.shape)
             worst_dev = max(worst_dev, dev)
             worst_comm = max(worst_comm, comm)
     _check(failures, worst_dev <= 1e-9, f"two-route deviation {worst_dev:.2e}")
@@ -160,21 +157,23 @@ def criterion_inequality_chain(seed: int) -> CriterionResult:
         kwargs = {"r_min": 0.5, "r_max": 2.0} if field.kind == "equidistant_cone" else {}
         for x in field.sample_points(50, rng, **kwargs):
             jet = field.jet(x)
-            kf = key_factors(jet)
+            aj = adapted_frame(jet)
             H = mean_curvature(jet)
+            kf = key_factors(aj, H)
             _check(failures, kf.sum_check <= 1e-12 * max(1.0, abs(H)),
                    f"A+B != H on {field.kind}")
             _check(failures, kf.A * kf.B >= n - 1 - 1e-9, f"AB < n-1 on {field.kind}")
             _check(failures, H >= n - 1e-9, f"H < n on {field.kind}")
-            dens = n_subharmonic_density(jet, n)
+            dens = n_subharmonic_density(aj)
             _check(failures, dens.density >= -1e-9, f"density < 0 on {field.kind}")
     plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, n)
     for x in plane.sample_points(50, rng):
         jet = plane.jet(x)
-        kf = key_factors(jet)
+        aj = adapted_frame(jet)
+        kf = key_factors(aj, mean_curvature(jet))
         _check(failures, abs(kf.A * kf.B - 1.0) <= 1e-12, "plane AB != 1")
         _check(failures, kf.A * kf.B < n - 1, "plane AB not < n-1")
-        dens = n_subharmonic_density(jet, n)
+        dens = n_subharmonic_density(aj)
         _check(failures, abs(dens.density + 2.0 / x[0] ** 2) <= 1e-9 / x[0] ** 2,
                "plane density != -2/x1^2")
     detail = failures[0] if failures else \
@@ -296,7 +295,7 @@ def criterion_main_pipeline(seed: int) -> CriterionResult:
     rec = asymptotics.recession_report(cone, [1, 2, 3, 4], *window, spacing)
     _check(failures, rec.boundary_points == 2, f"cone k={rec.boundary_points}")
     samples = cone.sample_points(100, rng, r_min=0.5, r_max=2.0)
-    scan = rigidity.constancy_scan(cone, samples, n)
+    scan = rigidity.constancy_scan(cone, samples)
     verdict = rigidity.classify_global(scan, rec.boundary_points, n, nonneg_ricci=True)
     _check(failures, verdict is rigidity.Verdict.EQUIDISTANT_TUBE,
            f"cone verdict {verdict.value}")
@@ -307,7 +306,7 @@ def criterion_main_pipeline(seed: int) -> CriterionResult:
     hs = make_catalog_surface("horosphere", {"c": 1.0}, n)
     rec_h = asymptotics.recession_report(hs, [1, 2, 3, 4], *window, spacing)
     _check(failures, rec_h.boundary_points == 1, f"horosphere k={rec_h.boundary_points}")
-    scan_h = rigidity.constancy_scan(hs, hs.sample_points(50, rng), n)
+    scan_h = rigidity.constancy_scan(hs, hs.sample_points(50, rng))
     verdict_h = rigidity.classify_global(scan_h, rec_h.boundary_points, n,
                                          nonneg_ricci=True)
     _check(failures, verdict_h is rigidity.Verdict.HOROSPHERE,

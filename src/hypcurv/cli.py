@@ -1,7 +1,9 @@
 """Command-line front end: analyze, scan, classify, solve, probe, boundary, verify.
 
 Reports are JSON (17 significant digits, manifest embedded) or CSV with a manifest
-sidecar.  Exit codes: 0 success, 1 verification/numeric failure, 2 usage error.
+sidecar.  Exit codes: 0 success, 1 verification/numeric failure, 2 usage error.  A
+library error (``HypcurvError``) in any command prints ``{"error": ...}`` to stderr
+and exits 1.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import click
 import numpy as np
 
 from . import acceptance, asymptotics, plaplace, rigidity
-from .curvature import curvature_point_report
+from .curvature import codazzi_residual, gauss_residual
 from .errors import HypcurvError
 from .gridfn import save_grid_function
-from .heightfield import field_from_json, field_to_descriptor, sample_height_grid
+from .heightfield import FD_STEP, field_from_json, field_to_descriptor, sample_height_grid
 from .inequalities import grad_direction_ricci, point_regime_report, scan_field
 from .reportio import RunManifest, dumps, format_float, write_report
 
@@ -78,7 +80,18 @@ profile_opt = click.option("--tolerance-profile", default="fd",
                            help="Tolerances for classification thresholds.")
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group that turns a library error into the error JSON and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except HypcurvError as exc:
+            click.echo(dumps({"error": str(exc)}), nl=False, err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Numerical lab for graph hypersurfaces in the hyperbolic upper half-space."""
 
@@ -94,19 +107,30 @@ def analyze(surface, point, step, out):
     x = _parse_tuple(point)
     manifest = RunManifest("analyze", inputs={"surface": field_to_descriptor(field)},
                            config={"point": x.tolist(), "step": step})
-    try:
-        report = curvature_point_report(field, x, step)
-        jet = field.jet(x)
-        regime = point_regime_report(jet, field.n)
-        report["regime"] = regime.regime.value
-        report["factors"] = list(regime.factors)
-        report["density"] = regime.n_subharmonic_density
-        report["at_critical_point"] = regime.at_critical_point
-        if not regime.at_critical_point:
-            report["grad_direction_ricci"] = grad_direction_ricci(jet)
-    except HypcurvError as exc:
-        click.echo(dumps({"error": str(exc)}), nl=False, err=True)
-        sys.exit(1)
+    if step is None:
+        step = FD_STEP * max(1.0, float(np.linalg.norm(x)))
+    jet = field.jet(x)
+    regime = point_regime_report(jet)
+    spec = regime.spectrum
+    report = {
+        "x": x.tolist(),
+        "f": jet.f,
+        "g": spec.forms.metric.tolist(),
+        "II": spec.second_form.tolist(),
+        "kappas": spec.kappas.tolist(),
+        "H": spec.mean,
+        "ricci_eigs": spec.ricci.tolist(),
+        "residuals": {
+            "codazzi": codazzi_residual(field, x, step),
+            "gauss": gauss_residual(field, x, step),
+        },
+        "regime": regime.regime.value,
+        "factors": list(regime.factors),
+        "density": regime.n_subharmonic_density,
+        "at_critical_point": regime.at_critical_point,
+    }
+    if not regime.at_critical_point:
+        report["grad_direction_ricci"] = grad_direction_ricci(jet)
     _emit(report, manifest, out, "analyze.json")
 
 
@@ -127,11 +151,7 @@ def scan(surface, grid_spec, seed, out):
     pts = [x for x in pts if field.contains(x)]
     manifest = RunManifest("scan", inputs={"surface": field_to_descriptor(field)},
                            config={"grid": grid_spec}, seed=seed)
-    try:
-        rows = scan_field(field, pts)
-    except HypcurvError as exc:
-        click.echo(dumps({"error": str(exc)}), nl=False, err=True)
-        sys.exit(1)
+    rows = scan_field(field, pts)
     n = field.n
     header = ([f"x{i+1}" for i in range(n)] + ["f", "H"]
               + [f"kappa{i+1}" for i in range(n)]
@@ -174,26 +194,20 @@ def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
                 "spacing": spacing, "samples": samples,
                 "tolerance_profile": tolerance_profile},
         seed=seed)
-    try:
-        rec = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
-        kwargs = {}
-        if field.kind == "equidistant_cone":
-            kwargs = {"r_min": float(np.min(np.abs(field.domain.hi)) / 4),
-                      "r_max": float(np.min(np.abs(field.domain.hi)))}
-        pts = field.sample_points(samples, rng, **kwargs)
-        scan_res = rigidity.constancy_scan(field, pts, field.n)
-        jet = field.jet(pts[0])
-        nonneg = rigidity.min_ricci_eigenvalue(jet, field.n) >= -ric_tol
-        verdict = rigidity.classify_global(scan_res, rec.boundary_points, field.n,
-                                           nonneg_ricci=False,
-                                           product_tol=product_tol, var_tol=var_tol)
-        payload = rigidity.verdict_report(scan_res, rec.boundary_points, field.n)
-        payload["verdict"] = verdict.value
-        payload["nonneg_ricci_at_first_sample"] = bool(nonneg)
-        payload["recession"] = asymptotics.recession_json(rec)
-    except HypcurvError as exc:
-        click.echo(dumps({"error": str(exc)}), nl=False, err=True)
-        sys.exit(1)
+    rec = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
+    kwargs = {}
+    if field.kind == "equidistant_cone":
+        kwargs = {"r_min": float(np.min(np.abs(field.domain.hi)) / 4),
+                  "r_max": float(np.min(np.abs(field.domain.hi)))}
+    pts = field.sample_points(samples, rng, **kwargs)
+    scan_res = rigidity.constancy_scan(field, pts)
+    nonneg = scan_res.ric_min >= -ric_tol
+    verdict = rigidity.classify_global(scan_res, rec.boundary_points, field.n,
+                                       nonneg_ricci=nonneg,
+                                       product_tol=product_tol, var_tol=var_tol)
+    payload = rigidity.verdict_report(verdict, scan_res, rec.boundary_points)
+    payload["nonneg_ricci_on_samples"] = bool(nonneg)
+    payload["recession"] = asymptotics.recession_json(rec)
     _emit(payload, manifest, out, "classify.json")
 
 
@@ -221,14 +235,9 @@ def solve(surface, grid_spec, p_value, out):
         raise click.UsageError(f"p must be >= 2, got {p}")
     manifest = RunManifest("solve", inputs={"surface": field_to_descriptor(field)},
                            config={"grid": grid_spec, "p": p})
-    try:
-        grid = sample_height_grid(field, lo, hi, spacing)
-        grid = plaplace.tighten_boundary(grid)
-        cfg = plaplace.SolverConfig(p=p)
-        res = plaplace.solve_p_harmonic(grid, cfg)
-    except HypcurvError as exc:
-        click.echo(dumps({"error": str(exc)}), nl=False, err=True)
-        sys.exit(1)
+    grid = sample_height_grid(field, lo, hi, spacing)
+    grid = plaplace.tighten_boundary(grid)
+    res = plaplace.solve_p_harmonic(grid, plaplace.SolverConfig(p=p))
     payload = {
         "converged": res.converged,
         "iterations": res.iterations,
@@ -263,12 +272,8 @@ def probe(surface, grid_spec, p_value, out):
         raise click.UsageError(f"p must be >= 2, got {p}")
     manifest = RunManifest("probe", inputs={"surface": field_to_descriptor(field)},
                            config={"grid": grid_spec, "p": p})
-    try:
-        cfg = plaplace.SolverConfig(p=p)
-        result = plaplace.viscosity_probe(field, lo, hi, cfg, spacing=spacing)
-    except HypcurvError as exc:
-        click.echo(dumps({"error": str(exc)}), nl=False, err=True)
-        sys.exit(1)
+    result = plaplace.viscosity_probe(field, lo, hi, plaplace.SolverConfig(p=p),
+                                      spacing=spacing)
     payload = {
         "subharmonic": result.subharmonic,
         "min_margin": result.min_margin,
@@ -294,11 +299,7 @@ def boundary(surface, levels, grid_spec, out):
                            config={"levels": levels_list,
                                    "window": [lo.tolist(), hi.tolist()],
                                    "spacing": spacing})
-    try:
-        rep = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
-    except HypcurvError as exc:
-        click.echo(dumps({"error": str(exc)}), nl=False, err=True)
-        sys.exit(1)
+    rep = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
     _emit(asymptotics.recession_json(rep), manifest, out, "boundary.json")
 
 

@@ -8,10 +8,16 @@ upward unit normal and second fundamental form are
     nu      = f (1 + |Df|^2)^-1/2 (-Df, 1)
     II_ij   = (delta_ij + f_i f_j + f f_ij) / (f^2 (1 + |Df|^2)^1/2)
 
-The Ricci tensor is computed two independent ways: the expanded coordinate
-double-contraction (:func:`ricci_coordinate`) and the shape-operator polynomial
--(n-1) I + H S - S^2 lowered with g (:func:`ricci_from_shape`).  Their agreement is
-the implementation oracle.  Codazzi and Gauss residuals check the same data against
+Production route: :func:`shape_spectrum` is the one per-point kernel.  It builds the
+forms, solves the pencil (II, g) for the principal curvatures, cross-checks their sum
+against the closed-form mean curvature, and returns the Ricci eigenvalues
+-(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is that polynomial
+in the shape operator.  Every per-point caller reads from the spectrum it returns.
+
+Oracle routes, kept independent of the kernel: the expanded coordinate double
+contraction (:func:`ricci_coordinate`, with :func:`ricci_eigenvalues`) and the
+shape-operator polynomial lowered with g (:func:`ricci_from_shape`); their agreement
+is the implementation oracle.  Codazzi and Gauss residuals check the same data against
 finite-differenced covariant derivatives of the induced metric.
 """
 
@@ -24,13 +30,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError
-from .heightfield import FD_STEP, HeightField, Jet2
+from .heightfield import HeightField, Jet2
 
 __all__ = [
     "FundamentalForms", "ShapeSpectrum", "fundamental_forms", "shape_spectrum",
     "mean_curvature", "ricci_coordinate", "ricci_from_shape", "ricci_eigenvalues",
     "christoffel_fd", "codazzi_residual", "gauss_residual", "commutation_residual",
-    "cluster_kappas", "curvature_point_report",
+    "cluster_kappas",
 ]
 
 #: relative gap below which two principal curvatures belong to one multiplicity cluster
@@ -51,13 +57,16 @@ class FundamentalForms:
 
 @dataclass(frozen=True)
 class ShapeSpectrum:
-    """Second fundamental form, shape operator and principal curvature data."""
+    """Per-point geometry: forms, second form, shape operator, curvatures and Ricci."""
 
+    forms: FundamentalForms
     second_form: np.ndarray
     shape: np.ndarray
     kappas: np.ndarray
-    mean: float
-    frame: np.ndarray  # columns are g-orthonormal principal directions
+    mean: float            # trace of the shape operator, sum of kappas
+    mean_closed: float     # closed-form mean curvature (:func:`mean_curvature`)
+    frame: np.ndarray      # columns are g-orthonormal principal directions
+    ricci: np.ndarray      # ascending Ricci eigenvalues
 
 
 def fundamental_forms(jet: Jet2) -> FundamentalForms:
@@ -85,13 +94,15 @@ def mean_curvature(jet: Jet2) -> float:
     return (jet.n + f * float(np.trace(hess)) - f * h1 / q) / math.sqrt(q)
 
 
-def shape_spectrum(jet: Jet2, forms: FundamentalForms) -> ShapeSpectrum:
+def shape_spectrum(jet: Jet2) -> ShapeSpectrum:
     """Principal curvatures via the Cholesky-whitened symmetric pencil (II, g).
 
     scipy's generalized symmetric solver guarantees a real ascending spectrum and a
     g-orthonormal frame; the trace is cross-checked against the closed-form mean
-    curvature, and a mismatch signals corrupted inputs.
+    curvature, and a mismatch signals corrupted inputs.  The Ricci eigenvalues are
+    the Gauss-equation polynomial -(n-1) + kappa_i H - kappa_i^2, sorted.
     """
+    forms = fundamental_forms(jet)
     II = second_form(jet)
     try:
         kappas, frame = scipy.linalg.eigh(II, forms.metric)
@@ -103,7 +114,8 @@ def shape_spectrum(jet: Jet2, forms: FundamentalForms) -> ShapeSpectrum:
     if abs(mean - mean_cf) > MEAN_XCHECK_RTOL * max(1.0, abs(mean_cf)):
         raise NumericError(
             f"mean curvature cross-check failed: trace {mean} vs closed form {mean_cf}")
-    return ShapeSpectrum(II, shape, kappas, mean, frame)
+    ricci = np.sort(-(jet.n - 1) + kappas * mean - kappas ** 2)
+    return ShapeSpectrum(forms, II, shape, kappas, mean, mean_cf, frame, ricci)
 
 
 def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:
@@ -124,11 +136,12 @@ def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:
     return -(n - 1) * forms.metric + (B * scalar - B @ inner) / (f ** 2 * q)
 
 
-def ricci_from_shape(spec: ShapeSpectrum, forms: FundamentalForms, n: int) -> np.ndarray:
+def ricci_from_shape(spec: ShapeSpectrum) -> np.ndarray:
     """Ricci via the Gauss-equation polynomial in the shape operator, lowered with g."""
     S = spec.shape
+    n = S.shape[0]
     ric_op = -(n - 1) * np.eye(n) + spec.mean * S - S @ S
-    return forms.metric @ ric_op
+    return spec.forms.metric @ ric_op
 
 
 def ricci_eigenvalues(ric: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -225,27 +238,3 @@ def gauss_residual(field: HeightField, x, step: float) -> float:
     rhs = (-(np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
            + np.einsum("ik,jl->ijkl", II, II) - np.einsum("il,jk->ijkl", II, II))
     return float(np.max(np.abs(riem - rhs)))
-
-
-def curvature_point_report(field: HeightField, x, step: float = None) -> dict:
-    """Assemble the per-point curvature report (JSON-ready dict)."""
-    x = np.asarray(x, dtype=float)
-    if step is None:
-        step = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    jet = field.jet(x)
-    forms = fundamental_forms(jet)
-    spec = shape_spectrum(jet, forms)
-    ric = ricci_coordinate(jet, forms)
-    return {
-        "x": x.tolist(),
-        "f": jet.f,
-        "g": forms.metric.tolist(),
-        "II": spec.second_form.tolist(),
-        "kappas": spec.kappas.tolist(),
-        "H": spec.mean,
-        "ricci_eigs": ricci_eigenvalues(ric, forms.metric).tolist(),
-        "residuals": {
-            "codazzi": codazzi_residual(field, x, step),
-            "gauss": gauss_residual(field, x, step),
-        },
-    }

@@ -11,6 +11,13 @@ gradient direction is nonnegative.  Nonnegative Ricci then forces H >= n and mak
 height log f Euclidean n-subharmonic; the density returned by
 :func:`n_subharmonic_density` is the adapted-frame expression
 (n-1) (log f)_11 + sum_{i>=2} (log f)_ii, which equals |D log f|^{2-n} Delta_n log f.
+
+Production route: :func:`point_regime_report` builds one shape spectrum and one
+adapted frame per point; :func:`key_factors` and :func:`n_subharmonic_density` both
+read that frame, and the report carries the spectrum for every per-point caller.
+Oracle routes, kept independent: :func:`grad_direction_ricci` (the H1/H2 contraction)
+against :func:`ricci_gradient_adapted`, and :func:`n_laplacian_expansion` against the
+adapted-frame density.
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curvature import (ShapeSpectrum, fundamental_forms, mean_curvature,
-                        ricci_coordinate, ricci_eigenvalues, shape_spectrum)
+from .curvature import ShapeSpectrum, shape_spectrum
 from .errors import DegenerateGradientError
 from .heightfield import HeightField, Jet2
 
@@ -94,12 +100,12 @@ def grad_direction_ricci(jet: Jet2) -> float:
                                    - h1 * d2 - f * h2))
 
 
-def ricci_gradient_adapted(jet: Jet2, n: int = None) -> float:
+def ricci_gradient_adapted(jet: Jet2) -> float:
     """Adapted-coordinate simplification of the gradient-direction Ricci curvature."""
     aj = adapted_frame(jet)
     if aj.degenerate:
         raise DegenerateGradientError("gradient direction undefined where Df = 0")
-    n = jet.n if n is None else n
+    n = jet.n
     f = jet.f
     f1 = aj.grad[0]
     q = 1.0 + f1 ** 2
@@ -121,29 +127,28 @@ class KeyFactors:
     sqrt_form_ok: bool     # sqrt((n-1) A') sqrt(B') >= (n-1)(1+f_1^2)/f when applicable
 
 
-def key_factors(jet: Jet2, tol: float = INEQ_TOL) -> KeyFactors:
+def key_factors(aj: AdaptedJet, mean: float, tol: float = INEQ_TOL) -> KeyFactors:
     """Split H into the gradient-direction factor A and the transverse factor B.
 
-    At critical points the adapted frame degenerates to the identity, where A and B
-    are still well defined because f_1 = 0.
+    ``mean`` is the closed-form mean curvature that A + B is checked against.  At
+    critical points the adapted frame degenerates to the identity, where A and B are
+    still well defined because f_1 = 0.
     """
-    n = jet.n
-    aj = adapted_frame(jet)
-    f = jet.f
+    n = aj.jet.n
+    f = aj.jet.f
     f1 = aj.grad[0]
     q = 1.0 + f1 ** 2
     a_raw = aj.hess[0, 0] + q / f
     b_raw = float(np.sum(np.diag(aj.hess)[1:])) + (n - 1) / f
     A = f * q ** -1.5 * a_raw
     B = f * q ** -0.5 * b_raw
-    H = mean_curvature(jet)
     product_ok = A * B >= (n - 1) - tol
     applicable = a_raw >= 0 and b_raw >= 0
     if applicable:
         sqrt_ok = math.sqrt((n - 1) * a_raw) * math.sqrt(b_raw) >= (n - 1) * q / f - tol
     else:
         sqrt_ok = False
-    return KeyFactors(A, B, product_ok, abs(A + B - H), applicable, sqrt_ok)
+    return KeyFactors(A, B, product_ok, abs(A + B - mean), applicable, sqrt_ok)
 
 
 @dataclass(frozen=True)
@@ -183,29 +188,29 @@ class DensityResult:
     at_critical_point: bool
 
 
-def n_subharmonic_density(jet: Jet2, n: int = None) -> DensityResult:
+def n_subharmonic_density(aj: AdaptedJet) -> DensityResult:
     """Adapted-frame density (n-1)(log f)_11 + sum_{i>=2} (log f)_ii.
 
     At critical points of f the gradient direction is undefined and the density is
     taken to be Delta log f, flagged accordingly.
     """
-    n = jet.n if n is None else n
+    jet = aj.jet
+    n = jet.n
     f = jet.f
     u_grad = jet.grad / f
     u_hess = jet.hess / f - np.outer(jet.grad, jet.grad) / f ** 2
     norm = float(np.linalg.norm(u_grad))
-    if math.sqrt(jet.grad_norm_sq) <= GRADIENT_EPS:
+    if aj.degenerate:
         lap = float(np.trace(u_hess))
         return DensityResult(lap, 0.0 if n > 2 else lap, True)
-    aj = adapted_frame(jet)
     u_hess_r = aj.rotation @ u_hess @ aj.rotation.T
     density = (n - 1) * u_hess_r[0, 0] + float(np.sum(np.diag(u_hess_r)[1:]))
     return DensityResult(density, norm ** (n - 2) * density, False)
 
 
-def n_laplacian_expansion(jet: Jet2, n: int = None) -> float:
+def n_laplacian_expansion(jet: Jet2) -> float:
     """Independent expansion (n-2)|Du|^-2 u_ij u_i u_j + Delta u for u = log f."""
-    n = jet.n if n is None else n
+    n = jet.n
     f = jet.f
     u_grad = jet.grad / f
     u_hess = jet.hess / f - np.outer(jet.grad, jet.grad) / f ** 2
@@ -235,6 +240,7 @@ class RegimeReport:
     factors: tuple = None               # (A, B) when computed
     n_subharmonic_density: float = None
     at_critical_point: bool = False
+    spectrum: ShapeSpectrum = None      # the point's spectrum when computed
 
 
 def convexity_classify(kappas, ric_eigs, n: int, tol: float = INEQ_TOL) -> RegimeReport:
@@ -259,18 +265,15 @@ def convexity_classify(kappas, ric_eigs, n: int, tol: float = INEQ_TOL) -> Regim
     return RegimeReport(regime, float(np.min(ric_eigs)), H)
 
 
-def point_regime_report(jet: Jet2, n: int = None, tol: float = INEQ_TOL) -> RegimeReport:
-    """Full per-point report: regime, Ricci floor, factors and density."""
-    n = jet.n if n is None else n
-    forms = fundamental_forms(jet)
-    spec = shape_spectrum(jet, forms)
-    ric = ricci_coordinate(jet, forms)
-    eigs = ricci_eigenvalues(ric, forms.metric)
-    base = convexity_classify(spec.kappas, eigs, n, tol)
-    kf = key_factors(jet, tol)
-    dens = n_subharmonic_density(jet, n)
-    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean,
-                        (kf.A, kf.B), dens.density, dens.at_critical_point)
+def point_regime_report(jet: Jet2, tol: float = INEQ_TOL) -> RegimeReport:
+    """Full per-point report: regime, Ricci floor, factors, density and spectrum."""
+    spec = shape_spectrum(jet)
+    aj = adapted_frame(jet)
+    base = convexity_classify(spec.kappas, spec.ricci, jet.n, tol)
+    kf = key_factors(aj, spec.mean_closed, tol)
+    dens = n_subharmonic_density(aj)
+    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean, (kf.A, kf.B),
+                        dens.density, dens.at_critical_point, spec)
 
 
 def scan_field(field: HeightField, points) -> list:
@@ -283,12 +286,10 @@ def scan_field(field: HeightField, points) -> list:
     n = field.n
     for x in points:
         jet = field.jet(x)
-        rep = point_regime_report(jet, n)
-        forms = fundamental_forms(jet)
-        spec = shape_spectrum(jet, forms)
+        rep = point_regime_report(jet)
         A, B = rep.factors
-        rows.append(list(np.asarray(x, float)) + [jet.f, spec.mean]
-                    + list(spec.kappas)
+        rows.append(list(np.asarray(x, float)) + [jet.f, rep.mean]
+                    + list(rep.spectrum.kappas)
                     + [rep.min_ricci_eig, A, B, A * B - (n - 1),
                        rep.n_subharmonic_density, rep.regime.value])
     return rows

@@ -17,16 +17,14 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .curvature import (cluster_kappas, commutation_residual, fundamental_forms,
-                        ricci_from_shape, shape_spectrum)
+from .curvature import cluster_kappas, ricci_from_shape, shape_spectrum
 from .errors import HypothesisContradiction, ParameterError, PreconditionError
 from .heightfield import HeightField, Jet2
 
 __all__ = [
     "Verdict", "RigidityReport", "NullDirectionReport", "ConstancyScan",
-    "flat_direction_check", "constancy_scan", "classify_global",
-    "min_ricci_eigenvalue", "rigidity_report",
-    "commutation_residual", "verdict_report",
+    "flat_direction_check", "constancy_scan", "classify_global", "rigidity_report",
+    "verdict_report",
 ]
 
 #: absolute eigenvalue threshold below which a Ricci eigenvalue counts as null
@@ -71,6 +69,7 @@ class ConstancyScan:
     umbilic: bool
     umbilic_value: float
     samples: int
+    ric_min: float       # smallest Ricci eigenvalue over the samples
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,18 @@ def _smaller_root(H: float, n: int) -> float:
     return (H - math.sqrt(disc)) / 2.0
 
 
-def flat_direction_check(jet: Jet2, n: int, ric_tol: float = RICCI_NULL_TOL) -> NullDirectionReport:
+def flat_direction_check(jet: Jet2, ric_tol: float = RICCI_NULL_TOL) -> NullDirectionReport:
     """Extract Ricci-null directions and compare their curvature to the smaller root.
 
     Requires n >= 3 and a pointwise nonnegative Ricci spectrum (floor -ric_tol); an
     empty null space is a valid outcome, not an error.
     """
+    n = jet.n
     if n < 3:
         raise ParameterError("flat-direction analysis requires n >= 3")
-    forms = fundamental_forms(jet)
-    spec = shape_spectrum(jet, forms)
-    ric = ricci_from_shape(spec, forms, n)
-    eigvals, eigvecs = scipy.linalg.eigh(ric, forms.metric)
+    spec = shape_spectrum(jet)
+    g = spec.forms.metric
+    eigvals, eigvecs = scipy.linalg.eigh(ricci_from_shape(spec), g)
     if eigvals[0] < -ric_tol:
         raise PreconditionError(
             f"surface has negative Ricci eigenvalue {eigvals[0]:.3e} at this point")
@@ -111,7 +110,6 @@ def flat_direction_check(jet: Jet2, n: int, ric_tol: float = RICCI_NULL_TOL) -> 
                                    _smaller_root(spec.mean, n), spec.mean)
 
     clusters = cluster_kappas(spec.kappas)
-    g = forms.metric
     null_kappas = []
     worst_angle = 0.0
     for idx in null_idx:
@@ -131,20 +129,23 @@ def flat_direction_check(jet: Jet2, n: int, ric_tol: float = RICCI_NULL_TOL) -> 
                                spec.mean)
 
 
-def constancy_scan(field: HeightField, samples, n: int) -> ConstancyScan:
+def constancy_scan(field: HeightField, samples) -> ConstancyScan:
     """Cluster the curvature spectrum at each sample and measure constancy.
 
     With the {1, n-1} split present everywhere, returns across-sample variances of
     both clusters and the worst reciprocal-product defect.  A degenerate single
-    cluster is reported as umbilic; any other structure sets split_ok False.
+    cluster is reported as umbilic; any other structure sets split_ok False.  The
+    smallest Ricci eigenvalue over all samples is read from the same spectra.
     """
+    n = field.n
     kappa0s, kappa_ts = [], []
     umbilic_vals = []
     split_ok = True
     count = 0
+    ric_min = math.inf
     for x in samples:
-        jet = field.jet(x)
-        spec = shape_spectrum(jet, fundamental_forms(jet))
+        spec = shape_spectrum(field.jet(x))
+        ric_min = min(ric_min, float(spec.ricci[0]))
         clusters = cluster_kappas(spec.kappas)
         count += 1
         if len(clusters) == 1:
@@ -161,24 +162,16 @@ def constancy_scan(field: HeightField, samples, n: int) -> ConstancyScan:
         vals = np.asarray(umbilic_vals)
         return ConstancyScan(float(np.var(vals)), float(np.var(vals)), math.nan,
                              float(np.mean(vals)), float(np.mean(vals)),
-                             False, True, float(np.mean(vals)), count)
+                             False, True, float(np.mean(vals)), count, ric_min)
     if not kappa0s or umbilic_vals:
         return ConstancyScan(math.nan, math.nan, math.nan, math.nan, math.nan,
-                             False, False, math.nan, count)
+                             False, False, math.nan, count, ric_min)
     k0 = np.asarray(kappa0s)
     kt = np.asarray(kappa_ts)
     defect = float(np.max(np.abs(np.repeat(k0, n - 1) * kt - 1.0)))
     return ConstancyScan(float(np.var(k0)), float(np.var(kt)), defect,
                          float(np.mean(k0)), float(np.mean(kt)),
-                         split_ok, False, math.nan, count)
-
-
-def min_ricci_eigenvalue(jet: Jet2, n: int) -> float:
-    """Smallest eigenvalue of the Ricci operator at one jet."""
-    forms = fundamental_forms(jet)
-    spec = shape_spectrum(jet, forms)
-    ric = ricci_from_shape(spec, forms, n)
-    return float(scipy.linalg.eigh(ric, forms.metric, eigvals_only=True)[0])
+                         split_ok, False, math.nan, count, ric_min)
 
 
 def classify_global(constancy: ConstancyScan, boundary_points: int, n: int,
@@ -209,13 +202,13 @@ def rigidity_report(field: HeightField, samples, boundary_points: int, n: int,
                     nonneg_ricci: bool = False,
                     ric_tol: float = RICCI_NULL_TOL) -> RigidityReport:
     """Full rigidity analysis: null directions at the samples, constancy, verdict."""
-    scan = constancy_scan(field, samples, n)
+    scan = constancy_scan(field, samples)
     dim = 0
     kappa0 = math.nan
     kappa0_exp = math.nan
     alignment = 0.0
     for x in samples:
-        frag = flat_direction_check(field.jet(x), n, ric_tol)
+        frag = flat_direction_check(field.jet(x), ric_tol)
         if frag.null_space_dim > 0:
             dim = frag.null_space_dim
             kappa0 = frag.kappa0
@@ -226,10 +219,8 @@ def rigidity_report(field: HeightField, samples, boundary_points: int, n: int,
                           (scan.kappa0_var, scan.kappa_t_var), verdict)
 
 
-def verdict_report(constancy: ConstancyScan, boundary_points: int, n: int,
-                   nonneg_ricci: bool = False) -> dict:
+def verdict_report(verdict: Verdict, constancy: ConstancyScan, boundary_points: int) -> dict:
     """Verdict JSON payload."""
-    verdict = classify_global(constancy, boundary_points, n, nonneg_ricci)
     kappa0 = constancy.umbilic_value if constancy.umbilic else constancy.kappa0_mean
     kappa_t = constancy.umbilic_value if constancy.umbilic else constancy.kappa_t_mean
     return {

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hypcurv import asymptotics
 from hypcurv.cli import main
 from hypcurv.reportio import dumps
 
@@ -109,6 +111,21 @@ class TestClassify:
         assert result.exit_code == 0
         assert json.loads(result.output)["verdict"] == "EquidistantTube"
 
+    def test_three_ends_contradict_nonneg_ricci(self, runner, surfaces, monkeypatch):
+        real = asymptotics.recession_report
+
+        def three_points(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), boundary_points=3)
+
+        monkeypatch.setattr(asymptotics, "recession_report", three_points)
+        result = runner.invoke(main, ["classify", "--surface", surfaces["cone"],
+                                      "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:17",
+                                      "--samples", "20"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        error = json.loads(result.stderr)["error"]
+        assert "3 boundary points on a nonnegative-Ricci surface" in error
+
 
 class TestSolveAndProbe:
     def test_solve_writes_artifacts(self, runner, surfaces, tmp_path):
@@ -150,6 +167,42 @@ class TestBoundary:
         doc = json.loads(result.output)
         assert doc["boundary_points"] == 2
         assert [c["count"] for c in doc["components"]] == [1, 1, 1, 1]
+
+
+@pytest.fixture()
+def excised_grid(tmp_path):
+    """A 7^3 sampled horosphere whose centre node is excised (-inf)."""
+    rows = ["value,boundary"]
+    for i in range(7 ** 3):
+        idx = np.unravel_index(i, (7, 7, 7))
+        face = any(k in (0, 6) for k in idx)
+        centre = all(k == 3 for k in idx)
+        rows.append(f"{'-inf' if centre else 1.0},{int(face or centre)}")
+    (tmp_path / "grid.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "grid.header.json").write_text(json.dumps(
+        {"dims": [7, 7, 7], "spacing": 0.5, "origin": [-1.5, -1.5, -1.5]}))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"kind": "sampled_grid", "values_csv": "grid.csv",
+                                "header_json": "grid.header.json"}))
+    return str(path)
+
+
+OUTSIDE = "1,1,1:3,3,3:9"
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:3"],
+    ["classify", "--grid", OUTSIDE],
+    ["solve", "--grid", OUTSIDE],
+    ["probe", "--grid", OUTSIDE],
+    ["boundary", "--grid", OUTSIDE],
+], ids=lambda args: args[0])
+def test_library_error_exits_1_with_error_json(runner, surfaces, excised_grid, args):
+    surface = excised_grid if args[0] == "scan" else surfaces["cone"]
+    result = runner.invoke(main, [args[0], "--surface", surface] + args[1:])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"]
 
 
 class TestVerify:

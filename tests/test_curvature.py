@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypcurv import curvature
 from hypcurv.curvature import (cluster_kappas, codazzi_residual, commutation_residual,
                                fundamental_forms, gauss_residual, mean_curvature,
                                ricci_coordinate, ricci_eigenvalues, ricci_from_shape,
@@ -34,8 +35,8 @@ def plane(s=1.0, n=3):
 
 def spectrum_at(field, x):
     jet = field.jet(x)
-    forms = fundamental_forms(jet)
-    return jet, forms, shape_spectrum(jet, forms)
+    spec = shape_spectrum(jet)
+    return jet, spec.forms, spec
 
 
 def random_jet(rng, n):
@@ -127,12 +128,13 @@ class TestShapeSpectrum:
         _, _, spec = spectrum_at(field, [0.0, 0.0, 0.0])
         assert np.all(spec.kappas < 0)
 
-    def test_mean_cross_check_catches_corruption(self):
+    def test_mean_cross_check_catches_corruption(self, monkeypatch):
         jet1 = cone().jet([1.0, 0.0, 0.0])
         jet2 = cap().jet([0.2, 0.0, 0.0])
         forms_wrong = fundamental_forms(jet2)
+        monkeypatch.setattr(curvature, "fundamental_forms", lambda jet: forms_wrong)
         with pytest.raises(NumericError):
-            shape_spectrum(jet1, forms_wrong)
+            shape_spectrum(jet1)
 
     def test_cluster_kappas(self):
         groups = cluster_kappas(np.array([0.7071, 1.4142, 1.4142]))
@@ -145,7 +147,7 @@ class TestRicci:
     def test_horosphere_flat(self):
         jet, forms, spec = spectrum_at(horosphere(), [0.2, 0.2, 0.2])
         assert np.max(np.abs(ricci_coordinate(jet, forms))) <= 1e-14
-        assert np.max(np.abs(ricci_from_shape(spec, forms, 3))) <= 1e-14
+        assert np.max(np.abs(ricci_from_shape(spec))) <= 1e-14
 
     def test_plane_umbilic_ricci(self):
         # umbilic identity: Ric = (n-1)(kappa^2 - 1) g
@@ -173,7 +175,7 @@ class TestRicci:
             for x in field.sample_points(200, rng, margin=0.01, **kwargs):
                 jet, forms, spec = spectrum_at(field, x)
                 r1 = ricci_coordinate(jet, forms)
-                r2 = ricci_from_shape(spec, forms, field.n)
+                r2 = ricci_from_shape(spec)
                 assert np.max(np.abs(r1 - r2)) <= 1e-9 * (1.0 + np.max(np.abs(r1)))
 
     def test_commutation_on_catalog(self):
@@ -191,13 +193,30 @@ def test_two_route_ricci_random_jets(n, seed):
     rng = np.random.default_rng(seed)
     jet = random_jet(rng, n)
     forms = fundamental_forms(jet)
-    spec = shape_spectrum(jet, forms)
+    spec = shape_spectrum(jet)
     r1 = ricci_coordinate(jet, forms)
-    r2 = ricci_from_shape(spec, forms, n)
+    r2 = ricci_from_shape(spec)
     assert np.max(np.abs(r1 - r2)) <= 1e-9 * (1.0 + np.max(np.abs(r1)))
     assert commutation_residual(r1, forms.metric, spec.shape) <= 1e-9
     assert abs(np.sum(spec.kappas) - mean_curvature(jet)) <= 1e-10 * (
         1.0 + abs(spec.mean))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10 ** 9),
+       st.booleans())
+def test_spectrum_ricci_matches_coordinate_oracle(n, seed, critical):
+    # the kernel's polynomial Ricci eigenvalues against the coordinate-route pencil
+    rng = np.random.default_rng(seed)
+    jet = random_jet(rng, n)
+    if critical:
+        jet = Jet2(jet.x, jet.f, np.zeros(n), jet.hess)
+    forms = fundamental_forms(jet)
+    ric = ricci_coordinate(jet, forms)
+    oracle = ricci_eigenvalues(ric, forms.metric)
+    spec = shape_spectrum(jet)
+    assert np.all(np.diff(spec.ricci) >= 0.0)
+    assert np.max(np.abs(spec.ricci - oracle)) <= 1e-9 * (1.0 + np.max(np.abs(ric)))
 
 
 class TestFiniteDifferenceResiduals:

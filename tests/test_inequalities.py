@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcurv.curvature import fundamental_forms, ricci_coordinate, shape_spectrum
+from hypcurv.curvature import (fundamental_forms, mean_curvature, ricci_coordinate,
+                               shape_spectrum)
 from hypcurv.errors import DegenerateGradientError
 from hypcurv.heightfield import Jet2, make_catalog_surface
 from hypcurv.inequalities import (Regime, adapted_frame, convexity_classify,
                                   grad_direction_ricci, key_factors, mean_bound_check,
-                                  mean_curvature, n_laplacian_expansion,
+                                  n_laplacian_expansion,
                                   n_subharmonic_density, point_regime_report,
                                   ricci_gradient_adapted, scan_field)
 
@@ -27,6 +28,10 @@ def plane(s=1.0, n=3):
 
 def horosphere(c=1.0, n=3):
     return make_catalog_surface("horosphere", {"c": c}, n)
+
+
+def factors_at(jet):
+    return key_factors(adapted_frame(jet), mean_curvature(jet))
 
 
 def tangent_sphere_jet(x, rho=1.0):
@@ -79,7 +84,7 @@ class TestGradDirectionRicci:
 
     def test_umbilic_kappa_one_limit(self):
         jet = tangent_sphere_jet([0.5, 0.0, 0.0])
-        spec = shape_spectrum(jet, fundamental_forms(jet))
+        spec = shape_spectrum(jet)
         assert np.allclose(spec.kappas, 1.0, atol=1e-12)  # confirms the witness
         assert grad_direction_ricci(jet) == pytest.approx(0.0, abs=1e-12)
 
@@ -110,21 +115,21 @@ class TestGradDirectionRicci:
 
 class TestKeyFactors:
     def test_horosphere(self):
-        kf = key_factors(horosphere().jet([0.3, 0.1, 0.0]))
+        kf = factors_at(horosphere().jet([0.3, 0.1, 0.0]))
         assert kf.A == pytest.approx(1.0, abs=1e-14)
         assert kf.B == pytest.approx(2.0, abs=1e-14)
         assert kf.product_ok
         assert kf.sum_check <= 1e-14
 
     def test_cone_equality_case(self):
-        kf = key_factors(cone().jet([1.0, 0.0, 0.0]))
+        kf = factors_at(cone().jet([1.0, 0.0, 0.0]))
         assert kf.A == pytest.approx(1.0 / SQ2, rel=1e-13)
         assert kf.B == pytest.approx(2.0 * SQ2, rel=1e-13)
         assert kf.A * kf.B == pytest.approx(2.0, rel=1e-12)
         assert kf.product_ok
 
     def test_plane_inequality_fails(self):
-        kf = key_factors(plane().jet([1.0, 0.0, 0.0]))
+        kf = factors_at(plane().jet([1.0, 0.0, 0.0]))
         assert kf.A == pytest.approx(1.0 / SQ2, rel=1e-13)
         assert kf.B == pytest.approx(SQ2, rel=1e-13)
         assert kf.A * kf.B == pytest.approx(1.0, rel=1e-12)
@@ -135,31 +140,31 @@ class TestKeyFactors:
         for field in (cone(0.5), cone(5.0), plane(2.0), horosphere(2.0, 4)):
             for x in field.sample_points(50, rng, margin=0.01):
                 jet = field.jet(x)
-                kf = key_factors(jet)
+                kf = factors_at(jet)
                 H = mean_curvature(jet)
                 assert kf.sum_check <= 1e-12 * max(1.0, abs(H))
 
     def test_sqrt_form_on_nonneg_vs_not_applicable(self):
-        kf = key_factors(cone().jet([1.0, 0.2, 0.0]))
+        kf = factors_at(cone().jet([1.0, 0.2, 0.0]))
         assert kf.sqrt_form_applicable and kf.sqrt_form_ok
         upper = make_catalog_surface(
             "geodesic_sphere_cap",
             {"center_height": 2.0, "euclidean_radius": 1.0, "cap": "upper"}, 3)
-        kf = key_factors(upper.jet([0.3, 0.0, 0.0]))
+        kf = factors_at(upper.jet([0.3, 0.0, 0.0]))
         assert not kf.sqrt_form_applicable
 
 
 class TestMeanBound:
     def test_horosphere_equality(self):
         jet = horosphere().jet([0.0, 0.0, 0.0])
-        spec = shape_spectrum(jet, fundamental_forms(jet))
+        spec = shape_spectrum(jet)
         rep = mean_bound_check(spec, 0.0, 3)
         assert rep.ok and rep.applicable
         assert rep.mean == pytest.approx(3.0, abs=1e-13)
 
     def test_cone(self):
         jet = cone().jet([1.0, 0.0, 0.0])
-        spec = shape_spectrum(jet, fundamental_forms(jet))
+        spec = shape_spectrum(jet)
         rep = mean_bound_check(spec, 0.0, 3)
         assert rep.ok
         assert rep.mean == pytest.approx(5.0 / SQ2, rel=1e-13)
@@ -168,13 +173,13 @@ class TestMeanBound:
         field = make_catalog_surface(
             "geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0}, 3)
         jet = field.jet([0.0, 0.0, 0.0])
-        spec = shape_spectrum(jet, fundamental_forms(jet))
+        spec = shape_spectrum(jet)
         rep = mean_bound_check(spec, 6.0, 3)
         assert rep.ok and rep.mean == pytest.approx(6.0, rel=1e-13)
 
     def test_negative_ricci_not_applicable(self):
         jet = plane().jet([1.0, 0.0, 0.0])
-        spec = shape_spectrum(jet, fundamental_forms(jet))
+        spec = shape_spectrum(jet)
         rep = mean_bound_check(spec, -1.0, 3)
         assert not rep.applicable and rep.ok
 
@@ -183,7 +188,7 @@ class TestMeanBound:
         field = make_catalog_surface(
             "geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0}, 3)
         jet = field.jet([0.0, 0.0, 0.0])
-        spec = shape_spectrum(jet, fundamental_forms(jet))
+        spec = shape_spectrum(jet)
         rep = mean_bound_check(spec, 0.0, 10)
         assert not rep.ok
         assert rep.counterexample is not None
@@ -192,7 +197,7 @@ class TestMeanBound:
 
 class TestDensity:
     def test_horosphere_critical(self):
-        res = n_subharmonic_density(horosphere().jet([0.0, 0.0, 0.0]), 3)
+        res = n_subharmonic_density(adapted_frame(horosphere().jet([0.0, 0.0, 0.0])))
         assert res.density == 0.0
         assert res.at_critical_point
 
@@ -201,18 +206,18 @@ class TestDensity:
         for s in (0.5, 1.0, 3.0):
             field = cone(s)
             for x in field.sample_points(30, rng, r_min=0.3, r_max=1.8):
-                res = n_subharmonic_density(field.jet(x), 3)
+                res = n_subharmonic_density(adapted_frame(field.jet(x)))
                 assert abs(res.density) <= 1e-10
 
     def test_plane_density_value(self):
         # log f = log s + log x1: density = (n-1) * (-1/x1^2)
         for x1 in (1.0, 1.7):
-            res = n_subharmonic_density(plane().jet([x1, 0.2, -0.3]), 3)
+            res = n_subharmonic_density(adapted_frame(plane().jet([x1, 0.2, -0.3])))
             assert res.density == pytest.approx(-2.0 / x1 ** 2, rel=1e-12)
 
     def test_weak_form_scaling(self):
         jet = plane().jet([1.0, 0.0, 0.0])
-        res = n_subharmonic_density(jet, 3)
+        res = n_subharmonic_density(adapted_frame(jet))
         norm = np.linalg.norm(jet.grad / jet.f)
         assert res.weak_value == pytest.approx(norm * res.density, rel=1e-13)
 
@@ -221,13 +226,13 @@ class TestDensity:
         for field in (cone(1.4), plane(0.8)):
             for x in field.sample_points(40, rng, margin=0.01):
                 jet = field.jet(x)
-                res = n_subharmonic_density(jet, 3)
-                direct = n_laplacian_expansion(jet, 3)
+                res = n_subharmonic_density(adapted_frame(jet))
+                direct = n_laplacian_expansion(jet)
                 assert abs(res.density - direct) <= 1e-9 * (1.0 + abs(direct))
 
     def test_n2_reduces_to_log_laplacian(self):
         jet = plane(1.0, 2).jet([1.0, 0.3])
-        res = n_subharmonic_density(jet, 2)
+        res = n_subharmonic_density(adapted_frame(jet))
         u_hess = jet.hess / jet.f - np.outer(jet.grad, jet.grad) / jet.f ** 2
         aj = adapted_frame(jet)
         rot = aj.rotation @ u_hess @ aj.rotation.T
@@ -299,5 +304,5 @@ def test_factor_sum_is_mean_curvature_random_jets(n, seed):
     h = rng.normal(size=(n, n))
     jet = Jet2(np.zeros(n), float(rng.uniform(0.2, 3.0)), rng.normal(size=n),
                0.5 * (h + h.T))
-    kf = key_factors(jet)
+    kf = factors_at(jet)
     assert kf.sum_check <= 1e-12 * max(1.0, abs(mean_curvature(jet)))

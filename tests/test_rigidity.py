@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hypcurv.curvature import fundamental_forms, ricci_coordinate, shape_spectrum
+from hypcurv.curvature import (commutation_residual, fundamental_forms, ricci_coordinate,
+                               shape_spectrum)
 from hypcurv.errors import HypothesisContradiction, ParameterError, PreconditionError
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import SampledGridField, make_catalog_surface
-from hypcurv.rigidity import (Verdict, classify_global, commutation_residual,
-                              constancy_scan, flat_direction_check,
-                              min_ricci_eigenvalue, rigidity_report, verdict_report)
+from hypcurv.rigidity import (Verdict, classify_global, constancy_scan,
+                              flat_direction_check, rigidity_report, verdict_report)
 
 SQ2 = math.sqrt(2.0)
 
@@ -29,7 +29,7 @@ def cap(n=3):
 
 class TestFlatDirection:
     def test_cone_single_null_direction(self):
-        frag = flat_direction_check(cone().jet([1.0, 0.0, 0.0]), 3)
+        frag = flat_direction_check(cone().jet([1.0, 0.0, 0.0]))
         assert frag.null_space_dim == 1
         assert frag.principal_alignment <= 1e-8
         assert frag.kappa0 == pytest.approx(1.0 / SQ2, abs=1e-10)
@@ -39,31 +39,31 @@ class TestFlatDirection:
         assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
 
     def test_horosphere_full_null_space(self):
-        frag = flat_direction_check(horosphere().jet([0.0, 0.0, 0.0]), 3)
+        frag = flat_direction_check(horosphere().jet([0.0, 0.0, 0.0]))
         assert frag.null_space_dim == 3
         # H = 3: roots (3 +/- 1)/2 = {2, 1}; observed kappa matches the smaller root
         assert frag.kappa0_expected == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(frag.null_kappas, 1.0, atol=1e-10)
 
     def test_cap_empty_fragment(self):
-        frag = flat_direction_check(cap().jet([0.0, 0.0, 0.0]), 3)
+        frag = flat_direction_check(cap().jet([0.0, 0.0, 0.0]))
         assert frag.null_space_dim == 0
         assert math.isnan(frag.kappa0)
 
     def test_dimension_precondition(self):
         with pytest.raises(ParameterError):
-            flat_direction_check(horosphere(1.0, 2).jet([0.0, 0.0]), 2)
+            flat_direction_check(horosphere(1.0, 2).jet([0.0, 0.0]))
 
     def test_negative_ricci_precondition(self):
         plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
         with pytest.raises(PreconditionError):
-            flat_direction_check(plane.jet([1.0, 0.0, 0.0]), 3)
+            flat_direction_check(plane.jet([1.0, 0.0, 0.0]))
 
     def test_null_kappa_matches_root_at_samples(self):
         rng = np.random.default_rng(15)
         field = cone(2.0)
         for x in field.sample_points(30, rng, r_min=0.4, r_max=1.8):
-            frag = flat_direction_check(field.jet(x), 3)
+            frag = flat_direction_check(field.jet(x))
             assert frag.null_space_dim == 1
             assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
             assert frag.kappa0 > 0
@@ -73,7 +73,7 @@ class TestCommutation:
     def test_horosphere_zero(self):
         jet = horosphere().jet([0.1, 0.2, 0.3])
         forms = fundamental_forms(jet)
-        spec = shape_spectrum(jet, forms)
+        spec = shape_spectrum(jet)
         ric = ricci_coordinate(jet, forms)
         assert commutation_residual(ric, forms.metric, spec.shape) == 0.0
 
@@ -81,7 +81,7 @@ class TestCommutation:
         plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
         jet = plane.jet([1.0, 0.3, -0.2])
         forms = fundamental_forms(jet)
-        spec = shape_spectrum(jet, forms)
+        spec = shape_spectrum(jet)
         ric = ricci_coordinate(jet, forms)
         assert commutation_residual(ric, forms.metric, spec.shape) <= 1e-12
 
@@ -102,7 +102,7 @@ class TestCommutation:
         for x in pts:
             jet = sampled.jet(x)
             forms = fundamental_forms(jet)
-            spec = shape_spectrum(jet, forms)
+            spec = shape_spectrum(jet)
             ric = ricci_coordinate(jet, forms)
             worst = max(worst, commutation_residual(ric, forms.metric, spec.shape))
         assert worst <= 1e-9
@@ -114,7 +114,7 @@ class TestConstancyScan:
         field = cone(s)
         rng = np.random.default_rng(17)
         pts = field.sample_points(100, rng, r_min=0.5, r_max=2.0)
-        scan = constancy_scan(field, pts, 3)
+        scan = constancy_scan(field, pts)
         assert scan.split_ok and not scan.umbilic
         assert scan.kappa0_var <= 1e-20
         assert scan.kappa_t_var <= 1e-20
@@ -125,14 +125,14 @@ class TestConstancyScan:
     def test_horosphere_degenerate_cluster(self):
         field = horosphere()
         rng = np.random.default_rng(18)
-        scan = constancy_scan(field, field.sample_points(50, rng), 3)
+        scan = constancy_scan(field, field.sample_points(50, rng))
         assert scan.umbilic
         assert scan.umbilic_value == pytest.approx(1.0, abs=1e-12)
 
     def test_cap_umbilic_but_not_one(self):
         field = cap()
         rng = np.random.default_rng(19)
-        scan = constancy_scan(field, field.sample_points(20, rng), 3)
+        scan = constancy_scan(field, field.sample_points(20, rng))
         assert scan.umbilic
         assert scan.umbilic_value > 1.5
 
@@ -141,7 +141,7 @@ class TestGlobalVerdict:
     def _cone_scan(self, s=1.0):
         field = cone(s)
         rng = np.random.default_rng(20)
-        return constancy_scan(field, field.sample_points(60, rng, r_min=0.5, r_max=2.0), 3)
+        return constancy_scan(field, field.sample_points(60, rng, r_min=0.5, r_max=2.0))
 
     def test_equidistant_tube(self):
         assert classify_global(self._cone_scan(), 2, 3) is Verdict.EQUIDISTANT_TUBE
@@ -149,7 +149,7 @@ class TestGlobalVerdict:
     def test_horosphere(self):
         field = horosphere()
         rng = np.random.default_rng(21)
-        scan = constancy_scan(field, field.sample_points(30, rng), 3)
+        scan = constancy_scan(field, field.sample_points(30, rng))
         assert classify_global(scan, 1, 3) is Verdict.HOROSPHERE
 
     def test_single_end(self):
@@ -158,7 +158,7 @@ class TestGlobalVerdict:
     def test_inconclusive_for_compact_cap(self):
         field = cap()
         rng = np.random.default_rng(22)
-        scan = constancy_scan(field, field.sample_points(30, rng), 3)
+        scan = constancy_scan(field, field.sample_points(30, rng))
         assert classify_global(scan, 0, 3) is Verdict.INCONCLUSIVE
 
     def test_contradiction(self):
@@ -173,7 +173,8 @@ class TestGlobalVerdict:
         assert a is b
 
     def test_verdict_json(self):
-        rep = verdict_report(self._cone_scan(), 2, 3)
+        scan = self._cone_scan()
+        rep = verdict_report(classify_global(scan, 2, 3), scan, 2)
         assert rep["verdict"] == "EquidistantTube"
         assert rep["boundary_points"] == 2
         assert rep["kappa0"] == pytest.approx(1.0 / SQ2, rel=1e-10)
@@ -191,8 +192,8 @@ class TestGlobalVerdict:
 
 
 def test_min_ricci_eigenvalue():
-    assert min_ricci_eigenvalue(cone().jet([1.0, 0.0, 0.0]), 3) == pytest.approx(
+    assert shape_spectrum(cone().jet([1.0, 0.0, 0.0])).ricci[0] == pytest.approx(
         0.0, abs=1e-12)
     plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
-    assert min_ricci_eigenvalue(plane.jet([1.0, 0.0, 0.0]), 3) == pytest.approx(
+    assert shape_spectrum(plane.jet([1.0, 0.0, 0.0])).ricci[0] == pytest.approx(
         -1.0, abs=1e-12)
