@@ -226,7 +226,11 @@ def _default_window(field, grid_spec):
               help="Dirichlet exponent (default: the dimension n).")
 @out_opt
 def solve(surface, grid_spec, p_value, out):
-    """p-harmonic Dirichlet solve with boundary data h = log f."""
+    """p-harmonic Dirichlet solve with boundary data h = log f.
+
+    With --out, writes the solution grid and energy_trace.csv, whose step column is
+    the accepted length along the preconditioned descent direction.
+    """
     field = _load_surface(surface)
     lo, hi, nodes = _parse_grid(grid_spec)
     spacing = float((hi[0] - lo[0]) / (nodes - 1))
@@ -241,6 +245,8 @@ def solve(surface, grid_spec, p_value, out):
     payload = {
         "converged": res.converged,
         "iterations": res.iterations,
+        "stop_reason": res.stop_reason,
+        "grad_norm": res.grad_norm,
         "final_energy": float(res.energy_trace[-1]),
     }
     if out:
@@ -280,6 +286,8 @@ def probe(surface, grid_spec, p_value, out):
         "tolerance": result.tolerance,
         "excised_nodes": result.excised_nodes,
         "spacing": result.spacing,
+        "iterations": result.iterations,
+        "stop_reason": result.stop_reason,
     }
     _emit(payload, manifest, out, "probe.json")
 

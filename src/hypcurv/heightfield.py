@@ -38,6 +38,8 @@ FD_STEP = 1e-4
 CONE_MASK_RADIUS = 1e-3
 #: default tensor-product interpolation order (polynomial degree) for sampled grids
 INTERP_ORDER = 4
+#: points interpolated per batch by ``SampledGridField.value_array``
+VALUE_CHUNK = 4096
 
 CATALOG_KINDS = ("horosphere", "geodesic_sphere_cap", "equidistant_cone",
                  "tilted_plane", "sampled_grid")
@@ -464,6 +466,37 @@ class SampledGridField(HeightField):
         w, _, _ = self._weights(local)
         return self._contract(block, [w[d] for d in range(self.n)])
 
+    def value_array(self, X):
+        """Interpolated f over points X of shape (..., n), the same windows as ``_value``.
+
+        Raises DomainError if the window of any point touches excised nodes.
+        """
+        X = np.asarray(X, dtype=float)
+        flat = X.reshape(-1, self.n)
+        out = np.empty(len(flat))
+        # bounded chunks keep the gathered windows, (order+1)^n values a point, small
+        for i in range(0, len(flat), VALUE_CHUNK):
+            out[i:i + VALUE_CHUNK] = self._interpolate(flat[i:i + VALUE_CHUNK])
+        return out.reshape(X.shape[:-1])
+
+    def _interpolate(self, pts):
+        n, width = self.n, self.order + 1
+        t = (pts - self.grid.origin) / self.grid.spacing
+        starts = np.clip(np.floor(t).astype(int) - (self.order - 1) // 2, 0,
+                         np.asarray(self.grid.dims) - width)
+        local = t - starts
+        weights = np.stack([np.polyval(c, local) for c in self._tables[0]], axis=-1)
+        index = tuple((starts[:, d, None] + np.arange(width)).reshape(
+            (-1,) + (1,) * d + (width,) + (1,) * (n - 1 - d)) for d in range(n))
+        block = self.grid.values[index]
+        finite = np.all(np.isfinite(block.reshape(len(pts), -1)), axis=1)
+        if not np.all(finite):
+            raise DomainError(f"interpolation window at {pts[np.argmin(finite)]} "
+                              "touches excised nodes")
+        axes = "abcdefghijklmnopqrstuvwxy"[:n]
+        spec = "z" + axes + "," + ",".join("z" + a for a in axes) + "->z"
+        return np.einsum(spec, block, *(weights[:, d] for d in range(n)), optimize=True)
+
     def _gradient(self, x):
         block, local = self._window(x)
         w, dw, _ = self._weights(local)
@@ -513,11 +546,28 @@ def _masked_points(field: HeightField, X) -> np.ndarray:
     return masked
 
 
+def _lattice_dims(lo, hi, spacing: float) -> tuple:
+    """Node counts of the lattice over [lo, hi] at ``spacing``.
+
+    Raises ParameterError unless every axis extent is a whole number of spacings
+    (relative 1e-9), so the lattice ends exactly on ``hi``.
+    """
+    extents = np.asarray(hi, float) - np.asarray(lo, float)
+    steps = extents / spacing
+    whole = np.round(steps)
+    if np.any(np.abs(steps - whole) > 1e-9 * np.maximum(whole, 1.0)):
+        raise ParameterError(f"window extents {extents.tolist()} are not whole multiples "
+                             f"of the spacing {spacing!r}")
+    return tuple(int(k) + 1 for k in whole)
+
+
 def _sample_values_grid(field: HeightField, box: Box, nodes_per_axis: int) -> GridFunction:
-    """Graph values f on a lattice; masked points get -inf and a boundary flag."""
-    n = field.n
+    """Graph values f on a lattice; masked points get -inf and a boundary flag.
+
+    The spacing comes from axis 0; the other axes must be whole multiples of it.
+    """
     spacing = float((box.hi[0] - box.lo[0]) / (nodes_per_axis - 1))
-    dims = tuple(int(round((box.hi[d] - box.lo[d]) / spacing)) + 1 for d in range(n))
+    dims = _lattice_dims(box.lo, box.hi, spacing)
     X = _mesh_points(box.lo, dims, spacing)
     vals = field.value_array(X)
     good = ~_masked_points(field, X) & (vals > 0)
@@ -529,14 +579,14 @@ def _sample_values_grid(field: HeightField, box: Box, nodes_per_axis: int) -> Gr
 def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFunction:
     """Heights h = log f on a lattice over [lo, hi]; -inf at masked nodes.
 
-    The window must sit inside the field's domain box.
+    The window must sit inside the field's domain box, and each of its extents must
+    be a whole number of spacings (else ParameterError).
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
-    n = field.n
     if not (field.domain.contains(lo) and field.domain.contains(hi)):
         raise DomainError("analysis window exits the field domain")
-    dims = tuple(int(round((hi[d] - lo[d]) / spacing)) + 1 for d in range(n))
+    dims = _lattice_dims(lo, hi, spacing)
     if any(d < 3 for d in dims):
         raise ParameterError("analysis window too small for the requested spacing")
     X = _mesh_points(lo, dims, spacing)

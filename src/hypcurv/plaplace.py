@@ -6,9 +6,12 @@ The energy of a grid function u is the cell sum
 
 where Du_cell averages the forward differences along each axis over the cell.  Cells
 with an excised (-inf) corner contribute nothing.  The minimizer over interior nodes
-is found by gradient descent with a backtracking (Armijo) line search, so the recorded
-energy trace is monotonically non-increasing.  For p = 2 the stationarity condition is
-linear and an independently assembled sparse system provides the oracle solution.
+is found by preconditioned descent: each direction applies the exact inverse of the
+p = 2 operator on the lattice box, computed with per-axis sine transforms, so the
+iteration count does not grow with the lattice; a backtracking (Armijo) line search
+keeps the recorded energy trace monotonically non-increasing.  For p = 2 the
+stationarity condition is linear, and :func:`solve_laplace_linear`, a direct sparse
+solve of the independently assembled system, is the oracle for the descent.
 
 The viscosity probe samples h = log f on a box, solves the p = n Dirichlet problem
 with boundary h, and reports whether the p-harmonic solution dominates h up to a
@@ -185,23 +188,80 @@ def tighten_boundary(gf: GridFunction) -> GridFunction:
 
 @dataclass
 class PHarmonicResult:
-    """Solver output: the final grid plus the full (monotone) energy trace."""
+    """Solver output: the final grid, the full (monotone) energy trace and why it stopped.
+
+    ``step_trace`` holds the accepted step length of each iteration; it scales the
+    preconditioned direction, not the raw gradient.  ``stop_reason`` is one of
+    ``"stalled"``, ``"zero_gradient"``, ``"line_search_exhausted"`` or
+    ``"max_iterations"``; only the last leaves ``converged`` false.  ``grad_norm`` is
+    the Euclidean norm of the energy gradient over the interior nodes at the result.
+    """
 
     grid: GridFunction
     energy_trace: np.ndarray
     step_trace: np.ndarray
     converged: bool
     iterations: int
+    stop_reason: str
+    grad_norm: float
+
+
+def _box_preconditioner(dims, spacing, p):
+    """Exact inverse of ``p h^n A_I^T A_I`` on the interior of the lattice box.
+
+    ``A`` is the cell-gradient operator (:func:`_gradient_operator` with every cell
+    complete) and ``I`` the nodes off the box faces.  On that product set
+    ``A_I^T A_I = sum_a L_a (x) prod_{b != a} M_b`` with ``L = tridiag(-1, 2, -1)/h^2``
+    and ``M = tridiag(1/4, 1/2, 1/4)``, both diagonalised by the orthonormal DST-I
+    matrix ``S``.  The eigenvalues of ``M``, ``(1 + cos theta_k)/2``, vanish towards
+    the checkerboard (hourglass) mode, which the inverse therefore captures exactly.
+    Returns ``apply(g)`` mapping an array of the interior shape ``dims - 2`` to
+    ``S (S g / (p h^n Lambda))``, transformed axis by axis.
+    """
+    n = len(dims)
+    transforms, eig_l, eig_m = [], [], []
+    for d in dims:
+        m = d - 2
+        k = np.arange(1, m + 1)
+        theta = np.pi * k / (m + 1)
+        transforms.append(math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * np.pi / (m + 1)))
+        eig_l.append((2.0 - 2.0 * np.cos(theta)) / spacing ** 2)
+        eig_m.append(0.5 * (1.0 + np.cos(theta)))
+
+    eig_l, eig_m = np.ix_(*eig_l), np.ix_(*eig_m)
+    lam = sum(eig_l[a] * math.prod(eig_m[b] for b in range(n) if b != a) for a in range(n))
+    scale = p * spacing ** n * lam
+
+    def transform(x):
+        # contracting the leading axis moves it last, so n passes restore the order
+        for S in transforms:
+            x = np.tensordot(x, S, axes=(0, 0))
+        return x
+
+    return lambda g: transform(transform(g) / scale)
 
 
 def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarmonicResult:
     """Minimize the regularized p-Dirichlet energy over the interior nodes.
 
+    Preconditioned descent (Huang, Li & Liu 2007): the search direction is
+    ``z = P^-1 g``, ``P = p h^n A_I^T A_I`` the p=2 operator on the box interior
+    (:func:`_box_preconditioner`), zeroed off the interior mask.  Every principal
+    block of the inverse of an SPD matrix is SPD, so ``g.z > 0`` also where nodes are
+    excised or tightened into the boundary.  The step is a Barzilai-Borwein length in
+    the P-metric, ``t = t_prev^2 (g_prev.z_prev) / (s.y)``, backtracked until the
+    Armijo test ``E(u - t z) <= E(u) - armijo t g.z`` holds, so the energy trace is
+    monotone.  Because the direction inverts the p=2 operator exactly on a box, the
+    iteration count does not grow with the lattice.
+
     Interior entries of ``boundary_data`` are the starting point (a warm start with
     the height samples themselves, in the probe's case).  Termination: the relative
     energy decrease stays below ``config.tolerance`` for ``config.stall_iterations``
-    consecutive accepted steps, the gradient vanishes, or ``config.max_iterations``
-    is reached (the result is then flagged non-converged).
+    consecutive accepted steps (``"stalled"``), the gradient vanishes
+    (``"zero_gradient"``), no step passes the Armijo test after
+    ``config.max_backtracks`` halvings (``"line_search_exhausted"``, taken as the
+    numerical optimum), or ``config.max_iterations`` is reached (``"max_iterations"``,
+    the result is then flagged non-converged).
     """
     gf = boundary_data.copy()
     gf.validate()
@@ -215,40 +275,46 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     active = gf.active_mask()
     cell_mask = _complete_cells(active)
     h, p, eps = gf.spacing, config.p, config.epsilon
+    precondition = _box_preconditioner(gf.dims, h, p)
+    inner = tuple(slice(1, -1) for _ in gf.dims)
+
+    def direction(g):
+        z = np.zeros_like(g)
+        z[inner] = precondition(g[inner])
+        return np.where(interior, z, 0.0)
 
     energy, grad = _energy_and_grad(vals, h, p, eps, cell_mask)
     grad = np.where(interior, grad, 0.0)
     trace = [energy]
     steps = []
     converged = False
+    stop_reason = "max_iterations"
     stalled = 0
     t = 1.0
-    vals_prev = None
-    grad_prev = None
+    s = grad_prev = gz_prev = None
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        gn2 = float(np.sum(grad * grad))
-        if gn2 == 0.0:
-            converged = True
+        z = direction(grad)
+        gz = float(np.sum(grad * z))
+        if gz == 0.0:
+            converged, stop_reason = True, "zero_gradient"
             break
-        if vals_prev is not None:
-            # Barzilai-Borwein trial step, backtracked to guarantee decrease
-            s = vals - vals_prev
-            y = grad - grad_prev
-            sy = float(np.sum(s * y))
-            t = float(np.sum(s * s)) / sy if sy > 0 else t * 2.0
+        if s is not None:
+            # Barzilai-Borwein trial step in the P-metric, backtracked to guarantee decrease
+            sy = float(np.sum(s * (grad - grad_prev)))
+            t = t * t * gz_prev / sy if sy > 0 else t * 2.0
         accepted = False
         for _ in range(config.max_backtracks):
-            cand = vals - t * grad
+            cand = vals - t * z
             e_new, g_new = _energy_and_grad(cand, h, p, eps, cell_mask)
-            if e_new <= energy - config.armijo * t * gn2:
+            if e_new <= energy - config.armijo * t * gz:
                 accepted = True
                 break
             t *= config.backtrack
         if not accepted:
-            converged = True  # no descent at the smallest step: at numerical optimum
+            converged, stop_reason = True, "line_search_exhausted"
             break
-        vals_prev, grad_prev = vals, grad
+        s, grad_prev, gz_prev = cand - vals, grad, gz
         vals = cand
         rel_drop = (energy - e_new) / max(abs(e_new), 1e-300)
         energy = e_new
@@ -257,13 +323,14 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
         steps.append(t)
         stalled = stalled + 1 if rel_drop < config.tolerance else 0
         if stalled >= config.stall_iterations:
-            converged = True
+            converged, stop_reason = True, "stalled"
             break
 
     out = gf.copy()
     out.values = np.where(np.isfinite(gf.values), vals, gf.values)
     out.values[~active] = gf.values[~active]
-    return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, iterations)
+    return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, iterations,
+                           stop_reason, float(np.sqrt(np.sum(grad * grad))))
 
 
 # -- independent p = 2 oracle -----------------------------------------------------------
@@ -358,6 +425,8 @@ class ProbeResult:
     tolerance: float
     excised_nodes: int
     spacing: float
+    iterations: int
+    stop_reason: str
 
     def __bool__(self):
         return self.subharmonic
@@ -376,10 +445,10 @@ def viscosity_probe(field: HeightField, lo, hi, config: SolverConfig,
     result = solve_p_harmonic(h_grid, config)
     interior = h_grid.interior_mask()
     tol = 10.0 * spacing ** 2
-    if not np.any(interior):
-        return ProbeResult(True, 0.0, tol, excised, spacing)
-    margin = float(np.min(result.grid.values[interior] - h_grid.values[interior]))
-    return ProbeResult(margin >= -tol, margin, tol, excised, spacing)
+    margin = (float(np.min(result.grid.values[interior] - h_grid.values[interior]))
+              if np.any(interior) else 0.0)
+    return ProbeResult(margin >= -tol, margin, tol, excised, spacing, result.iterations,
+                       result.stop_reason)
 
 
 # -- analytic-region grids ----------------------------------------------------------------

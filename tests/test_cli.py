@@ -136,6 +136,8 @@ class TestSolveAndProbe:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["converged"]
+        assert doc["stop_reason"] == "stalled"
+        assert 0.0 <= doc["grad_norm"] <= 1e-6
         trace = (out / "energy_trace.csv").read_text().strip().splitlines()
         assert trace[0] == "iteration,energy,step"
         energies = [float(r.split(",")[1]) for r in trace[1:]]
@@ -147,7 +149,19 @@ class TestSolveAndProbe:
             "probe", "--surface", surfaces["cone"],
             "--grid", "0.5,-0.5,-0.5:1.5,0.5,0.5:17"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["subharmonic"] is True
+        doc = json.loads(result.output)
+        assert doc["subharmonic"] is True
+        assert doc["stop_reason"] == "stalled"
+        assert 1 <= doc["iterations"] <= 60
+
+    def test_probe_non_commensurate_grid_rejected(self, runner, surfaces):
+        # the y and z extents, 0.6, are not whole multiples of the spacing 1/16
+        result = runner.invoke(main, [
+            "probe", "--surface", surfaces["cone"],
+            "--grid", "1.0,1.4,1.4:2.0,2.0,2.0:17"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "spacing" in json.loads(result.stderr)["error"]
 
     def test_probe_false_on_plane(self, runner, surfaces):
         result = runner.invoke(main, [

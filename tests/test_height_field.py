@@ -8,7 +8,7 @@ from hypcurv.errors import DataError, DomainError, ParameterError
 from hypcurv.gridfn import GridFunction, load_grid_function, save_grid_function
 from hypcurv.heightfield import (Box, Jet2, SampledGridField, fd_validate_jet,
                                  field_from_descriptor, field_to_descriptor,
-                                 make_catalog_surface)
+                                 make_catalog_surface, sample_height_grid)
 
 
 def cone(s=1.0, n=3):
@@ -163,6 +163,33 @@ class TestSampledGrid:
         sampled = SampledGridField.from_field(field, box, nodes_per_axis=17, order=4)
         with pytest.raises(DomainError):
             sampled.jet([0.01, 0.0, 0.0])  # window touches the excised apex
+        with pytest.raises(DomainError):
+            sampled.value_array(np.array([[0.15, 0.15, 0.15], [0.01, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_value_array_matches_per_node_value(self, n):
+        box = Box(np.full(n, 0.5), np.full(n, 1.3))
+        sampled = SampledGridField.from_field(cone(1.3, n), box, nodes_per_axis=9)
+        rng = np.random.default_rng(n)
+        # points across the box, its faces and slightly past them (clamped windows)
+        X = rng.uniform(0.45, 1.35, size=(200, n))
+        got = sampled.value_array(X.reshape(10, 20, n))
+        want = np.array([sampled._value(x) for x in X]).reshape(10, 20)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestLatticeContract:
+    def test_non_commensurate_window_rejected(self):
+        with pytest.raises(ParameterError):
+            sample_height_grid(cone(), [1.0, 1.4, 1.4], [2.0, 2.0, 2.0], 1.0 / 16)
+        with pytest.raises(ParameterError):
+            SampledGridField.from_field(cone(), Box([0.5, 0.5, 0.5], [1.0, 1.1, 1.0]), 9)
+
+    def test_non_cubic_window_ends_on_hi(self):
+        lo, hi = np.array([1.0, 1.25, -0.5]), np.array([2.0, 2.0, 0.1])
+        grid = sample_height_grid(cone(), lo, hi, 0.05)
+        assert grid.dims == (21, 16, 13)
+        assert np.allclose(grid.origin + grid.spacing * (np.asarray(grid.dims) - 1), hi)
 
 
 class TestDescriptorsAndIO:

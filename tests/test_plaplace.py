@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from hypcurv.errors import DataError, ParameterError, PreconditionError
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import make_catalog_surface, sample_height_grid
-from hypcurv.plaplace import (SolverConfig, annulus_grid, comparison_check,
-                              p_dirichlet_energy, solve_laplace_linear,
-                              solve_p_harmonic, tighten_boundary, viscosity_probe)
+from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _gradient_operator,
+                              annulus_grid, comparison_check, p_dirichlet_energy,
+                              solve_laplace_linear, solve_p_harmonic, tighten_boundary,
+                              viscosity_probe)
 
 
 def unit_grid(nodes=9):
@@ -27,6 +29,16 @@ def box_heights(fn, lo, hi, spacing):
     axes = [a + spacing * np.arange(d) for a, d in zip(lo, dims)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return GridFunction(dims, spacing, np.asarray(lo, float), fn(mesh))
+
+
+def cold_log_norm(nodes, shift=0.0):
+    """log|x| + shift on [0.5,1.5]x[-0.5,0.5]^2 and the constant start solved from it."""
+    exact = box_heights(
+        lambda m: 0.5 * np.log(m[0] ** 2 + m[1] ** 2 + m[2] ** 2) + shift,
+        (0.5, -0.5, -0.5), (1.5, 0.5, 0.5), 1.0 / (nodes - 1))
+    start = exact.copy()
+    start.values[start.interior_mask()] = float(np.mean(start.values[start.boundary_mask]))
+    return exact, start
 
 
 class TestConfig:
@@ -94,17 +106,14 @@ class TestSolver:
         assert np.all(np.diff(res.energy_trace) <= 0.0)
 
     def test_fundamental_solution_convergence(self):
-        # log|x| is the exact continuum solution; discrete error drops at order ~2
+        # log|x| is the exact continuum solution; discrete error drops at order ~2,
+        # and the preconditioned descent needs about as many iterations on either grid
         errs = []
-        for spacing in (1.0 / 16, 1.0 / 32):
-            exact = box_heights(
-                lambda m: 0.5 * np.log(m[0] ** 2 + m[1] ** 2 + m[2] ** 2),
-                (0.5, -0.5, -0.5), (1.5, 0.5, 0.5), spacing)
-            start = exact.copy()
-            start.values[start.interior_mask()] = float(
-                np.mean(start.values[start.boundary_mask]))
+        for nodes in (17, 33):
+            exact, start = cold_log_norm(nodes)
             res = solve_p_harmonic(start, SolverConfig(p=3.0))
             errs.append(float(np.max(np.abs(res.grid.values - exact.values))))
+            assert res.converged and res.iterations <= 60, nodes
         assert errs[1] <= 1e-3
         assert errs[0] / errs[1] >= 2.0
 
@@ -141,6 +150,56 @@ class TestSolver:
                                SolverConfig(p=3.0, max_iterations=3))
         assert not res.converged
         assert res.iterations == 3
+        assert res.stop_reason == "max_iterations"
+
+    def test_stop_reasons(self):
+        mesh, h = unit_grid()
+        flat = solve_p_harmonic(grid_from(np.full(mesh[0].shape, 1.5), h),
+                                SolverConfig(p=3.0))
+        assert (flat.converged, flat.stop_reason, flat.grad_norm) == (True, "zero_gradient", 0.0)
+        vals = np.sin(4 * mesh[0]) + mesh[1] ** 2
+        vals[1:-1, 1:-1, 1:-1] = 0.0
+        res = solve_p_harmonic(grid_from(vals, h), SolverConfig(p=3.0))
+        assert (res.converged, res.stop_reason) == (True, "stalled")
+        assert res.grad_norm <= 1e-6
+        # at p = 2 the unit step is the exact minimizer and lowers the energy by g.z/2,
+        # so an Armijo fraction of 0.9 with a single trial step rejects it
+        res = solve_p_harmonic(grid_from(vals, h),
+                               SolverConfig(p=2.0, armijo=0.9, max_backtracks=1))
+        assert (res.converged, res.stop_reason) == (True, "line_search_exhausted")
+        assert res.step_trace.size == 0
+
+    @pytest.mark.parametrize("dims", [(5, 7, 6), (6, 9), (5, 6, 7, 4)])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_box_preconditioner_matches_sparse_solve(self, dims, p):
+        # oracle: the same operator assembled from _gradient_operator and solved directly
+        h = 0.13
+        A = _gradient_operator(dims, h, np.ones([d - 1 for d in dims], dtype=bool))
+        inner = np.zeros(dims, dtype=bool)
+        inner[tuple(slice(1, -1) for _ in dims)] = True
+        AI = A[:, inner.ravel()]
+        K = (p * h ** len(dims) * (AI.T @ AI)).tocsc()
+        g = np.random.default_rng(len(dims)).normal(size=[d - 2 for d in dims])
+        want = scipy.sparse.linalg.spsolve(K, g.ravel()).reshape(g.shape)
+        got = _box_preconditioner(dims, h, p)(g)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_shift_invariance(self):
+        # log|x| and log|x| + 1 have the same minimizer up to the constant
+        runs = [solve_p_harmonic(cold_log_norm(33, shift)[1], SolverConfig(p=3.0))
+                for shift in (0.0, 1.0)]
+        assert abs(runs[0].iterations - runs[1].iterations) <= 2
+        assert np.max(np.abs(runs[0].grid.values + 1.0 - runs[1].grid.values)) <= 1e-9
+
+    def test_p2_matches_direct_solve_with_excision(self):
+        field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+        grid = tighten_boundary(sample_height_grid(field, [-0.5] * 3, [0.5] * 3, 1.0 / 16))
+        assert not np.all(grid.active_mask())
+        direct = solve_laplace_linear(grid)
+        res = solve_p_harmonic(grid, SolverConfig(p=2.0))
+        active = grid.active_mask()
+        assert res.converged
+        assert np.max(np.abs(direct.values[active] - res.grid.values[active])) <= 1e-8
 
 
 class TestComparison:
