@@ -296,7 +296,7 @@ def criterion_main_pipeline(seed: int) -> CriterionResult:
     _check(failures, rec.boundary_points == 2, f"cone k={rec.boundary_points}")
     samples = cone.sample_points(100, rng, r_min=0.5, r_max=2.0)
     scan = rigidity.constancy_scan(cone, samples)
-    verdict = rigidity.classify_global(scan, rec.boundary_points, n, nonneg_ricci=True)
+    verdict = rigidity.classify_global(scan, rec.boundary_points, nonneg_ricci=True)
     _check(failures, verdict is rigidity.Verdict.EQUIDISTANT_TUBE,
            f"cone verdict {verdict.value}")
     for a, b in zip(rec.max_diameters, rec.max_diameters[1:]):
@@ -307,8 +307,7 @@ def criterion_main_pipeline(seed: int) -> CriterionResult:
     rec_h = asymptotics.recession_report(hs, [1, 2, 3, 4], *window, spacing)
     _check(failures, rec_h.boundary_points == 1, f"horosphere k={rec_h.boundary_points}")
     scan_h = rigidity.constancy_scan(hs, hs.sample_points(50, rng))
-    verdict_h = rigidity.classify_global(scan_h, rec_h.boundary_points, n,
-                                         nonneg_ricci=True)
+    verdict_h = rigidity.classify_global(scan_h, rec_h.boundary_points, nonneg_ricci=True)
     _check(failures, verdict_h is rigidity.Verdict.HOROSPHERE,
            f"horosphere verdict {verdict_h.value}")
 

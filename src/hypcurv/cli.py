@@ -51,6 +51,21 @@ def _parse_grid(text: str):
     return lo, hi, nodes
 
 
+def _window(field, grid_spec):
+    """(lo, hi, spacing) of the grid spec, spacing from axis 0.
+
+    Without a spec: a cube of side min(hi - lo)/4 centred on the field's domain, with
+    65 nodes per axis.
+    """
+    if grid_spec is None:
+        centre = 0.5 * (field.domain.lo + field.domain.hi)
+        half = float(np.min(field.domain.hi - field.domain.lo)) / 8
+        lo, hi, nodes = centre - half, centre + half, 65
+    else:
+        lo, hi, nodes = _parse_grid(grid_spec)
+    return lo, hi, float((hi[0] - lo[0]) / (nodes - 1))
+
+
 def _load_surface(path: str):
     try:
         return field_from_json(path)
@@ -175,7 +190,8 @@ def scan(surface, grid_spec, seed, out):
 @click.option("--levels", default="1,2,3,4", show_default=True,
               help="Sublevel depths for the recession analysis.")
 @click.option("--grid", "grid_spec", default=None,
-              help="Analysis window 'lo:hi:nodes' (default: centered window).")
+              help="Analysis window 'lo:hi:nodes' (default: a cube of side min(hi - lo)/4 "
+                   "centred on the domain, 65 nodes).")
 @click.option("--samples", default=100, show_default=True, help="Curvature sample count.")
 @seed_opt
 @profile_opt
@@ -184,8 +200,7 @@ def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
     """Global verdict: rigidity constancy scan + recession-set count."""
     field = _load_surface(surface)
     levels_list = [float(t) for t in levels.split(",")]
-    lo, hi, nodes = _default_window(field, grid_spec)
-    spacing = float((hi[0] - lo[0]) / (nodes - 1))
+    lo, hi, spacing = _window(field, grid_spec)
     rng = np.random.default_rng(seed)
     ric_tol, product_tol, var_tol = TOLERANCE_PROFILES[tolerance_profile]
     manifest = RunManifest(
@@ -202,21 +217,12 @@ def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
     pts = field.sample_points(samples, rng, **kwargs)
     scan_res = rigidity.constancy_scan(field, pts)
     nonneg = scan_res.ric_min >= -ric_tol
-    verdict = rigidity.classify_global(scan_res, rec.boundary_points, field.n,
-                                       nonneg_ricci=nonneg,
+    verdict = rigidity.classify_global(scan_res, rec.boundary_points, nonneg_ricci=nonneg,
                                        product_tol=product_tol, var_tol=var_tol)
     payload = rigidity.verdict_report(verdict, scan_res, rec.boundary_points)
     payload["nonneg_ricci_on_samples"] = bool(nonneg)
     payload["recession"] = asymptotics.recession_json(rec)
     _emit(payload, manifest, out, "classify.json")
-
-
-def _default_window(field, grid_spec):
-    if grid_spec is not None:
-        return _parse_grid(grid_spec)
-    lo = field.domain.lo * 0.25
-    hi = field.domain.hi * 0.25
-    return lo, hi, 65
 
 
 @main.command()
@@ -232,8 +238,7 @@ def solve(surface, grid_spec, p_value, out):
     the accepted length along the preconditioned descent direction.
     """
     field = _load_surface(surface)
-    lo, hi, nodes = _parse_grid(grid_spec)
-    spacing = float((hi[0] - lo[0]) / (nodes - 1))
+    lo, hi, spacing = _window(field, grid_spec)
     p = float(p_value) if p_value is not None else float(field.n)
     if p < 2:
         raise click.UsageError(f"p must be >= 2, got {p}")
@@ -271,8 +276,7 @@ def solve(surface, grid_spec, p_value, out):
 def probe(surface, grid_spec, p_value, out):
     """Viscosity comparison probe on one box: is h = log f p-subharmonic there?"""
     field = _load_surface(surface)
-    lo, hi, nodes = _parse_grid(grid_spec)
-    spacing = float((hi[0] - lo[0]) / (nodes - 1))
+    lo, hi, spacing = _window(field, grid_spec)
     p = float(p_value) if p_value is not None else float(field.n)
     if p < 2:
         raise click.UsageError(f"p must be >= 2, got {p}")
@@ -295,14 +299,14 @@ def probe(surface, grid_spec, p_value, out):
 @main.command()
 @surface_opt
 @click.option("--levels", default="1,2,3,4", show_default=True)
-@click.option("--grid", "grid_spec", default=None, help="Window 'lo:hi:nodes'.")
+@click.option("--grid", "grid_spec", default=None,
+              help="Window 'lo:hi:nodes' (default: as for classify).")
 @out_opt
 def boundary(surface, levels, grid_spec, out):
     """Recession-set report: sublevel components and boundary-point count."""
     field = _load_surface(surface)
     levels_list = [float(t) for t in levels.split(",")]
-    lo, hi, nodes = _default_window(field, grid_spec)
-    spacing = float((hi[0] - lo[0]) / (nodes - 1))
+    lo, hi, spacing = _window(field, grid_spec)
     manifest = RunManifest("boundary", inputs={"surface": field_to_descriptor(field)},
                            config={"levels": levels_list,
                                    "window": [lo.tolist(), hi.tolist()],

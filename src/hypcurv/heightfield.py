@@ -173,10 +173,8 @@ class HeightField:
         return math.log(v) if v > 0 else -math.inf
 
     def value_array(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized f over points X of shape (..., n); subclasses may override."""
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, self.n)
-        return np.array([self._value(x) for x in flat]).reshape(X.shape[:-1])
+        """Vectorized f over points X of shape (..., n); every kind supplies its own."""
+        raise NotImplementedError
 
     def height_array(self, X: np.ndarray) -> np.ndarray:
         """Vectorized h = log f with -inf at masked points; no domain-box check."""
@@ -389,25 +387,31 @@ class TiltedPlane(HeightField):
 
 # -- sampled grids -------------------------------------------------------------------
 
-def _lagrange_weight_table(npts: int):
-    """Monomial coefficients of the Lagrange basis on nodes 0..npts-1 and derivatives."""
+def _lagrange_weight_table(npts: int) -> np.ndarray:
+    """Monomial coefficients of the Lagrange basis on nodes 0..npts-1 and derivatives.
+
+    Entry [k, j] holds the k-th derivative (k = 0, 1, 2) of basis polynomial j, highest
+    power first and padded with leading zeros to npts coefficients.
+    """
     offs = np.arange(npts, dtype=float)
-    c0, c1, c2 = [], [], []
+    table = np.zeros((3, npts, npts))
     for j in range(npts):
         roots = np.delete(offs, j)
         coeff = np.poly(roots) / np.prod(offs[j] - roots)
-        c0.append(coeff)
-        c1.append(np.polyder(coeff))
-        c2.append(np.polyder(coeff, 2))
-    return c0, c1, c2
+        for k in range(3):
+            der = np.polyder(coeff, k)
+            table[k, j, npts - len(der):] = der
+    return table
 
 
 class SampledGridField(HeightField):
     """Height field backed by lattice samples with local polynomial interpolation.
 
-    Jets come from tensor-product Lagrange interpolation of the configured order on a
-    window of (order+1)^n nodes around the query point; derivatives differentiate the
-    1D basis.  Windows containing excised (-inf) nodes raise DomainError.
+    Values, gradients and Hessians all come from one kernel, :meth:`_interpolate`:
+    tensor-product Lagrange interpolation of the configured order on a window of
+    (order+1)^n nodes around each query point, contracted axis by axis with the 1D
+    basis and its derivatives.  Windows containing excised (-inf) nodes raise
+    DomainError.
     """
 
     kind = "sampled_grid"
@@ -424,7 +428,7 @@ class SampledGridField(HeightField):
         super().__init__(n, Box(lo, hi))
         self.grid = grid
         self.order = int(order)
-        self._tables = _lagrange_weight_table(order + 1)
+        self._table = _lagrange_weight_table(order + 1)
 
     @classmethod
     def from_field(cls, field: HeightField, box: Box, nodes_per_axis: int,
@@ -433,38 +437,40 @@ class SampledGridField(HeightField):
         gf = _sample_values_grid(field, box, nodes_per_axis)
         return cls(gf, order=order)
 
-    def _window(self, x):
-        t = (np.asarray(x, float) - self.grid.origin) / self.grid.spacing
-        starts = []
-        for d in range(self.n):
-            s = int(math.floor(t[d])) - (self.order - 1) // 2
-            s = min(max(s, 0), self.grid.dims[d] - 1 - self.order)
-            starts.append(s)
-        block = self.grid.values[tuple(slice(s, s + self.order + 1) for s in starts)]
-        if not np.all(np.isfinite(block)):
-            raise DomainError(f"interpolation window at {x} touches excised nodes")
-        local = t - np.asarray(starts)
-        return block, local
+    def _interpolate(self, pts, deriv: int) -> np.ndarray:
+        """Every mixed partial of order <= ``deriv`` per axis at points ``pts`` (P, n).
 
-    def _weights(self, local):
-        c0, c1, c2 = self._tables
-        h = self.grid.spacing
-        w = np.array([[np.polyval(c, xi) for c in c0] for xi in local])
-        dw = np.array([[np.polyval(c, xi) / h for c in c1] for xi in local])
-        ddw = np.array([[np.polyval(c, xi) / h ** 2 for c in c2] for xi in local])
-        return w, dw, ddw
-
-    @staticmethod
-    def _contract(block, weights):
+        Returns shape (P,) + (deriv+1,)*n; entry [p, a_1, .., a_n] is
+        d^a_1/dx_1^a_1 .. d^a_n/dx_n^a_n f at pts[p].  Raises DomainError if a window
+        touches excised nodes.
+        """
+        n, width = self.n, self.order + 1
+        t = (pts - self.grid.origin) / self.grid.spacing
+        starts = np.clip(np.floor(t).astype(int) - (self.order - 1) // 2, 0,
+                         np.asarray(self.grid.dims) - width)
+        local = t - starts
+        index = tuple((starts[:, d, None] + np.arange(width)).reshape(
+            (-1,) + (1,) * d + (width,) + (1,) * (n - 1 - d)) for d in range(n))
+        block = self.grid.values[index]
+        finite = np.all(np.isfinite(block.reshape(len(pts), -1)), axis=1)
+        if not np.all(finite):
+            raise DomainError(f"interpolation window at {pts[np.argmin(finite)]} "
+                              "touches excised nodes")
+        # weights[p, d, k, j]: d^k/dx_d^k of basis j at local[p, d], by Horner over the
+        # padded table, then the chain rule's 1/spacing^k
+        table = self._table[:deriv + 1]
+        weights = np.zeros(local.shape + table.shape[:2])
+        for column in np.moveaxis(table, -1, 0):
+            weights = weights * local[:, :, None, None] + column
+        weights /= self.grid.spacing ** np.arange(deriv + 1)[:, None]
         out = block
-        for wv in weights:
-            out = np.tensordot(wv, out, axes=(0, 0))
-        return float(out)
+        for d in range(n):
+            # contract the leading window axis; its derivative axis goes last
+            out = np.einsum("pj...,pkj->p...k", out, weights[:, d])
+        return out
 
     def _value(self, x):
-        block, local = self._window(x)
-        w, _, _ = self._weights(local)
-        return self._contract(block, [w[d] for d in range(self.n)])
+        return self._interpolate(np.asarray(x, float)[None], 0).item()
 
     def value_array(self, X):
         """Interpolated f over points X of shape (..., n), the same windows as ``_value``.
@@ -476,57 +482,16 @@ class SampledGridField(HeightField):
         out = np.empty(len(flat))
         # bounded chunks keep the gathered windows, (order+1)^n values a point, small
         for i in range(0, len(flat), VALUE_CHUNK):
-            out[i:i + VALUE_CHUNK] = self._interpolate(flat[i:i + VALUE_CHUNK])
+            out[i:i + VALUE_CHUNK] = self._interpolate(flat[i:i + VALUE_CHUNK], 0).ravel()
         return out.reshape(X.shape[:-1])
-
-    def _interpolate(self, pts):
-        n, width = self.n, self.order + 1
-        t = (pts - self.grid.origin) / self.grid.spacing
-        starts = np.clip(np.floor(t).astype(int) - (self.order - 1) // 2, 0,
-                         np.asarray(self.grid.dims) - width)
-        local = t - starts
-        weights = np.stack([np.polyval(c, local) for c in self._tables[0]], axis=-1)
-        index = tuple((starts[:, d, None] + np.arange(width)).reshape(
-            (-1,) + (1,) * d + (width,) + (1,) * (n - 1 - d)) for d in range(n))
-        block = self.grid.values[index]
-        finite = np.all(np.isfinite(block.reshape(len(pts), -1)), axis=1)
-        if not np.all(finite):
-            raise DomainError(f"interpolation window at {pts[np.argmin(finite)]} "
-                              "touches excised nodes")
-        axes = "abcdefghijklmnopqrstuvwxy"[:n]
-        spec = "z" + axes + "," + ",".join("z" + a for a in axes) + "->z"
-        return np.einsum(spec, block, *(weights[:, d] for d in range(n)), optimize=True)
-
-    def _gradient(self, x):
-        block, local = self._window(x)
-        w, dw, _ = self._weights(local)
-        g = np.empty(self.n)
-        for d in range(self.n):
-            rows = [dw[k] if k == d else w[k] for k in range(self.n)]
-            g[d] = self._contract(block, rows)
-        return g
-
-    def _hessian(self, x):
-        block, local = self._window(x)
-        w, dw, ddw = self._weights(local)
-        H = np.empty((self.n, self.n))
-        for d in range(self.n):
-            for e in range(d, self.n):
-                rows = []
-                for k in range(self.n):
-                    if k == d and k == e:
-                        rows.append(ddw[k])
-                    elif k in (d, e):
-                        rows.append(dw[k])
-                    else:
-                        rows.append(w[k])
-                H[d, e] = H[e, d] = self._contract(block, rows)
-        return H
 
     def jet(self, x) -> Jet2:
         x = self._require(x)
-        H = self._hessian(x)
-        return Jet2(x, self._value(x), self._gradient(x), 0.5 * (H + H.T))
+        partials = self._interpolate(x[None], 2)[0]
+        unit = np.eye(self.n, dtype=int)
+        grad = np.array([partials[tuple(e)] for e in unit])
+        hess = np.array([[partials[tuple(d + e)] for e in unit] for d in unit])
+        return Jet2(x, float(partials[(0,) * self.n]), grad, hess)
 
     def params(self):
         return {"order": self.order, "dims": list(self.grid.dims),

@@ -66,32 +66,32 @@ class SolverConfig:
 
 # -- cell-based energy ------------------------------------------------------------------
 
-def _forward_diff(values, spacing, axis):
-    sl1 = [slice(None)] * values.ndim
-    sl0 = [slice(None)] * values.ndim
-    sl1[axis] = slice(1, None)
+def _shifted(a, axis):
+    """Views of ``a`` without its last and without its first slice along ``axis``."""
+    sl0 = [slice(None)] * a.ndim
+    sl1 = [slice(None)] * a.ndim
     sl0[axis] = slice(None, -1)
-    return (values[tuple(sl1)] - values[tuple(sl0)]) / spacing
+    sl1[axis] = slice(1, None)
+    return a[tuple(sl0)], a[tuple(sl1)]
+
+
+def _forward_diff(values, spacing, axis):
+    lo, hi = _shifted(values, axis)
+    return (hi - lo) / spacing
 
 
 def _cell_average(d, axis):
-    sl1 = [slice(None)] * d.ndim
-    sl0 = [slice(None)] * d.ndim
-    sl1[axis] = slice(1, None)
-    sl0[axis] = slice(None, -1)
-    return 0.5 * (d[tuple(sl0)] + d[tuple(sl1)])
+    lo, hi = _shifted(d, axis)
+    return 0.5 * (lo + hi)
 
 
 def _adjoint_average(y, axis):
     shape = list(y.shape)
     shape[axis] += 1
     out = np.zeros(shape, dtype=y.dtype)
-    sl0 = [slice(None)] * y.ndim
-    sl1 = [slice(None)] * y.ndim
-    sl0[axis] = slice(None, -1)
-    sl1[axis] = slice(1, None)
-    out[tuple(sl0)] += 0.5 * y
-    out[tuple(sl1)] += 0.5 * y
+    lo, hi = _shifted(out, axis)
+    lo += 0.5 * y
+    hi += 0.5 * y
     return out
 
 
@@ -99,23 +99,16 @@ def _adjoint_diff(y, spacing, axis):
     shape = list(y.shape)
     shape[axis] += 1
     out = np.zeros(shape, dtype=y.dtype)
-    sl0 = [slice(None)] * y.ndim
-    sl1 = [slice(None)] * y.ndim
-    sl0[axis] = slice(None, -1)
-    sl1[axis] = slice(1, None)
-    out[tuple(sl0)] -= y / spacing
-    out[tuple(sl1)] += y / spacing
+    lo, hi = _shifted(out, axis)
+    lo -= y / spacing
+    hi += y / spacing
     return out
 
 
 def _complete_cells(active):
     ca = active
     for axis in range(active.ndim):
-        sl1 = [slice(None)] * active.ndim
-        sl0 = [slice(None)] * active.ndim
-        sl1[axis] = slice(1, None)
-        sl0[axis] = slice(None, -1)
-        ca = np.logical_and(ca[tuple(sl0)], ca[tuple(sl1)])
+        ca = np.logical_and(*_shifted(ca, axis))
     return ca
 
 

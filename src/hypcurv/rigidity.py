@@ -174,7 +174,7 @@ def constancy_scan(field: HeightField, samples) -> ConstancyScan:
                          split_ok, False, math.nan, count, ric_min)
 
 
-def classify_global(constancy: ConstancyScan, boundary_points: int, n: int,
+def classify_global(constancy: ConstancyScan, boundary_points: int,
                     nonneg_ricci: bool = False,
                     product_tol: float = TUBE_PRODUCT_TOL,
                     var_tol: float = CONSTANCY_VAR_TOL) -> Verdict:
@@ -198,7 +198,7 @@ def classify_global(constancy: ConstancyScan, boundary_points: int, n: int,
     return Verdict.INCONCLUSIVE
 
 
-def rigidity_report(field: HeightField, samples, boundary_points: int, n: int,
+def rigidity_report(field: HeightField, samples, boundary_points: int,
                     nonneg_ricci: bool = False,
                     ric_tol: float = RICCI_NULL_TOL) -> RigidityReport:
     """Full rigidity analysis: null directions at the samples, constancy, verdict."""
@@ -214,7 +214,7 @@ def rigidity_report(field: HeightField, samples, boundary_points: int, n: int,
             kappa0 = frag.kappa0
             kappa0_exp = frag.kappa0_expected
             alignment = max(alignment, frag.principal_alignment)
-    verdict = classify_global(scan, boundary_points, n, nonneg_ricci)
+    verdict = classify_global(scan, boundary_points, nonneg_ricci)
     return RigidityReport(dim, kappa0, kappa0_exp, alignment,
                           (scan.kappa0_var, scan.kappa_t_var), verdict)
 

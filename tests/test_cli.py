@@ -183,6 +183,15 @@ class TestBoundary:
         assert [c["count"] for c in doc["components"]] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("command", ["classify", "boundary"])
+def test_default_window_inside_off_origin_domain(runner, surfaces, command):
+    # the tilted plane's domain, x_1 in [0.5, 2.5], does not contain the origin
+    result = runner.invoke(main, [command, "--surface", surfaces["plane"]])
+    assert result.exit_code == 0
+    lo, hi = json.loads(result.output)["manifest"]["config"]["window"]
+    assert lo == [1.25, -0.25, -0.25] and hi == [1.75, 0.25, 0.25]
+
+
 @pytest.fixture()
 def excised_grid(tmp_path):
     """A 7^3 sampled horosphere whose centre node is excised (-inf)."""

@@ -178,6 +178,54 @@ class TestSampledGrid:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _poly_partials(coeffs, x, orders):
+    """d^orders p(x) of p(x) = sum_a coeffs[a] prod_d x_d^a_d, from the monomials."""
+    out = coeffs
+    for od, xd in zip(orders, x):
+        powers = [math.perm(m, od) * xd ** (m - od) if m >= od else 0.0
+                  for m in range(coeffs.shape[0])]
+        out = np.tensordot(powers, out, axes=(0, 0))
+    return float(out)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_interpolation_reproduces_per_axis_polynomials(n, order):
+    # oracle: order-k tensor-product Lagrange interpolation is exact on polynomials of
+    # degree <= k per axis, so jets and values must match the closed form anywhere,
+    # including where windows are clamped at the faces
+    rng = np.random.default_rng(10 * n + order)
+    coeffs = rng.uniform(-1.0, 1.0, size=(order + 1,) * n)
+    coeffs[(0,) * n] = np.sum(np.abs(coeffs)) + 1.0  # f > 0 on [-1, 1]^n
+    dims = tuple(order + 2 + d for d in range(n))
+    spacing = 0.1
+    origin = np.linspace(-0.4, 0.2, n)
+    axes = [origin[d] + spacing * np.arange(dims[d]) for d in range(n)]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    values = np.array([_poly_partials(coeffs, x, (0,) * n)
+                       for x in nodes.reshape(-1, n)]).reshape(dims)
+    sampled = SampledGridField(GridFunction(dims, spacing, origin, values), order=order)
+    lo, hi = sampled.domain.lo, sampled.domain.hi
+    pts = np.concatenate([rng.uniform(lo, hi, size=(12, n)), [lo, hi, 0.5 * (lo + hi)]])
+    unit = np.eye(n, dtype=int)
+    # rounding of the samples, not of the derivative, sets the error scale
+    data_scale = np.max(np.abs(values))
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), data_scale)
+
+    for x in pts:
+        jet = sampled.jet(x)
+        assert close(jet.f, _poly_partials(coeffs, x, (0,) * n))
+        assert close(jet.grad, np.array([_poly_partials(coeffs, x, e) for e in unit]))
+        assert close(jet.hess, np.array([[_poly_partials(coeffs, x, d + e) for e in unit]
+                                         for d in unit]))
+    # value_array also extrapolates a little past the faces with clamped windows
+    X = rng.uniform(lo - spacing, hi + spacing, size=(40, n))
+    assert close(sampled.value_array(X),
+                 np.array([_poly_partials(coeffs, x, (0,) * n) for x in X]))
+
+
 class TestLatticeContract:
     def test_non_commensurate_window_rejected(self):
         with pytest.raises(ParameterError):

@@ -144,37 +144,37 @@ class TestGlobalVerdict:
         return constancy_scan(field, field.sample_points(60, rng, r_min=0.5, r_max=2.0))
 
     def test_equidistant_tube(self):
-        assert classify_global(self._cone_scan(), 2, 3) is Verdict.EQUIDISTANT_TUBE
+        assert classify_global(self._cone_scan(), 2) is Verdict.EQUIDISTANT_TUBE
 
     def test_horosphere(self):
         field = horosphere()
         rng = np.random.default_rng(21)
         scan = constancy_scan(field, field.sample_points(30, rng))
-        assert classify_global(scan, 1, 3) is Verdict.HOROSPHERE
+        assert classify_global(scan, 1) is Verdict.HOROSPHERE
 
     def test_single_end(self):
-        assert classify_global(self._cone_scan(), 1, 3) is Verdict.SINGLE_END_CANDIDATE
+        assert classify_global(self._cone_scan(), 1) is Verdict.SINGLE_END_CANDIDATE
 
     def test_inconclusive_for_compact_cap(self):
         field = cap()
         rng = np.random.default_rng(22)
         scan = constancy_scan(field, field.sample_points(30, rng))
-        assert classify_global(scan, 0, 3) is Verdict.INCONCLUSIVE
+        assert classify_global(scan, 0) is Verdict.INCONCLUSIVE
 
     def test_contradiction(self):
         with pytest.raises(HypothesisContradiction):
-            classify_global(self._cone_scan(), 3, 3, nonneg_ricci=True)
+            classify_global(self._cone_scan(), 3, nonneg_ricci=True)
         # without the nonneg assertion, three ends is merely inconclusive
-        assert classify_global(self._cone_scan(), 3, 3) is Verdict.INCONCLUSIVE
+        assert classify_global(self._cone_scan(), 3) is Verdict.INCONCLUSIVE
 
     def test_verdict_deterministic(self):
-        a = classify_global(self._cone_scan(), 2, 3)
-        b = classify_global(self._cone_scan(), 2, 3)
+        a = classify_global(self._cone_scan(), 2)
+        b = classify_global(self._cone_scan(), 2)
         assert a is b
 
     def test_verdict_json(self):
         scan = self._cone_scan()
-        rep = verdict_report(classify_global(scan, 2, 3), scan, 2)
+        rep = verdict_report(classify_global(scan, 2), scan, 2)
         assert rep["verdict"] == "EquidistantTube"
         assert rep["boundary_points"] == 2
         assert rep["kappa0"] == pytest.approx(1.0 / SQ2, rel=1e-10)
@@ -184,7 +184,7 @@ class TestGlobalVerdict:
         field = cone()
         rng = np.random.default_rng(23)
         pts = field.sample_points(40, rng, r_min=0.5, r_max=2.0)
-        rep = rigidity_report(field, pts, 2, 3)
+        rep = rigidity_report(field, pts, 2)
         assert rep.verdict is Verdict.EQUIDISTANT_TUBE
         assert rep.null_space_dim == 1
         assert rep.kappa0 == pytest.approx(rep.kappa0_expected, abs=1e-8)
