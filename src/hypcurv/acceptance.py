@@ -17,11 +17,11 @@ import numpy as np
 from . import asymptotics, plaplace, rigidity
 from .curvature import (cluster_kappas, codazzi_residual, commutation_residual,
                         gauss_residual, mean_curvature, ricci_coordinate,
-                        ricci_from_shape, shape_spectrum)
+                        ricci_from_shape, shape_spectra, shape_spectrum)
 from .gridfn import GridFunction
-from .heightfield import Jet2, make_catalog_surface
+from .heightfield import Jet2, _lattice_dims, _mesh_points, make_catalog_surface
 from .inequalities import (adapted_frame, grad_direction_ricci, key_factors,
-                           n_subharmonic_density)
+                           n_subharmonic_density, regime_reports)
 
 __all__ = ["CriterionResult", "run_suite", "CRITERIA", "random_jet"]
 
@@ -61,21 +61,24 @@ def criterion_horosphere_identity(seed: int) -> CriterionResult:
         for c in (1.0, 2.5):
             field = make_catalog_surface("horosphere", {"c": c}, n)
             pts = field.sample_points(50, rng)
-            for x in pts:
-                jet = field.jet(x)
-                spec = shape_spectrum(jet)
-                _check(failures, np.max(np.abs(spec.second_form - spec.forms.metric)) <= tol,
-                       f"II != g at n={n} c={c}")
-                _check(failures, np.max(np.abs(spec.kappas - 1.0)) <= tol,
-                       f"kappa != 1 at n={n} c={c}")
-                _check(failures, abs(spec.mean - n) <= tol, f"H != n at n={n} c={c}")
-                ric = ricci_coordinate(jet, spec.forms)
-                ric2 = ricci_from_shape(spec)
+            f, df, hess = field.jet_array(pts)
+            rep = regime_reports(f, df, hess)
+            spec = rep.spectrum
+            _check(failures, np.max(np.abs(spec.second_form - spec.forms.metric)) <= tol,
+                   f"II != g at n={n} c={c}")
+            _check(failures, np.max(np.abs(spec.kappas - 1.0)) <= tol,
+                   f"kappa != 1 at n={n} c={c}")
+            _check(failures, np.max(np.abs(spec.mean - n)) <= tol,
+                   f"H != n at n={n} c={c}")
+            for i, x in enumerate(pts):
+                row = spec.point(i)
+                ric = ricci_coordinate(Jet2(x, f[i], df[i], hess[i]), row.forms)
+                ric2 = ricci_from_shape(row)
                 _check(failures, np.max(np.abs(ric)) <= tol, f"Ric != 0 at n={n} c={c}")
                 _check(failures, np.max(np.abs(ric2)) <= tol,
                        f"shape-route Ric != 0 at n={n} c={c}")
-                dens = n_subharmonic_density(adapted_frame(jet))
-                _check(failures, abs(dens.density) <= tol, f"density != 0 at n={n} c={c}")
+            _check(failures, np.max(np.abs(rep.n_subharmonic_density)) <= tol,
+                   f"density != 0 at n={n} c={c}")
     detail = failures[0] if failures else "II=g, kappa=1, H=n, Ric=0, density=0 at 1e-12"
     return CriterionResult("horosphere-identity", not failures, detail, time.time() - t0)
 
@@ -91,23 +94,22 @@ def criterion_tube_spectrum(seed: int) -> CriterionResult:
         pts = field.sample_points(100, rng, r_min=0.5, r_max=2.0)
         k0_expect = 1.0 / math.sqrt(1.0 + s * s)
         kt_expect = math.sqrt(1.0 + s * s)
-        k0s, kts = [], []
-        for x in pts:
-            jet = field.jet(x)
-            spec = shape_spectrum(jet)
-            clusters = cluster_kappas(spec.kappas)
+        f, df, hess = field.jet_array(pts)
+        spec = shape_spectra(f, df, hess)
+        for kappas in spec.kappas:
+            clusters = cluster_kappas(kappas)
             _check(failures, len(clusters) == 2 and len(clusters[0]) == 1
                    and len(clusters[1]) == n - 1, f"bad cluster split at s={s}")
-            k0 = float(spec.kappas[0])
-            kt = spec.kappas[1:]
-            k0s.append(k0)
-            kts.extend(kt.tolist())
-            _check(failures, np.max(np.abs(k0 * kt - 1.0)) <= 1e-10,
-                   f"kappa0*kappa_t != 1 at s={s}")
+        k0s, kts = spec.kappas[:, 0], spec.kappas[:, 1:].ravel()
+        _check(failures, np.max(np.abs(k0s[:, None] * spec.kappas[:, 1:] - 1.0)) <= 1e-10,
+               f"kappa0*kappa_t != 1 at s={s}")
+        for i, x in enumerate(pts):
+            jet = Jet2(x, f[i], df[i], hess[i])
             _check(failures, abs(grad_direction_ricci(jet)) <= 1e-9,
                    f"gradient-direction Ricci != 0 at s={s}")
-            root = (spec.mean - math.sqrt(spec.mean ** 2 - 4 * (n - 1))) / 2
-            _check(failures, abs(k0 - root) <= 1e-8, f"kappa0 != smaller root at s={s}")
+        roots = (spec.mean - np.sqrt(spec.mean ** 2 - 4 * (n - 1))) / 2
+        _check(failures, np.max(np.abs(k0s - roots)) <= 1e-8,
+               f"kappa0 != smaller root at s={s}")
         _check(failures, abs(np.mean(k0s) - k0_expect) <= 1e-10, f"kappa0 value at s={s}")
         _check(failures, abs(np.mean(kts) - kt_expect) <= 1e-10, f"kappa_t value at s={s}")
         _check(failures, np.var(k0s) <= 1e-18, f"kappa0 variance at s={s}")
@@ -215,10 +217,10 @@ def criterion_fd_oracles(seed: int) -> CriterionResult:
 
 
 def _annulus_box_heights(fn, lo, hi, spacing):
-    dims = tuple(int(round((h - l) / spacing)) + 1 for l, h in zip(lo, hi))
-    axes = [l + spacing * np.arange(d) for l, d in zip(lo, dims)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return GridFunction(dims, spacing, np.asarray(lo, float), fn(mesh))
+    lo = np.asarray(lo, float)
+    dims = _lattice_dims(lo, hi, spacing)
+    mesh = np.moveaxis(_mesh_points(lo, dims, spacing), -1, 0)
+    return GridFunction(dims, spacing, lo, fn(mesh))
 
 
 def criterion_fundamental_solution(seed: int) -> CriterionResult:

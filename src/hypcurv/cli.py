@@ -77,7 +77,9 @@ def _emit(payload: dict, manifest: RunManifest, out: str, name: str):
     doc = {"manifest": manifest.to_dict()}
     doc.update(payload)
     text = dumps(doc)
-    click.echo(text, nl=False)
+    # explicit streams throughout: click caches its default stream per sys.stdout
+    # object and so keeps every redirected stdout, with its report, alive in-process
+    click.echo(text, nl=False, file=sys.stdout)
     if out:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, name)
@@ -102,7 +104,7 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except HypcurvError as exc:
-            click.echo(dumps({"error": str(exc)}), nl=False, err=True)
+            click.echo(dumps({"error": str(exc)}), nl=False, file=sys.stderr)
             sys.exit(1)
 
 
@@ -163,9 +165,12 @@ def scan(surface, grid_spec, seed, out):
     axes = [np.linspace(lo[d], hi[d], nodes) for d in range(field.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts = [x for x in pts if field.contains(x)]
+    inside = field.contains_array(pts)
+    pts = pts[inside]
     manifest = RunManifest("scan", inputs={"surface": field_to_descriptor(field)},
-                           config={"grid": grid_spec}, seed=seed)
+                           config={"grid": grid_spec, "scanned_points": len(pts),
+                                   "dropped_points": int(np.count_nonzero(~inside))},
+                           seed=seed)
     rows = scan_field(field, pts)
     n = field.n
     header = ([f"x{i+1}" for i in range(n)] + ["f", "H"]
@@ -176,7 +181,7 @@ def scan(surface, grid_spec, seed, out):
         cells = [format_float(v) if isinstance(v, float) else str(v) for v in row]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
-    click.echo(text, nl=False)
+    click.echo(text, nl=False, file=sys.stdout)  # see _emit
     if out:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "scan.csv"), "w") as fh:
@@ -324,7 +329,8 @@ def verify(suite, seed, out):
     """Run the acceptance suite; nonzero exit on any failure."""
     names = None if suite == "all" else [s.strip() for s in suite.split(",")]
     try:
-        results = acceptance.run_suite(names, seed=seed, echo=click.echo)
+        results = acceptance.run_suite(
+            names, seed=seed, echo=lambda line: click.echo(line, file=sys.stdout))
     except KeyError as exc:
         raise click.UsageError(str(exc))
     manifest = RunManifest("verify", config={"suite": suite}, seed=seed)

@@ -8,32 +8,36 @@ upward unit normal and second fundamental form are
     nu      = f (1 + |Df|^2)^-1/2 (-Df, 1)
     II_ij   = (delta_ij + f_i f_j + f f_ij) / (f^2 (1 + |Df|^2)^1/2)
 
-Production route: :func:`shape_spectrum` is the one per-point kernel.  It builds the
-forms, solves the pencil (II, g) for the principal curvatures, cross-checks their sum
-against the closed-form mean curvature, and returns the Ricci eigenvalues
+Production route: :func:`shape_spectra` is the one batched kernel.  For P stacked
+jets it builds the forms, whitens the pencil (II, g) with the closed-form
+g^{-1/2} = f (I + (1/sqrt(1 + |Df|^2) - 1) u u^T), u = Df/|Df|, solves all P symmetric
+eigenproblems with one ``np.linalg.eigh``, cross-checks every trace against the
+closed-form mean curvature, and returns the Ricci eigenvalues
 -(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is that polynomial
-in the shape operator.  Every per-point caller reads from the spectrum it returns.
+in the shape operator.  :func:`shape_spectrum` and :func:`fundamental_forms` are its
+views at one jet; every caller reads from the spectra it returns.
 
-Oracle routes, kept independent of the kernel: the expanded coordinate double
-contraction (:func:`ricci_coordinate`, with :func:`ricci_eigenvalues`) and the
-shape-operator polynomial lowered with g (:func:`ricci_from_shape`); their agreement
-is the implementation oracle.  Codazzi and Gauss residuals check the same data against
-finite-differenced covariant derivatives of the induced metric.
+Oracles, scalar and independent of the kernel: the expanded coordinate double
+contraction (:func:`ricci_coordinate`, with scipy's generalized solver in
+:func:`ricci_eigenvalues`) and the shape-operator polynomial lowered with g
+(:func:`ricci_from_shape`); their agreement is the implementation oracle.  Codazzi and
+Gauss residuals check the same data against finite-differenced covariant derivatives
+of the induced metric.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericError
-from .heightfield import HeightField, Jet2
+from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
-    "FundamentalForms", "ShapeSpectrum", "fundamental_forms", "shape_spectrum",
+    "FundamentalForms", "ShapeSpectrum", "fundamental_forms", "shape_spectra",
+    "shape_spectrum",
     "mean_curvature", "ricci_coordinate", "ricci_from_shape", "ricci_eigenvalues",
     "christoffel_fd", "codazzi_residual", "gauss_residual", "commutation_residual",
     "cluster_kappas",
@@ -43,11 +47,30 @@ __all__ = [
 KAPPA_CLUSTER_RTOL = 1e-6
 #: relative tolerance for the trace-vs-closed-form mean curvature cross-check
 MEAN_XCHECK_RTOL = 1e-10
+#: |Df| at or below this is treated as a critical point of f
+GRADIENT_EPS = 1e-14
+
+
+class Stacked:
+    """A per-point record, or one whose fields carry a leading axis over stacked points,
+    as the batched kernels return; :meth:`point` reads the record of one point."""
+
+    def point(self, i: int):
+        return type(self)(*(_point(getattr(self, k.name), i) for k in fields(self)))
+
+
+def _point(value, i):
+    if isinstance(value, Stacked):
+        return value.point(i)
+    if isinstance(value, tuple):
+        return tuple(_point(v, i) for v in value)
+    item = value[i]
+    return item.item() if isinstance(item, np.generic) else item
 
 
 @dataclass(frozen=True)
-class FundamentalForms:
-    """Induced metric data at one jet."""
+class FundamentalForms(Stacked):
+    """Induced metric data at one jet, or stacked over points."""
 
     metric: np.ndarray
     metric_inv: np.ndarray
@@ -56,8 +79,8 @@ class FundamentalForms:
 
 
 @dataclass(frozen=True)
-class ShapeSpectrum:
-    """Per-point geometry: forms, second form, shape operator, curvatures and Ricci."""
+class ShapeSpectrum(Stacked):
+    """Forms, second form, shape operator, curvatures and Ricci at a point, or stacked."""
 
     forms: FundamentalForms
     second_form: np.ndarray
@@ -69,53 +92,83 @@ class ShapeSpectrum:
     ricci: np.ndarray      # ascending Ricci eigenvalues
 
 
+def _forms(f, df, hess):
+    """Forms and second form II of stacked jets f (P,), Df (P, n), D2f (P, n, n)."""
+    q = 1.0 + _row_dot(df, df)
+    eye = np.eye(df.shape[1])
+    ddt = df[:, :, None] * df[:, None, :]
+    f2 = f[:, None, None] ** 2
+    root_q = np.sqrt(q)
+    normal = np.concatenate([-df, np.ones((len(f), 1))], axis=1) * (f / root_q)[:, None]
+    forms = FundamentalForms((eye + ddt) / f2, f2 * (eye - ddt / q[:, None, None]),
+                             q - 1.0, normal)
+    return forms, (eye + ddt + f[:, None, None] * hess) / (f2 * root_q[:, None, None])
+
+
 def fundamental_forms(jet: Jet2) -> FundamentalForms:
-    f, df = jet.f, jet.grad
-    n = jet.n
-    q = 1.0 + float(df @ df)
-    eye = np.eye(n)
-    g = (eye + np.outer(df, df)) / f ** 2
-    g_inv = f ** 2 * (eye - np.outer(df, df) / q)
-    normal = np.concatenate([-df, [1.0]]) * (f / math.sqrt(q))
-    return FundamentalForms(g, g_inv, q - 1.0, normal)
+    return _forms(*jet.stacked())[0].point(0)
 
 
-def second_form(jet: Jet2) -> np.ndarray:
-    f, df, hess = jet.f, jet.grad, jet.hess
-    q = 1.0 + float(df @ df)
-    return (np.eye(jet.n) + np.outer(df, df) + f * hess) / (f ** 2 * math.sqrt(q))
+def _quadratic(v, M):
+    """v^T M v over any leading point axes, rounded as ``v @ M @ v`` at one point."""
+    return _row_dot((v[..., None, :] @ M)[..., 0, :], v)
+
+
+def _mean_closed(f, df, hess):
+    """Closed-form trace of the shape operator, over any leading point axes."""
+    q = 1.0 + _row_dot(df, df)
+    h1 = _quadratic(df, hess)
+    trace = np.trace(hess, axis1=-2, axis2=-1)
+    return (df.shape[-1] + f * trace - f * h1 / q) / np.sqrt(q)
 
 
 def mean_curvature(jet: Jet2) -> float:
     """Closed-form trace of the shape operator."""
-    f, df, hess = jet.f, jet.grad, jet.hess
-    q = 1.0 + float(df @ df)
-    h1 = float(df @ hess @ df)
-    return (jet.n + f * float(np.trace(hess)) - f * h1 / q) / math.sqrt(q)
+    return float(_mean_closed(jet.f, jet.grad, jet.hess))
+
+
+def _unit_gradient(df):
+    """u = Df/|Df| over stacked gradients; e_1, flagged, where |Df| <= GRADIENT_EPS."""
+    norm = np.sqrt(_row_dot(df, df))
+    degenerate = norm <= GRADIENT_EPS
+    u = df / np.where(degenerate, 1.0, norm)[:, None]
+    u[degenerate] = np.eye(df.shape[1])[0]
+    return u, degenerate
+
+
+def shape_spectra(f, df, hess) -> ShapeSpectrum:
+    """The batched kernel: shape spectra of stacked jets f (P,), Df (P, n), D2f (P, n, n).
+
+    Whitening with g^{-1/2} = f (I + (1/sqrt(q) - 1) u u^T), q = 1 + |Df|^2, makes each
+    pencil (II, g) symmetric; one batched solve gives ascending curvatures and the
+    g-orthonormal frame g^{-1/2} V.  A trace off the closed-form mean curvature signals
+    corrupted inputs (NumericError names the first such point).  The Ricci eigenvalues
+    are the Gauss-equation polynomial -(n-1) + kappa_i H - kappa_i^2, sorted.
+    """
+    forms, II = _forms(f, df, hess)
+    u, _ = _unit_gradient(df)
+    shrink = 1.0 / np.sqrt(1.0 + forms.grad_norm_sq) - 1.0
+    white = f[:, None, None] * (np.eye(df.shape[1])
+                                + shrink[:, None, None] * u[:, :, None] * u[:, None, :])
+    try:
+        kappas, vecs = np.linalg.eigh(white @ II @ white)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"batched eigensolve failed: {exc}") from exc
+    mean = kappas.sum(axis=1)
+    mean_cf = _mean_closed(f, df, hess)
+    bad = ~(np.abs(mean - mean_cf) <= MEAN_XCHECK_RTOL * np.maximum(1.0, np.abs(mean_cf)))
+    if bad.any():
+        i = np.argmax(bad)
+        raise NumericError(f"mean curvature cross-check failed at point {i}: "
+                           f"trace {mean[i]} vs closed form {mean_cf[i]}")
+    ricci = np.sort(-(df.shape[1] - 1) + kappas * mean[:, None] - kappas ** 2, axis=1)
+    return ShapeSpectrum(forms, II, forms.metric_inv @ II, kappas, mean, mean_cf,
+                         white @ vecs, ricci)
 
 
 def shape_spectrum(jet: Jet2) -> ShapeSpectrum:
-    """Principal curvatures via the Cholesky-whitened symmetric pencil (II, g).
-
-    scipy's generalized symmetric solver guarantees a real ascending spectrum and a
-    g-orthonormal frame; the trace is cross-checked against the closed-form mean
-    curvature, and a mismatch signals corrupted inputs.  The Ricci eigenvalues are
-    the Gauss-equation polynomial -(n-1) + kappa_i H - kappa_i^2, sorted.
-    """
-    forms = fundamental_forms(jet)
-    II = second_form(jet)
-    try:
-        kappas, frame = scipy.linalg.eigh(II, forms.metric)
-    except scipy.linalg.LinAlgError as exc:  # g is PD by construction
-        raise NumericError(f"generalized eigensolve failed: {exc}") from exc
-    shape = forms.metric_inv @ II
-    mean = float(np.sum(kappas))
-    mean_cf = mean_curvature(jet)
-    if abs(mean - mean_cf) > MEAN_XCHECK_RTOL * max(1.0, abs(mean_cf)):
-        raise NumericError(
-            f"mean curvature cross-check failed: trace {mean} vs closed form {mean_cf}")
-    ricci = np.sort(-(jet.n - 1) + kappas * mean - kappas ** 2)
-    return ShapeSpectrum(forms, II, shape, kappas, mean, mean_cf, frame, ricci)
+    """:func:`shape_spectra` at one jet."""
+    return shape_spectra(*jet.stacked()).point(0)
 
 
 def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:
@@ -173,33 +226,27 @@ def cluster_kappas(kappas, rtol: float = KAPPA_CLUSTER_RTOL):
 
 # -- finite-difference residuals -------------------------------------------------------
 
-def _metric_at(field: HeightField, x) -> np.ndarray:
-    return fundamental_forms(field.jet(x)).metric
-
-
-def _second_form_at(field: HeightField, x) -> np.ndarray:
-    return second_form(field.jet(x))
-
-
-def _central_tensor_derivs(fn, field, x, step):
-    """d(T)/dx_i for a matrix-valued map by central differences; returns (n, n, n)."""
+def _stencil_forms(field: HeightField, x, step: float):
+    """Metric g and second form II at x and their central differences, from one jet
+    batch over x and x +/- step e_i: returns (g, dg, II, dII), dT[i] = d_i T."""
     n = field.n
-    out = np.empty((n, n, n))
     e = np.eye(n) * step
-    for i in range(n):
-        out[i] = (fn(field, x + e[i]) - fn(field, x - e[i])) / (2 * step)
-    return out
+    forms, II = _forms(*field.jet_array(np.concatenate([x[None], x + e, x - e])))
+    g = forms.metric
+    return (g[0], (g[1:n + 1] - g[n + 1:]) / (2 * step),
+            II[0], (II[1:n + 1] - II[n + 1:]) / (2 * step))
+
+
+def _christoffel(g, dg) -> np.ndarray:
+    """Gamma^k_ij from the metric g and its derivatives dg[i, j, l] = d_i g_jl."""
+    # lowered symbol: [ij, l] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    lowered = 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+    return np.einsum("kl,ijl->kij", np.linalg.inv(g), lowered)
 
 
 def christoffel_fd(field: HeightField, x, step: float) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of the induced metric, metric derivative by FD."""
-    x = np.asarray(x, dtype=float)
-    g = _metric_at(field, x)
-    dg = _central_tensor_derivs(_metric_at, field, x, step)  # dg[i, j, l] = d_i g_jl
-    g_inv = np.linalg.inv(g)
-    # lowered symbol: [ij, l] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-    lowered = 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-    return np.einsum("kl,ijl->kij", g_inv, lowered)
+    return _christoffel(*_stencil_forms(field, np.asarray(x, dtype=float), step)[:2])
 
 
 def codazzi_residual(field: HeightField, x, step: float) -> float:
@@ -208,10 +255,8 @@ def codazzi_residual(field: HeightField, x, step: float) -> float:
     Covariant derivatives use FD Christoffels of the induced metric; the result is the
     max over index triples of |(nabla_i II)_jk - (nabla_j II)_ik|.
     """
-    x = np.asarray(x, dtype=float)
-    gamma = christoffel_fd(field, x, step)
-    II = _second_form_at(field, x)
-    dII = _central_tensor_derivs(_second_form_at, field, x, step)  # dII[i, j, k]
+    g, dg, II, dII = _stencil_forms(field, np.asarray(x, dtype=float), step)
+    gamma = _christoffel(g, dg)
     nabla = (dII - np.einsum("lij,lk->ijk", gamma, II)
              - np.einsum("lik,jl->ijk", gamma, II))
     return float(np.max(np.abs(nabla - nabla.transpose(1, 0, 2))))
@@ -222,7 +267,8 @@ def gauss_residual(field: HeightField, x, step: float) -> float:
     x = np.asarray(x, dtype=float)
     n = field.n
     e = np.eye(n) * step
-    gamma = christoffel_fd(field, x, step)
+    g, dg, II, _ = _stencil_forms(field, x, step)
+    gamma = _christoffel(g, dg)
     dgamma = np.empty((n, n, n, n))  # dgamma[m, k, i, j] = d_m Gamma^k_ij
     for m in range(n):
         dgamma[m] = (christoffel_fd(field, x + e[m], step)
@@ -232,9 +278,7 @@ def gauss_residual(field: HeightField, x, step: float) -> float:
                - np.einsum("lmkj->mjkl", dgamma)
                + np.einsum("mka,alj->mjkl", gamma, gamma)
                - np.einsum("akj,mla->mjkl", gamma, gamma))
-    g = _metric_at(field, x)
     riem = np.einsum("im,mjkl->ijkl", g, riem_up)
-    II = _second_form_at(field, x)
     rhs = (-(np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
            + np.einsum("ik,jl->ijkl", II, II) - np.einsum("il,jk->ijkl", II, II))
     return float(np.max(np.abs(riem - rhs)))

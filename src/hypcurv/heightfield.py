@@ -2,7 +2,8 @@
 
 The upper half-space carries the hyperbolic metric, and every surface here is the
 vertical graph of a positive function f over an axis-aligned box (minus optional
-excised balls).  The catalog kinds have exact closed-form jets:
+excised balls).  Every kind evaluates its jets over stacked points
+(:meth:`HeightField.jet_array`).  The catalog kinds have exact closed-form jets:
 
 * ``horosphere``          f = c                       (flat level set)
 * ``geodesic_sphere_cap`` f = a -/+ sqrt(b^2 - |x|^2)  (Euclidean sphere, a > b > 0)
@@ -38,7 +39,7 @@ FD_STEP = 1e-4
 CONE_MASK_RADIUS = 1e-3
 #: default tensor-product interpolation order (polynomial degree) for sampled grids
 INTERP_ORDER = 4
-#: points interpolated per batch by ``SampledGridField.value_array``
+#: points interpolated per batch by ``SampledGridField._interpolate``
 VALUE_CHUNK = 4096
 
 CATALOG_KINDS = ("horosphere", "geodesic_sphere_cap", "equidistant_cone",
@@ -58,12 +59,7 @@ class Jet2:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
         object.__setattr__(self, "hess", np.asarray(self.hess, dtype=float))
-        if not self.f > 0:
-            raise ParameterError(f"graph value must be positive, got f={self.f}")
-        asym = float(np.max(np.abs(self.hess - self.hess.T))) if self.hess.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(self.hess)))) if self.hess.size else 1.0
-        if asym > 1e-12 * scale:
-            raise ParameterError(f"Hessian not symmetric (max asymmetry {asym:g})")
+        _check_jets(self.x[None], np.array([self.f], dtype=float), self.hess[None])
 
     @property
     def n(self) -> int:
@@ -72,6 +68,27 @@ class Jet2:
     @property
     def grad_norm_sq(self) -> float:
         return float(self.grad @ self.grad)
+
+    def stacked(self):
+        """(f, Df, D2f) with a leading point axis of length 1, as ``jet_array`` returns."""
+        return np.array([self.f], dtype=float), self.grad[None], self.hess[None]
+
+
+def _check_jets(X, f, hess):
+    """The invariants of a jet at stacked points X: f > 0 and a symmetric Hessian.
+
+    Raises ParameterError naming the first point that fails.
+    """
+    bad = ~(f > 0)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ParameterError(f"graph value must be positive, got f={f[i]} at {X[i]}")
+    asym = np.abs(hess - hess.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = asym > 1e-12 * np.abs(hess).max(axis=(-2, -1), initial=1.0)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ParameterError(
+            f"Hessian not symmetric (max asymmetry {asym[i]:g}) at {X[i]}")
 
 
 @dataclass(frozen=True)
@@ -87,9 +104,10 @@ class Box:
         if self.lo.shape != self.hi.shape or np.any(self.lo >= self.hi):
             raise ParameterError("box needs lo < hi componentwise")
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x, margin: float = 0.0):
+        """Is each point of x, shape (..., n), in the box shrunk by ``margin``?"""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo + margin) and np.all(x <= self.hi - margin))
+        return np.all((x >= self.lo + margin) & (x <= self.hi - margin), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -103,10 +121,6 @@ class BallMask:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not self.radius > 0:
             raise ParameterError("mask radius must be positive")
-
-    def covers(self, x) -> bool:
-        d = np.asarray(x, dtype=float) - self.center
-        return bool(d @ d < self.radius ** 2)
 
 
 class HeightField:
@@ -123,51 +137,64 @@ class HeightField:
         self.domain = domain
         self.masks = tuple(masks)
 
-    # closed-form pieces supplied by subclasses -------------------------------------
+    # closed forms supplied by subclasses --------------------------------------------
+    def _jet_array(self, X):
+        """(f, Df, D2f) at points X of shape (P, n) that passed :meth:`_require`."""
+        raise NotImplementedError
+
     def _value(self, x) -> float:
-        raise NotImplementedError
-
-    def _gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def _hessian(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return float(self._jet_array(x[None])[0][0])
 
     # public surface -----------------------------------------------------------------
     def contains(self, x) -> bool:
         """Is x in the box and outside every mask ball?"""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            return False
-        if not self.domain.contains(x):
-            return False
-        return not any(m.covers(x) for m in self.masks)
+        return x.shape == (self.n,) and bool(self.contains_array(x))
 
-    def _require(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DomainError(f"point has dimension {x.shape}, field has n={self.n}")
-        if not self.domain.contains(x):
-            raise DomainError(f"point {x} outside domain box")
-        for m in self.masks:
-            if m.covers(x):
-                raise DomainError(f"point {x} inside excised ball at {m.center}")
-        return x
+    def contains_array(self, X) -> np.ndarray:
+        """:meth:`contains` for each point of X, shape (..., n)."""
+        X = np.asarray(X, dtype=float)
+        return self.domain.contains(X) & ~_masked_points(self, X)
+
+    def _require(self, X) -> np.ndarray:
+        """Points X of shape (P, n); DomainError names the first outside box or masks."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise DomainError(f"point has dimension {X.shape[1:]}, field has n={self.n}")
+        outside = ~self.domain.contains(X)
+        if outside.any():
+            raise DomainError(f"point {X[np.argmax(outside)]} outside domain box")
+        masked = _masked_points(self, X)
+        if masked.any():
+            raise DomainError(f"point {X[np.argmax(masked)]} inside an excised ball")
+        return X
 
     def value(self, x) -> float:
-        return self._value(self._require(x))
+        return self._value(self._require(np.asarray(x, dtype=float)[None])[0])
+
+    def jet_array(self, X):
+        """Jets at points X of shape (P, n): f (P,), Df (P, n) and D2f (P, n, n).
+
+        Every point gets the checks of :meth:`jet`; the error names the first point
+        that fails one.
+        """
+        X = self._require(X)
+        f, df, hess = self._jet_array(X)
+        _check_jets(X, f, hess)
+        return f, df, hess
 
     def jet(self, x) -> Jet2:
-        """Second-order jet of f at x (exact for catalog kinds)."""
-        x = self._require(x)
-        return Jet2(x, self._value(x), self._gradient(x), self._hessian(x))
+        """Second-order jet of f at x (exact for catalog kinds): one-point ``jet_array``."""
+        x = np.asarray(x, dtype=float)
+        f, df, hess = self._jet_array(self._require(x[None]))
+        return Jet2(x, float(f[0]), df[0], hess[0])  # Jet2 makes the checks of jet_array
 
     def height(self, x) -> float:
         """h = log f; -inf inside a mask ball (where f degenerates)."""
         x = np.asarray(x, dtype=float)
         if not self.domain.contains(x):
             raise DomainError(f"point {x} outside domain box")
-        if any(m.covers(x) for m in self.masks):
+        if _masked_points(self, x):
             return -math.inf
         v = self._value(x)
         return math.log(v) if v > 0 else -math.inf
@@ -180,13 +207,9 @@ class HeightField:
         """Vectorized h = log f with -inf at masked points; no domain-box check."""
         X = np.asarray(X, dtype=float)
         vals = self.value_array(X)
-        masked = np.zeros(X.shape[:-1], dtype=bool)
-        for m in self.masks:
-            d = X - m.center
-            masked |= np.einsum("...i,...i->...", d, d) < m.radius ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(masked | (vals <= 0), -np.inf, np.log(np.maximum(vals, 1e-300)))
-        return out
+            return np.where(_masked_points(self, X) | (vals <= 0), -np.inf,
+                            np.log(np.maximum(vals, 1e-300)))
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
                       margin: float = 0.0) -> np.ndarray:
@@ -229,14 +252,8 @@ class Horosphere(HeightField):
         super().__init__(n, domain)
         self.c = float(c)
 
-    def _value(self, x):
-        return self.c
-
-    def _gradient(self, x):
-        return np.zeros(self.n)
-
-    def _hessian(self, x):
-        return np.zeros((self.n, self.n))
+    def _jet_array(self, X):
+        return np.full(len(X), self.c), np.zeros(X.shape), np.zeros(X.shape + (self.n,))
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
@@ -273,25 +290,15 @@ class GeodesicSphereCap(HeightField):
     def hyperbolic_radius(self) -> float:
         return math.atanh(self.b / self.a)
 
-    def _w(self, x) -> float:
-        w2 = self.b ** 2 - float(x @ x)
-        if w2 <= 0:
-            raise DomainError(f"point {x} outside the cap chart |x| < b")
-        return math.sqrt(w2)
-
-    def _value(self, x):
-        w = self._w(x)
-        return self.a - w if self.cap == "lower" else self.a + w
-
-    def _gradient(self, x):
-        w = self._w(x)
+    def _jet_array(self, X):
+        w2 = self.b ** 2 - _row_dot(X, X)
+        if np.any(w2 <= 0):
+            raise DomainError(
+                f"point {X[np.argmax(w2 <= 0)]} outside the cap chart |x| < b")
+        w = np.sqrt(w2)[:, None, None]
         sgn = 1.0 if self.cap == "lower" else -1.0
-        return sgn * x / w
-
-    def _hessian(self, x):
-        w = self._w(x)
-        sgn = 1.0 if self.cap == "lower" else -1.0
-        return sgn * (np.eye(self.n) / w + np.outer(x, x) / w ** 3)
+        hess = sgn * (np.eye(self.n) / w + X[:, :, None] * X[:, None, :] / w ** 3)
+        return self.a - sgn * w[:, 0, 0], sgn * X / w[:, 0], hess
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
@@ -328,16 +335,10 @@ class EquidistantCone(HeightField):
     def tube_distance(self) -> float:
         return math.asinh(1.0 / self.slope)
 
-    def _value(self, x):
-        return self.slope * float(np.linalg.norm(x))
-
-    def _gradient(self, x):
-        r = float(np.linalg.norm(x))
-        return self.slope * x / r
-
-    def _hessian(self, x):
-        r = float(np.linalg.norm(x))
-        return self.slope * (np.eye(self.n) / r - np.outer(x, x) / r ** 3)
+    def _jet_array(self, X):
+        r = np.sqrt(_row_dot(X, X))[:, None, None]
+        hess = self.slope * (np.eye(self.n) / r - X[:, :, None] * X[:, None, :] / r ** 3)
+        return self.slope * r[:, 0, 0], self.slope * X / r[:, 0], hess
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
@@ -366,16 +367,10 @@ class TiltedPlane(HeightField):
         super().__init__(n, domain)
         self.slope = float(slope)
 
-    def _value(self, x):
-        return self.slope * float(x[0])
-
-    def _gradient(self, x):
-        g = np.zeros(self.n)
-        g[0] = self.slope
-        return g
-
-    def _hessian(self, x):
-        return np.zeros((self.n, self.n))
+    def _jet_array(self, X):
+        df = np.zeros(X.shape)
+        df[:, 0] = self.slope
+        return self.slope * X[:, 0], df, np.zeros(X.shape + (self.n,))
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
@@ -444,6 +439,10 @@ class SampledGridField(HeightField):
         d^a_1/dx_1^a_1 .. d^a_n/dx_n^a_n f at pts[p].  Raises DomainError if a window
         touches excised nodes.
         """
+        if len(pts) > VALUE_CHUNK:
+            # bounded chunks keep the gathered windows, (order+1)^n values a point, small
+            return np.concatenate([self._interpolate(pts[i:i + VALUE_CHUNK], deriv)
+                                   for i in range(0, len(pts), VALUE_CHUNK)])
         n, width = self.n, self.order + 1
         t = (pts - self.grid.origin) / self.grid.spacing
         starts = np.clip(np.floor(t).astype(int) - (self.order - 1) // 2, 0,
@@ -478,20 +477,13 @@ class SampledGridField(HeightField):
         Raises DomainError if the window of any point touches excised nodes.
         """
         X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, self.n)
-        out = np.empty(len(flat))
-        # bounded chunks keep the gathered windows, (order+1)^n values a point, small
-        for i in range(0, len(flat), VALUE_CHUNK):
-            out[i:i + VALUE_CHUNK] = self._interpolate(flat[i:i + VALUE_CHUNK], 0).ravel()
-        return out.reshape(X.shape[:-1])
+        return self._interpolate(X.reshape(-1, self.n), 0).reshape(X.shape[:-1])
 
-    def jet(self, x) -> Jet2:
-        x = self._require(x)
-        partials = self._interpolate(x[None], 2)[0]
-        unit = np.eye(self.n, dtype=int)
-        grad = np.array([partials[tuple(e)] for e in unit])
-        hess = np.array([[partials[tuple(d + e)] for e in unit] for d in unit])
-        return Jet2(x, float(partials[(0,) * self.n]), grad, hess)
+    def _jet_array(self, X):
+        partials = self._interpolate(X, 2).reshape(len(X), -1)
+        # flat index of d/dx_i in the (3,)*n partials; d_i d_j f sits at the sum
+        axis = 3 ** np.arange(self.n)[::-1]
+        return partials[:, 0], partials[:, axis], partials[:, axis[:, None] + axis]
 
     def params(self):
         return {"order": self.order, "dims": list(self.grid.dims),
@@ -501,6 +493,11 @@ class SampledGridField(HeightField):
 def _mesh_points(lo, dims, spacing):
     axes = [lo[d] + spacing * np.arange(dims[d]) for d in range(len(dims))]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _row_dot(a, b):
+    """a . b over any leading point axes, rounded as ``a @ b`` is at one point."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _masked_points(field: HeightField, X) -> np.ndarray:

@@ -12,36 +12,37 @@ height log f Euclidean n-subharmonic; the density returned by
 :func:`n_subharmonic_density` is the adapted-frame expression
 (n-1) (log f)_11 + sum_{i>=2} (log f)_ii, which equals |D log f|^{2-n} Delta_n log f.
 
-Production route: :func:`point_regime_report` builds one shape spectrum and one
-adapted frame per point; :func:`key_factors` and :func:`n_subharmonic_density` both
-read that frame, and the report carries the spectrum for every per-point caller.
-Oracle routes, kept independent: :func:`grad_direction_ricci` (the H1/H2 contraction)
-against :func:`ricci_gradient_adapted`, and :func:`n_laplacian_expansion` against the
-adapted-frame density.
+Production route: :func:`regime_reports` is the batched kernel over stacked jets.  It
+takes one batch of shape spectra and one unit gradient u per point (e_1 where
+|Df| <= GRADIENT_EPS), and from them the regime, the factors
+A = f q^{-3/2} (u^T D^2f u + q/f), q = 1 + |Df|^2, and B = H - A in the same form, and
+the density.  :func:`point_regime_report`, :func:`convexity_classify`,
+:func:`adapted_frame`, :func:`key_factors` and :func:`n_subharmonic_density` are its
+views at one point.  Oracles, scalar and independent: :func:`grad_direction_ricci`
+(the H1/H2 contraction) against :func:`ricci_gradient_adapted`, and
+:func:`n_laplacian_expansion` against the density.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .curvature import ShapeSpectrum, shape_spectrum
+from .curvature import (GRADIENT_EPS, ShapeSpectrum, Stacked, _quadratic, _unit_gradient,
+                        shape_spectra)
 from .errors import DegenerateGradientError
-from .heightfield import HeightField, Jet2
+from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
     "AdaptedJet", "Regime", "RegimeReport", "KeyFactors", "DensityResult",
     "MeanBoundReport", "adapted_frame", "grad_direction_ricci",
     "ricci_gradient_adapted", "key_factors", "mean_bound_check",
     "n_subharmonic_density", "n_laplacian_expansion", "convexity_classify",
-    "point_regime_report", "scan_field",
+    "point_regime_report", "regime_reports", "scan_field",
 ]
 
-#: |Df| at or below this is treated as a critical point of f
-GRADIENT_EPS = 1e-14
 #: absolute tolerance for inequality assertions on O(1) quantities
 INEQ_TOL = 1e-9
 
@@ -58,25 +59,18 @@ class AdaptedJet:
 
 
 def adapted_frame(jet: Jet2) -> AdaptedJet:
-    """Householder-style rotation sending Df/|Df| to e_1.
+    """Householder-style rotation sending the kernel's unit gradient u to e_1.
 
-    With |Df| <= GRADIENT_EPS the rotation is the identity and the jet is flagged
-    degenerate.
+    Its first row is u.  With |Df| <= GRADIENT_EPS, u = e_1, the rotation is the
+    identity and the jet is flagged degenerate.
     """
     n = jet.n
-    norm = math.sqrt(jet.grad_norm_sq)
-    if norm <= GRADIENT_EPS:
-        return AdaptedJet(jet, np.eye(n), jet.grad.copy(), jet.hess.copy(), True)
-    u = jet.grad / norm
-    v = u - np.eye(n)[0]
+    u, degenerate = _unit_gradient(jet.grad[None])
+    v = u[0] - np.eye(n)[0]
     vv = float(v @ v)
-    if vv < 1e-30:
-        rot = np.eye(n)
-    else:
-        rot = np.eye(n) - 2.0 * np.outer(v, v) / vv
-    grad_r = rot @ jet.grad
-    hess_r = rot @ jet.hess @ rot.T
-    return AdaptedJet(jet, rot, grad_r, hess_r, False)
+    rot = np.eye(n) if vv < 1e-30 else np.eye(n) - 2.0 * np.outer(v, v) / vv
+    return AdaptedJet(jet, rot, rot @ jet.grad, rot @ jet.hess @ rot.T,
+                      bool(degenerate[0]))
 
 
 def grad_direction_ricci(jet: Jet2) -> float:
@@ -116,7 +110,7 @@ def ricci_gradient_adapted(jet: Jet2) -> float:
 
 
 @dataclass(frozen=True)
-class KeyFactors:
+class KeyFactors(Stacked):
     """The two mean-curvature factors and the associated inequality checks."""
 
     A: float
@@ -127,6 +121,22 @@ class KeyFactors:
     sqrt_form_ok: bool     # sqrt((n-1) A') sqrt(B') >= (n-1)(1+f_1^2)/f when applicable
 
 
+def _factors(f, df, hess, u, mean, tol) -> KeyFactors:
+    """KeyFactors of stacked jets, split along their unit gradients u (P, n)."""
+    n = df.shape[1]
+    q = 1.0 + _row_dot(df, df)
+    huu = _quadratic(u, hess)
+    a_raw = huu + q / f
+    b_raw = np.trace(hess, axis1=1, axis2=2) - huu + (n - 1) / f
+    A = f * q ** -1.5 * a_raw
+    B = f * q ** -0.5 * b_raw
+    applicable = (a_raw >= 0) & (b_raw >= 0)
+    sqrt_ok = applicable & (np.sqrt((n - 1) * np.maximum(a_raw, 0.0))
+                            * np.sqrt(np.maximum(b_raw, 0.0)) >= (n - 1) * q / f - tol)
+    return KeyFactors(A, B, A * B >= (n - 1) - tol, np.abs(A + B - mean), applicable,
+                      sqrt_ok)
+
+
 def key_factors(aj: AdaptedJet, mean: float, tol: float = INEQ_TOL) -> KeyFactors:
     """Split H into the gradient-direction factor A and the transverse factor B.
 
@@ -134,21 +144,7 @@ def key_factors(aj: AdaptedJet, mean: float, tol: float = INEQ_TOL) -> KeyFactor
     critical points the adapted frame degenerates to the identity, where A and B are
     still well defined because f_1 = 0.
     """
-    n = aj.jet.n
-    f = aj.jet.f
-    f1 = aj.grad[0]
-    q = 1.0 + f1 ** 2
-    a_raw = aj.hess[0, 0] + q / f
-    b_raw = float(np.sum(np.diag(aj.hess)[1:])) + (n - 1) / f
-    A = f * q ** -1.5 * a_raw
-    B = f * q ** -0.5 * b_raw
-    product_ok = A * B >= (n - 1) - tol
-    applicable = a_raw >= 0 and b_raw >= 0
-    if applicable:
-        sqrt_ok = math.sqrt((n - 1) * a_raw) * math.sqrt(b_raw) >= (n - 1) * q / f - tol
-    else:
-        sqrt_ok = False
-    return KeyFactors(A, B, product_ok, abs(A + B - mean), applicable, sqrt_ok)
+    return _factors(*aj.jet.stacked(), aj.rotation[:1], np.array([mean]), tol).point(0)
 
 
 @dataclass(frozen=True)
@@ -180,12 +176,24 @@ def mean_bound_check(spec: ShapeSpectrum, ric_min: float, n: int,
 
 
 @dataclass(frozen=True)
-class DensityResult:
+class DensityResult(Stacked):
     """n-subharmonicity density of the height function at one jet."""
 
     density: float
     weak_value: float      # |D log f|^(n-2) * density
     at_critical_point: bool
+
+
+def _density(f, df, hess, u, degenerate) -> DensityResult:
+    """DensityResult of stacked jets along their unit gradients u (P, n)."""
+    n = df.shape[1]
+    f3 = f[:, None, None]
+    log_hess = (hess - df[:, :, None] * df[:, None, :] / f3) / f3
+    lap = np.trace(log_hess, axis1=1, axis2=2)
+    density = np.where(degenerate, lap, (n - 2) * _quadratic(u, log_hess) + lap)
+    norm = np.sqrt(_row_dot(df, df)) / f
+    weak = np.where(degenerate, 0.0 if n > 2 else lap, norm ** (n - 2) * density)
+    return DensityResult(density, weak, degenerate)
 
 
 def n_subharmonic_density(aj: AdaptedJet) -> DensityResult:
@@ -194,18 +202,7 @@ def n_subharmonic_density(aj: AdaptedJet) -> DensityResult:
     At critical points of f the gradient direction is undefined and the density is
     taken to be Delta log f, flagged accordingly.
     """
-    jet = aj.jet
-    n = jet.n
-    f = jet.f
-    u_grad = jet.grad / f
-    u_hess = jet.hess / f - np.outer(jet.grad, jet.grad) / f ** 2
-    norm = float(np.linalg.norm(u_grad))
-    if aj.degenerate:
-        lap = float(np.trace(u_hess))
-        return DensityResult(lap, 0.0 if n > 2 else lap, True)
-    u_hess_r = aj.rotation @ u_hess @ aj.rotation.T
-    density = (n - 1) * u_hess_r[0, 0] + float(np.sum(np.diag(u_hess_r)[1:]))
-    return DensityResult(density, norm ** (n - 2) * density, False)
+    return _density(*aj.jet.stacked(), aj.rotation[:1], np.array([aj.degenerate])).point(0)
 
 
 def n_laplacian_expansion(jet: Jet2) -> float:
@@ -231,8 +228,8 @@ class Regime(Enum):
 
 
 @dataclass(frozen=True)
-class RegimeReport:
-    """Classifier output for one point."""
+class RegimeReport(Stacked):
+    """Classifier output for one point, or stacked over points."""
 
     regime: Regime
     min_ricci_eig: float
@@ -246,50 +243,48 @@ class RegimeReport:
 def convexity_classify(kappas, ric_eigs, n: int, tol: float = INEQ_TOL) -> RegimeReport:
     """Strongest convexity regime whose defining condition holds at tolerance.
 
-    Conditions are checked from weakest to strongest, so the report can never claim
-    a stronger regime while a weaker one fails.
+    Takes one spectrum or a stack (P, n) of them.  Conditions are checked from weakest
+    to strongest, so the report can never claim a stronger regime while a weaker one
+    fails.
     """
     kappas = np.asarray(kappas, dtype=float)
-    ric_eigs = np.asarray(ric_eigs, dtype=float)
-    H = float(np.sum(kappas))
-    regime = Regime.NOT_CONVEX
-    if np.all(kappas > -tol):
-        regime = Regime.STRICTLY_CONVEX
-        if np.all(kappas * H - (n - 1) - kappas ** 2 >= -tol):
-            regime = Regime.NONNEG_RICCI
-            prods = np.outer(kappas, kappas)[~np.eye(n, dtype=bool)]
-            if np.all(prods >= 1 - tol):
-                regime = Regime.NONNEG_SECTIONAL
-                if np.all(kappas >= 1 - tol):
-                    regime = Regime.HOROCONVEX
-    return RegimeReport(regime, float(np.min(ric_eigs)), H)
+    H = kappas.sum(axis=-1)
+    prods = (kappas[..., :, None] * kappas[..., None, :])[..., ~np.eye(n, dtype=bool)]
+    holds = [np.all(kappas > -tol, axis=-1),
+             np.all(kappas * H[..., None] - (n - 1) - kappas ** 2 >= -tol, axis=-1),
+             np.all(prods >= 1 - tol, axis=-1),
+             np.all(kappas >= 1 - tol, axis=-1)]
+    level = np.logical_and.accumulate(holds).sum(axis=0)
+    regime = np.array(list(Regime), dtype=object)[level]
+    return RegimeReport(regime, np.min(np.asarray(ric_eigs, dtype=float), axis=-1), H)
+
+
+def regime_reports(f, df, hess, tol: float = INEQ_TOL) -> RegimeReport:
+    """The batched kernel: reports of stacked jets, each field over a leading point axis."""
+    spec = shape_spectra(f, df, hess)
+    u, degenerate = _unit_gradient(df)
+    base = convexity_classify(spec.kappas, spec.ricci, df.shape[1], tol)
+    kf = _factors(f, df, hess, u, spec.mean_closed, tol)
+    dens = _density(f, df, hess, u, degenerate)
+    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean, (kf.A, kf.B),
+                        dens.density, degenerate, spec)
 
 
 def point_regime_report(jet: Jet2, tol: float = INEQ_TOL) -> RegimeReport:
     """Full per-point report: regime, Ricci floor, factors, density and spectrum."""
-    spec = shape_spectrum(jet)
-    aj = adapted_frame(jet)
-    base = convexity_classify(spec.kappas, spec.ricci, jet.n, tol)
-    kf = key_factors(aj, spec.mean_closed, tol)
-    dens = n_subharmonic_density(aj)
-    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean, (kf.A, kf.B),
-                        dens.density, dens.at_critical_point, spec)
+    return regime_reports(*jet.stacked(), tol).point(0)
 
 
 def scan_field(field: HeightField, points) -> list:
-    """Per-point scan rows for CSV output.
+    """Per-point scan rows for CSV output, from one kernel call over all points.
 
     Row: x_1..x_n, f, H, kappa_1..kappa_n, min_ric_eig, A, B, AB_minus_(n-1),
     density, regime.
     """
-    rows = []
-    n = field.n
-    for x in points:
-        jet = field.jet(x)
-        rep = point_regime_report(jet)
-        A, B = rep.factors
-        rows.append(list(np.asarray(x, float)) + [jet.f, rep.mean]
-                    + list(rep.spectrum.kappas)
-                    + [rep.min_ricci_eig, A, B, A * B - (n - 1),
-                       rep.n_subharmonic_density, rep.regime.value])
-    return rows
+    X = np.asarray(points, dtype=float).reshape(-1, field.n)
+    f, df, hess = field.jet_array(X)
+    rep = regime_reports(f, df, hess)
+    A, B = rep.factors
+    cols = np.column_stack([X, f, rep.mean, rep.spectrum.kappas, rep.min_ricci_eig, A, B,
+                            A * B - (field.n - 1), rep.n_subharmonic_density])
+    return [row + [regime.value] for row, regime in zip(cols.tolist(), rep.regime)]

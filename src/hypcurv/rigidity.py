@@ -17,9 +17,9 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .curvature import cluster_kappas, ricci_from_shape, shape_spectrum
+from .curvature import ShapeSpectrum, cluster_kappas, ricci_from_shape, shape_spectra
 from .errors import HypothesisContradiction, ParameterError, PreconditionError
-from .heightfield import HeightField, Jet2
+from .heightfield import HeightField
 
 __all__ = [
     "Verdict", "RigidityReport", "NullDirectionReport", "ConstancyScan",
@@ -89,16 +89,17 @@ def _smaller_root(H: float, n: int) -> float:
     return (H - math.sqrt(disc)) / 2.0
 
 
-def flat_direction_check(jet: Jet2, ric_tol: float = RICCI_NULL_TOL) -> NullDirectionReport:
-    """Extract Ricci-null directions and compare their curvature to the smaller root.
+def flat_direction_check(spec: ShapeSpectrum,
+                         ric_tol: float = RICCI_NULL_TOL) -> NullDirectionReport:
+    """Extract Ricci-null directions of one point's spectrum and compare their
+    curvature to the smaller root.
 
     Requires n >= 3 and a pointwise nonnegative Ricci spectrum (floor -ric_tol); an
     empty null space is a valid outcome, not an error.
     """
-    n = jet.n
+    n = spec.kappas.size
     if n < 3:
         raise ParameterError("flat-direction analysis requires n >= 3")
-    spec = shape_spectrum(jet)
     g = spec.forms.metric
     eigvals, eigvecs = scipy.linalg.eigh(ricci_from_shape(spec), g)
     if eigvals[0] < -ric_tol:
@@ -137,25 +138,26 @@ def constancy_scan(field: HeightField, samples) -> ConstancyScan:
     cluster is reported as umbilic; any other structure sets split_ok False.  The
     smallest Ricci eigenvalue over all samples is read from the same spectra.
     """
-    n = field.n
+    return _constancy(shape_spectra(*field.jet_array(samples)))
+
+
+def _constancy(spec: ShapeSpectrum) -> ConstancyScan:
+    """:func:`constancy_scan` of stacked spectra."""
+    count, n = spec.kappas.shape
     kappa0s, kappa_ts = [], []
     umbilic_vals = []
     split_ok = True
-    count = 0
-    ric_min = math.inf
-    for x in samples:
-        spec = shape_spectrum(field.jet(x))
-        ric_min = min(ric_min, float(spec.ricci[0]))
-        clusters = cluster_kappas(spec.kappas)
-        count += 1
+    ric_min = float(np.min(spec.ricci[:, 0], initial=math.inf))
+    for kappas in spec.kappas:
+        clusters = cluster_kappas(kappas)
         if len(clusters) == 1:
-            umbilic_vals.extend(spec.kappas.tolist())
+            umbilic_vals.extend(kappas.tolist())
             continue
         if len(clusters) == 2 and {len(c) for c in clusters} == {1, n - 1}:
             single = clusters[0] if len(clusters[0]) == 1 else clusters[1]
             rest = clusters[1] if len(clusters[0]) == 1 else clusters[0]
-            kappa0s.append(float(spec.kappas[single[0]]))
-            kappa_ts.extend(spec.kappas[rest].tolist())
+            kappa0s.append(float(kappas[single[0]]))
+            kappa_ts.extend(kappas[rest].tolist())
             continue
         split_ok = False
     if umbilic_vals and not kappa0s:
@@ -201,14 +203,15 @@ def classify_global(constancy: ConstancyScan, boundary_points: int,
 def rigidity_report(field: HeightField, samples, boundary_points: int,
                     nonneg_ricci: bool = False,
                     ric_tol: float = RICCI_NULL_TOL) -> RigidityReport:
-    """Full rigidity analysis: null directions at the samples, constancy, verdict."""
-    scan = constancy_scan(field, samples)
+    """Null directions, constancy and verdict, all read from one batch of spectra."""
+    spec = shape_spectra(*field.jet_array(samples))
+    scan = _constancy(spec)
     dim = 0
     kappa0 = math.nan
     kappa0_exp = math.nan
     alignment = 0.0
-    for x in samples:
-        frag = flat_direction_check(field.jet(x), ric_tol)
+    for i in range(scan.samples):
+        frag = flat_direction_check(spec.point(i), ric_tol)
         if frag.null_space_dim > 0:
             dim = frag.null_space_dim
             kappa0 = frag.kappa0

@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import gc
+import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -87,6 +91,22 @@ class TestScan:
         assert len(lines) == 1 + 4 ** 3
         assert (out / "scan.manifest.json").exists()
         assert lines[1].split(",")[-1] == "NonnegSectional"
+
+    def test_manifest_counts_filtered_points(self, runner, surfaces, tmp_path):
+        # 5^3 nodes over [-1, 3] x [-1, 1]^2 on the cone over [-2, 2]^3: the 25 with
+        # x1 = 3 leave the domain box and the origin lies in the apex ball
+        out = tmp_path / "scanout"
+        result = runner.invoke(main, ["scan", "--surface", surfaces["cone"],
+                                      "--grid", "-1,-1,-1:3,1,1:5", "--out", str(out)])
+        assert result.exit_code == 0
+        doc = json.loads((out / "scan.manifest.json").read_text())
+        config = doc["manifest"]["config"]
+        assert (config["scanned_points"], config["dropped_points"]) == (99, 26)
+        kept = [x for x in np.stack(np.meshgrid(
+            np.linspace(-1, 3, 5), *[np.linspace(-1, 1, 5)] * 2, indexing="ij"),
+            -1).reshape(-1, 3).tolist() if x[0] < 3 and any(x)]
+        rows = result.output.strip().splitlines()[1:]
+        assert [[float(c) for c in row.split(",")[:3]] for row in rows] == kept
 
 
 class TestClassify:
@@ -226,6 +246,27 @@ def test_library_error_exits_1_with_error_json(runner, surfaces, excised_grid, a
     assert result.exit_code == 1
     assert result.stdout == ""
     assert json.loads(result.stderr)["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--point", "1,0,0"], ["scan", "--grid", "0.5,-0.2,-0.2:1.5,0.2,0.2:3"],
+    ["analyze", "--point", "9,0,0"], ["verify", "--suite", "horosphere-identity"]],
+    ids=["analyze", "scan", "error", "verify"])
+def test_in_process_calls_release_redirected_streams(surfaces, args):
+    # a caller running the CLI in-process, as the benchmark does, gets its streams back
+    out, err = io.StringIO(), io.StringIO()
+    refs = weakref.ref(out), weakref.ref(err)
+    if args[0] != "verify":
+        args = [args[0], "--surface", surfaces["cone"]] + args[1:]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=args, prog_name="hypcurv", standalone_mode=False)
+        except SystemExit:
+            pass
+    assert out.getvalue() or err.getvalue()
+    del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 class TestVerify:

@@ -131,8 +131,8 @@ class TestShapeSpectrum:
     def test_mean_cross_check_catches_corruption(self, monkeypatch):
         jet1 = cone().jet([1.0, 0.0, 0.0])
         jet2 = cap().jet([0.2, 0.0, 0.0])
-        forms_wrong = fundamental_forms(jet2)
-        monkeypatch.setattr(curvature, "fundamental_forms", lambda jet: forms_wrong)
+        forms_wrong = curvature._forms(*jet2.stacked())
+        monkeypatch.setattr(curvature, "_forms", lambda f, df, hess: forms_wrong)
         with pytest.raises(NumericError):
             shape_spectrum(jet1)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hypcurv import acceptance
 from hypcurv.errors import DataError, DomainError, ParameterError
 from hypcurv.gridfn import GridFunction, load_grid_function, save_grid_function
 from hypcurv.heightfield import (Box, Jet2, SampledGridField, fd_validate_jet,
@@ -45,6 +46,19 @@ class TestCatalogConstruction:
         with pytest.raises(DomainError):
             field.jet([1e-4, 0.0, 0.0])
         assert field.height([1e-4, 0.0, 0.0]) == -math.inf
+
+    @pytest.mark.parametrize("field", [cone(), cap(), make_catalog_surface(
+        "equidistant_cone", {"slope": 1.0, "mask_radius": 0.3}, 3)])
+    def test_contains_array_is_box_minus_mask_balls(self, field):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(field.domain.lo - 0.3, field.domain.hi + 0.3, size=(400, 3))
+        X[:40] = rng.uniform(-0.4, 0.4, size=(40, 3))  # in and around the apex ball
+        X[40], X[41] = field.domain.lo, field.domain.hi
+        inside = [bool(np.all(x >= field.domain.lo) and np.all(x <= field.domain.hi))
+                  and all(np.linalg.norm(x - m.center) >= m.radius for m in field.masks)
+                  for x in X]
+        assert field.contains_array(X.reshape(20, 20, 3)).ravel().tolist() == inside
+        assert [field.contains(x) for x in X] == inside
 
     def test_sphere_cap_values(self):
         field = cap()
@@ -232,6 +246,9 @@ class TestLatticeContract:
             sample_height_grid(cone(), [1.0, 1.4, 1.4], [2.0, 2.0, 2.0], 1.0 / 16)
         with pytest.raises(ParameterError):
             SampledGridField.from_field(cone(), Box([0.5, 0.5, 0.5], [1.0, 1.1, 1.0]), 9)
+        with pytest.raises(ParameterError):
+            acceptance._annulus_box_heights(lambda m: m[0], (0.0, 0.0, 0.0),
+                                            (1.0, 1.0, 1.05), 0.1)
 
     def test_non_cubic_window_ends_on_hi(self):
         lo, hi = np.array([1.0, 1.25, -0.5]), np.array([2.0, 2.0, 0.1])

@@ -29,7 +29,7 @@ def cap(n=3):
 
 class TestFlatDirection:
     def test_cone_single_null_direction(self):
-        frag = flat_direction_check(cone().jet([1.0, 0.0, 0.0]))
+        frag = flat_direction_check(shape_spectrum(cone().jet([1.0, 0.0, 0.0])))
         assert frag.null_space_dim == 1
         assert frag.principal_alignment <= 1e-8
         assert frag.kappa0 == pytest.approx(1.0 / SQ2, abs=1e-10)
@@ -39,31 +39,31 @@ class TestFlatDirection:
         assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
 
     def test_horosphere_full_null_space(self):
-        frag = flat_direction_check(horosphere().jet([0.0, 0.0, 0.0]))
+        frag = flat_direction_check(shape_spectrum(horosphere().jet([0.0, 0.0, 0.0])))
         assert frag.null_space_dim == 3
         # H = 3: roots (3 +/- 1)/2 = {2, 1}; observed kappa matches the smaller root
         assert frag.kappa0_expected == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(frag.null_kappas, 1.0, atol=1e-10)
 
     def test_cap_empty_fragment(self):
-        frag = flat_direction_check(cap().jet([0.0, 0.0, 0.0]))
+        frag = flat_direction_check(shape_spectrum(cap().jet([0.0, 0.0, 0.0])))
         assert frag.null_space_dim == 0
         assert math.isnan(frag.kappa0)
 
     def test_dimension_precondition(self):
         with pytest.raises(ParameterError):
-            flat_direction_check(horosphere(1.0, 2).jet([0.0, 0.0]))
+            flat_direction_check(shape_spectrum(horosphere(1.0, 2).jet([0.0, 0.0])))
 
     def test_negative_ricci_precondition(self):
         plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
         with pytest.raises(PreconditionError):
-            flat_direction_check(plane.jet([1.0, 0.0, 0.0]))
+            flat_direction_check(shape_spectrum(plane.jet([1.0, 0.0, 0.0])))
 
     def test_null_kappa_matches_root_at_samples(self):
         rng = np.random.default_rng(15)
         field = cone(2.0)
         for x in field.sample_points(30, rng, r_min=0.4, r_max=1.8):
-            frag = flat_direction_check(field.jet(x))
+            frag = flat_direction_check(shape_spectrum(field.jet(x)))
             assert frag.null_space_dim == 1
             assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
             assert frag.kappa0 > 0
