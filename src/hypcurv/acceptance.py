@@ -16,12 +16,10 @@ import numpy as np
 
 from . import asymptotics, plaplace, rigidity
 from .curvature import (cluster_kappas, codazzi_residual, commutation_residual,
-                        gauss_residual, mean_curvature, ricci_coordinate,
-                        ricci_from_shape, shape_spectra, shape_spectrum)
+                        gauss_residual, ricci_coordinate, ricci_from_shape, shape_spectra)
 from .gridfn import GridFunction
 from .heightfield import Jet2, _lattice_dims, _mesh_points, make_catalog_surface
-from .inequalities import (adapted_frame, grad_direction_ricci, key_factors,
-                           n_subharmonic_density, regime_reports)
+from .inequalities import grad_direction_ricci, regime_reports
 
 __all__ = ["CriterionResult", "run_suite", "CRITERIA", "random_jet"]
 
@@ -127,9 +125,11 @@ def criterion_two_route_ricci(seed: int) -> CriterionResult:
     failures = []
     worst_dev, worst_comm = 0.0, 0.0
     for n in (3, 4, 5):
-        for _ in range(1000):
-            jet = random_jet(rng, n)
-            spec = shape_spectrum(jet)
+        jets = [random_jet(rng, n) for _ in range(1000)]
+        spectra = shape_spectra(np.array([j.f for j in jets]), np.array([j.grad for j in jets]),
+                                np.array([j.hess for j in jets]))
+        for i, jet in enumerate(jets):
+            spec = spectra.point(i)
             r1 = ricci_coordinate(jet, spec.forms)
             r2 = ricci_from_shape(spec)
             scale = 1.0 + float(np.max(np.abs(r1)))
@@ -157,27 +157,22 @@ def criterion_inequality_chain(seed: int) -> CriterionResult:
                                     {"center_height": 2.0, "euclidean_radius": 1.0}, n)]
     for field in nonneg:
         kwargs = {"r_min": 0.5, "r_max": 2.0} if field.kind == "equidistant_cone" else {}
-        for x in field.sample_points(50, rng, **kwargs):
-            jet = field.jet(x)
-            aj = adapted_frame(jet)
-            H = mean_curvature(jet)
-            kf = key_factors(aj, H)
-            _check(failures, kf.sum_check <= 1e-12 * max(1.0, abs(H)),
-                   f"A+B != H on {field.kind}")
-            _check(failures, kf.A * kf.B >= n - 1 - 1e-9, f"AB < n-1 on {field.kind}")
-            _check(failures, H >= n - 1e-9, f"H < n on {field.kind}")
-            dens = n_subharmonic_density(aj)
-            _check(failures, dens.density >= -1e-9, f"density < 0 on {field.kind}")
+        rep = regime_reports(*field.jet_array(field.sample_points(50, rng, **kwargs)))
+        (A, B), H = rep.factors, rep.spectrum.mean_closed
+        _check(failures, np.all(np.abs(A + B - H) <= 1e-12 * np.maximum(1.0, np.abs(H))),
+               f"A+B != H on {field.kind}")
+        _check(failures, np.all(A * B >= n - 1 - 1e-9), f"AB < n-1 on {field.kind}")
+        _check(failures, np.all(H >= n - 1e-9), f"H < n on {field.kind}")
+        _check(failures, np.all(rep.n_subharmonic_density >= -1e-9),
+               f"density < 0 on {field.kind}")
     plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, n)
-    for x in plane.sample_points(50, rng):
-        jet = plane.jet(x)
-        aj = adapted_frame(jet)
-        kf = key_factors(aj, mean_curvature(jet))
-        _check(failures, abs(kf.A * kf.B - 1.0) <= 1e-12, "plane AB != 1")
-        _check(failures, kf.A * kf.B < n - 1, "plane AB not < n-1")
-        dens = n_subharmonic_density(aj)
-        _check(failures, abs(dens.density + 2.0 / x[0] ** 2) <= 1e-9 / x[0] ** 2,
-               "plane density != -2/x1^2")
+    pts = plane.sample_points(50, rng)
+    rep = regime_reports(*plane.jet_array(pts))
+    AB, x1 = rep.factors[0] * rep.factors[1], pts[:, 0]
+    _check(failures, np.all(np.abs(AB - 1.0) <= 1e-12), "plane AB != 1")
+    _check(failures, np.all(AB < n - 1), "plane AB not < n-1")
+    _check(failures, np.all(np.abs(rep.n_subharmonic_density + 2.0 / x1 ** 2)
+                            <= 1e-9 / x1 ** 2), "plane density != -2/x1^2")
     detail = failures[0] if failures else \
         "A+B=H @1e-12, AB>=n-1, H>=n, density>=0; plane AB=1<2, density=-2/x1^2"
     return CriterionResult("inequality-chain", not failures, detail, time.time() - t0)

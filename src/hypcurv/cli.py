@@ -258,6 +258,7 @@ def solve(surface, grid_spec, p_value, out):
         "stop_reason": res.stop_reason,
         "grad_norm": res.grad_norm,
         "final_energy": float(res.energy_trace[-1]),
+        "backtracks": res.backtracks,
     }
     if out:
         os.makedirs(out, exist_ok=True)
@@ -297,6 +298,7 @@ def probe(surface, grid_spec, p_value, out):
         "spacing": result.spacing,
         "iterations": result.iterations,
         "stop_reason": result.stop_reason,
+        "backtracks": result.backtracks,
     }
     _emit(payload, manifest, out, "probe.json")
 

@@ -4,14 +4,17 @@ The energy of a grid function u is the cell sum
 
     E(u) = sum_cells (|Du_cell|^2 + eps^2)^(p/2) * spacing^n
 
-where Du_cell averages the forward differences along each axis over the cell.  Cells
-with an excised (-inf) corner contribute nothing.  The minimizer over interior nodes
-is found by preconditioned descent: each direction applies the exact inverse of the
-p = 2 operator on the lattice box, computed with per-axis sine transforms, so the
-iteration count does not grow with the lattice; a backtracking (Armijo) line search
-keeps the recorded energy trace monotonically non-increasing.  For p = 2 the
-stationarity condition is linear, and :func:`solve_laplace_linear`, a direct sparse
-solve of the independently assembled system, is the oracle for the descent.
+where Du_cell averages the forward differences along each axis over the cell: its
+component a is the difference along axis a of the sums along the other axes, so one
+separable sum/difference stencil and its transpose give the energy and its gradient.
+Cells with an excised (-inf) corner contribute nothing.  The minimizer over interior
+nodes is found by preconditioned descent: each direction applies the exact inverse of
+the p = 2 operator on the lattice box, computed with per-axis sine transforms, so the
+iteration count does not grow with the lattice; a backtracking (Armijo) line search,
+whose rejected trials evaluate the energy alone, keeps the recorded energy trace
+monotonically non-increasing.  For p = 2 the stationarity condition is linear, and
+:func:`solve_laplace_linear`, a direct sparse solve of the independently assembled
+system, is the oracle for the descent.
 
 The viscosity probe samples h = log f on a box, solves the p = n Dirichlet problem
 with boundary h, and reports whether the p-harmonic solution dominates h up to a
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError, PreconditionError
 from .gridfn import GridFunction, box_face_mask
@@ -66,83 +70,82 @@ class SolverConfig:
 
 # -- cell-based energy ------------------------------------------------------------------
 
-def _shifted(a, axis):
-    """Views of ``a`` without its last and without its first slice along ``axis``."""
-    sl0 = [slice(None)] * a.ndim
-    sl1 = [slice(None)] * a.ndim
-    sl0[axis] = slice(None, -1)
-    sl1[axis] = slice(1, None)
-    return a[tuple(sl0)], a[tuple(sl1)]
+def _pair(x, stride, sign):
+    """``x[i + stride] + sign * x[i]`` over flat node values, 0 in the last ``stride``.
 
-
-def _forward_diff(values, spacing, axis):
-    lo, hi = _shifted(values, axis)
-    return (hi - lo) / spacing
-
-
-def _cell_average(d, axis):
-    lo, hi = _shifted(d, axis)
-    return 0.5 * (lo + hi)
-
-
-def _adjoint_average(y, axis):
-    shape = list(y.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=y.dtype)
-    lo, hi = _shifted(out, axis)
-    lo += 0.5 * y
-    hi += 0.5 * y
+    With the stride of one axis: the sum (S, ``sign=1``) or difference (D, ``sign=-1``)
+    of neighbouring slices; where no cell sits, finite junk that zero weights remove.
+    """
+    out = np.empty_like(x)
+    (np.add if sign > 0 else np.subtract)(x[stride:], x[:-stride], out=out[:-stride])
+    out[-stride:] = 0.0
     return out
 
 
-def _adjoint_diff(y, spacing, axis):
-    shape = list(y.shape)
-    shape[axis] += 1
-    out = np.zeros(shape, dtype=y.dtype)
-    lo, hi = _shifted(out, axis)
-    lo -= y / spacing
-    hi += y / spacing
+def _pair_adjoint(y, stride, sign):
+    """Transpose of :func:`_pair`: first slice, ``lo +- hi`` inside, last slice."""
+    out = np.empty_like(y)
+    np.multiply(y[:stride], sign, out=out[:stride])
+    (np.add if sign > 0 else np.subtract)(y[:-2 * stride], y[stride:-stride],
+                                          out=out[stride:-stride])
+    out[-stride:] = y[-2 * stride:-stride]
     return out
 
 
 def _complete_cells(active):
-    ca = active
-    for axis in range(active.ndim):
-        ca = np.logical_and(*_shifted(ca, axis))
-    return ca
+    """Cells, indexed by their lowest corner, whose 2^n corners are all active."""
+    n = active.ndim
+    return sliding_window_view(active, (2,) * n).all(axis=tuple(range(n, 2 * n)))
 
 
-def _cell_gradients(values, spacing):
+def _cell_weights(active):
+    """1 at the lowest corner of each complete cell and 0 elsewhere, over flat nodes."""
+    return np.pad(_complete_cells(active), [(0, 1)] * active.ndim).ravel().astype(float)
+
+
+def _energy(values, spacing, p, eps, weights):
+    """Energy of ``values`` and the state that :func:`_energy_gradient` reads.
+
+    Each cell sits at its lowest corner, so cell gradient component a is
+    ``D_a prod_{b != a} S_b u / (2^(n-1) h)`` over the flat values; it shares the sums
+    along the axes before a with the later components.  The density is ``w * wp``, with
+    ``w = |Du|^2 + eps^2`` and ``wp = weights * w^(p/2 - 1)``, 0 off complete cells.
+    """
     n = values.ndim
-    comps = []
-    for axis in range(n):
-        d = _forward_diff(values, spacing, axis)
-        for other in range(n):
-            if other != axis:
-                d = _cell_average(d, other)
-        comps.append(d)
-    return comps
+    strides = [math.prod(values.shape[a + 1:]) for a in range(n)]
+    comps, sums = [], values.ravel()
+    for a in range(n):
+        c = _pair(sums, strides[a], -1)
+        for b in range(a + 1, n):
+            c = _pair(c, strides[b], 1)
+        comps.append(c)
+        if a + 1 < n:
+            sums = _pair(sums, strides[a], 1)
+    w = comps[0] * comps[0]
+    for c in comps[1:]:
+        w += c * c
+    w *= (2.0 ** (1 - n) / spacing) ** 2
+    w += eps * eps
+    wp = w ** (p / 2.0 - 1.0)
+    wp *= weights
+    return float(np.vdot(w, wp)) * spacing ** n, (values.shape, strides, comps, wp)
 
 
-def _energy_and_grad(values, spacing, p, eps, cell_mask, want_grad=True):
-    n = values.ndim
-    comps = _cell_gradients(values, spacing)
-    sq = sum(c * c for c in comps)
-    w = sq + eps * eps
-    vol = spacing ** n
-    dens = np.where(cell_mask, w ** (p / 2.0), 0.0)
-    energy = float(np.sum(dens)) * vol
-    if not want_grad:
-        return energy, None
-    coef = np.where(cell_mask, p * w ** (p / 2.0 - 1.0), 0.0) * vol
-    grad = np.zeros_like(values)
-    for axis in range(n):
-        y = coef * comps[axis]
-        for other in range(n):
-            if other != axis:
-                y = _adjoint_average(y, other)
-        grad += _adjoint_diff(y, spacing, axis)
-    return energy, grad
+def _energy_gradient(state, spacing, p):
+    """Energy gradient ``p h^n A^T (wp * A u)``, the transposed chain of :func:`_energy`."""
+    shape, strides, comps, wp = state
+    n = len(comps)
+    grad = None
+    for a in reversed(range(n)):
+        g = wp * comps[a]
+        for b in range(a + 1, n):
+            g = _pair_adjoint(g, strides[b], 1)
+        g = _pair_adjoint(g, strides[a], -1)
+        if grad is not None:
+            g += _pair_adjoint(grad, strides[a], 1)
+        grad = g
+    grad *= p * spacing ** n * (2.0 ** (1 - n) / spacing) ** 2
+    return grad.reshape(shape)
 
 
 def p_dirichlet_energy(u: GridFunction, p: float, epsilon: float) -> float:
@@ -153,9 +156,7 @@ def p_dirichlet_energy(u: GridFunction, p: float, epsilon: float) -> float:
     u.validate()
     active = u.active_mask()
     vals = np.where(active, u.values, 0.0)
-    energy, _ = _energy_and_grad(vals, u.spacing, p, epsilon,
-                                 _complete_cells(active), want_grad=False)
-    return energy
+    return _energy(vals, u.spacing, p, epsilon, _cell_weights(active))[0]
 
 
 def tighten_boundary(gf: GridFunction) -> GridFunction:
@@ -166,13 +167,10 @@ def tighten_boundary(gf: GridFunction) -> GridFunction:
     """
     out = gf.copy()
     active = out.active_mask()
-    incomplete = ~_complete_cells(active)
     n = out.ndim
-    bad = np.zeros(out.dims, dtype=bool)
-    # cell c touches the nodes c + off, off in {0,1}^n
-    for off in itertools.product((0, 1), repeat=n):
-        sl = tuple(slice(off[d], off[d] + out.dims[d] - 1) for d in range(n))
-        bad[sl] |= incomplete
+    # node i touches the cells i - {0,1}^n: a corner window of the padded cell mask
+    incomplete = np.pad(~_complete_cells(active), 1)
+    bad = sliding_window_view(incomplete, (2,) * n).any(axis=tuple(range(n, 2 * n)))
     out.boundary_mask |= active & bad
     out.boundary_mask |= box_face_mask(out.dims)
     out.validate()
@@ -188,6 +186,7 @@ class PHarmonicResult:
     ``"stalled"``, ``"zero_gradient"``, ``"line_search_exhausted"`` or
     ``"max_iterations"``; only the last leaves ``converged`` false.  ``grad_norm`` is
     the Euclidean norm of the energy gradient over the interior nodes at the result.
+    ``backtracks`` counts the rejected Armijo trials; each costs one energy evaluation.
     """
 
     grid: GridFunction
@@ -197,6 +196,7 @@ class PHarmonicResult:
     iterations: int
     stop_reason: str
     grad_norm: float
+    backtracks: int
 
 
 def _box_preconditioner(dims, spacing, p):
@@ -245,7 +245,11 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     the P-metric, ``t = t_prev^2 (g_prev.z_prev) / (s.y)``, backtracked until the
     Armijo test ``E(u - t z) <= E(u) - armijo t g.z`` holds, so the energy trace is
     monotone.  Because the direction inverts the p=2 operator exactly on a box, the
-    iteration count does not grow with the lattice.
+    iteration count does not grow with the lattice.  A trial step costs one energy
+    evaluation (:func:`_energy`); the gradient is built from its retained cell
+    components only once the step is accepted (:func:`_energy_gradient`), so a solve
+    makes ``iterations + 1`` gradient builds and ``len(energy_trace) + backtracks``
+    energy evaluations.
 
     Interior entries of ``boundary_data`` are the starting point (a warm start with
     the height samples themselves, in the probe's case).  Termination: the relative
@@ -262,11 +266,10 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     if boundary_vals.size == 0 or not np.all(np.isfinite(boundary_vals)):
         raise DataError("boundary values must be finite")
     interior = gf.interior_mask()
-    # excised nodes enter as zeros; their cells are masked out of the energy
-    vals = np.where(np.isfinite(gf.values), gf.values, 0.0)
-
     active = gf.active_mask()
-    cell_mask = _complete_cells(active)
+    # excised nodes enter as zeros; their cells are masked out of the energy
+    vals = np.where(active, gf.values, 0.0)
+    weights = _cell_weights(active)
     h, p, eps = gf.spacing, config.p, config.epsilon
     precondition = _box_preconditioner(gf.dims, h, p)
     inner = tuple(slice(1, -1) for _ in gf.dims)
@@ -276,16 +279,13 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
         z[inner] = precondition(g[inner])
         return np.where(interior, z, 0.0)
 
-    energy, grad = _energy_and_grad(vals, h, p, eps, cell_mask)
-    grad = np.where(interior, grad, 0.0)
-    trace = [energy]
-    steps = []
-    converged = False
-    stop_reason = "max_iterations"
-    stalled = 0
+    energy, state = _energy(vals, h, p, eps, weights)
+    grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
+    trace, steps = [energy], []
+    converged, stop_reason = False, "max_iterations"
+    stalled = iterations = backtracks = 0
     t = 1.0
     s = grad_prev = gz_prev = None
-    iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         z = direction(grad)
         gz = float(np.sum(grad * z))
@@ -296,22 +296,21 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
             # Barzilai-Borwein trial step in the P-metric, backtracked to guarantee decrease
             sy = float(np.sum(s * (grad - grad_prev)))
             t = t * t * gz_prev / sy if sy > 0 else t * 2.0
-        accepted = False
         for _ in range(config.max_backtracks):
             cand = vals - t * z
-            e_new, g_new = _energy_and_grad(cand, h, p, eps, cell_mask)
+            e_new, state = _energy(cand, h, p, eps, weights)
             if e_new <= energy - config.armijo * t * gz:
-                accepted = True
                 break
+            backtracks += 1
             t *= config.backtrack
-        if not accepted:
+        else:
             converged, stop_reason = True, "line_search_exhausted"
             break
         s, grad_prev, gz_prev = cand - vals, grad, gz
         vals = cand
         rel_drop = (energy - e_new) / max(abs(e_new), 1e-300)
         energy = e_new
-        grad = np.where(interior, g_new, 0.0)
+        grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
         trace.append(energy)
         steps.append(t)
         stalled = stalled + 1 if rel_drop < config.tolerance else 0
@@ -320,10 +319,9 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
             break
 
     out = gf.copy()
-    out.values = np.where(np.isfinite(gf.values), vals, gf.values)
-    out.values[~active] = gf.values[~active]
+    out.values = np.where(active, vals, gf.values)
     return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, iterations,
-                           stop_reason, float(np.sqrt(np.sum(grad * grad))))
+                           stop_reason, float(np.sqrt(np.sum(grad * grad))), backtracks)
 
 
 # -- independent p = 2 oracle -----------------------------------------------------------
@@ -420,6 +418,7 @@ class ProbeResult:
     spacing: float
     iterations: int
     stop_reason: str
+    backtracks: int
 
     def __bool__(self):
         return self.subharmonic
@@ -441,7 +440,7 @@ def viscosity_probe(field: HeightField, lo, hi, config: SolverConfig,
     margin = (float(np.min(result.grid.values[interior] - h_grid.values[interior]))
               if np.any(interior) else 0.0)
     return ProbeResult(margin >= -tol, margin, tol, excised, spacing, result.iterations,
-                       result.stop_reason)
+                       result.stop_reason, result.backtracks)
 
 
 # -- analytic-region grids ----------------------------------------------------------------

@@ -158,6 +158,7 @@ class TestSolveAndProbe:
         assert doc["converged"]
         assert doc["stop_reason"] == "stalled"
         assert 0.0 <= doc["grad_norm"] <= 1e-6
+        assert isinstance(doc["backtracks"], int) and doc["backtracks"] >= 0
         trace = (out / "energy_trace.csv").read_text().strip().splitlines()
         assert trace[0] == "iteration,energy,step"
         energies = [float(r.split(",")[1]) for r in trace[1:]]
@@ -173,6 +174,7 @@ class TestSolveAndProbe:
         assert doc["subharmonic"] is True
         assert doc["stop_reason"] == "stalled"
         assert 1 <= doc["iterations"] <= 60
+        assert isinstance(doc["backtracks"], int) and doc["backtracks"] >= 0
 
     def test_probe_non_commensurate_grid_rejected(self, runner, surfaces):
         # the y and z extents, 0.6, are not whole multiples of the spacing 1/16

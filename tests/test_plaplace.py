@@ -7,10 +7,12 @@ import scipy.sparse.linalg
 from hypcurv.errors import DataError, ParameterError, PreconditionError
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import make_catalog_surface, sample_height_grid
-from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _gradient_operator,
-                              annulus_grid, comparison_check, p_dirichlet_energy,
-                              solve_laplace_linear, solve_p_harmonic, tighten_boundary,
-                              viscosity_probe)
+from hypcurv import plaplace
+from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _cell_weights,
+                              _complete_cells, _energy, _energy_gradient,
+                              _gradient_operator, annulus_grid, comparison_check,
+                              p_dirichlet_energy, solve_laplace_linear, solve_p_harmonic,
+                              tighten_boundary, viscosity_probe)
 
 
 def unit_grid(nodes=9):
@@ -69,6 +71,38 @@ class TestEnergy:
         energy = p_dirichlet_energy(gf, 3.0, 0.0)
         exact = 4.0 * math.pi * math.log(4.0)
         assert abs(energy - exact) / exact <= 0.02
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("dims,excise", [((6, 5), False), ((5, 6, 7), False),
+                                             ((4, 5, 3, 6), False), ((6, 7, 5), True)])
+    def test_kernel_matches_sparse_operator(self, dims, excise, p):
+        # oracle: E = h^n sum_cells mask (|Au|^2 + eps^2)^(p/2) and
+        # grad E = p h^n A^T (mask w^(p/2-1) Au), A assembled by _gradient_operator
+        h, eps, n = 0.17, 0.3, len(dims)
+        rng = np.random.default_rng(len(dims) + 10 * excise)
+        active = np.ones(dims, dtype=bool)
+        if excise:
+            active[:2, :2, :2] = active[-1, -1, -1] = active[0, -1, 0] = False
+        u = np.where(active, rng.normal(size=dims), 0.0)
+        mask = _complete_cells(active)
+        assert mask.any() and (mask.all() != excise)
+        A = _gradient_operator(dims, h, mask)
+        du = (A @ u.ravel()).reshape(n, -1)
+        w = np.sum(du * du, axis=0) + eps * eps
+        cells = mask.ravel()
+        want_e = h ** n * np.sum(np.where(cells, w ** (p / 2), 0.0))
+        want_g = (p * h ** n * (A.T @ (np.where(cells, w ** (p / 2 - 1), 0.0) * du).ravel())
+                  ).reshape(dims)
+        weights = _cell_weights(active)
+        energy, state = _energy(u, h, p, eps, weights)
+        grad = _energy_gradient(state, h, p)
+        assert abs(energy - want_e) <= 1e-12 * want_e
+        assert np.max(np.abs(grad - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+        # central difference of the energy along a random direction
+        v, delta = np.where(active, rng.normal(size=dims), 0.0), 1e-5
+        slope = (_energy(u + delta * v, h, p, eps, weights)[0]
+                 - _energy(u - delta * v, h, p, eps, weights)[0]) / (2 * delta)
+        assert abs(slope - np.sum(grad * v)) <= 1e-9 * np.sum(np.abs(grad * v))
 
     def test_neg_inf_unmasked_rejected(self):
         mesh, h = unit_grid(5)
@@ -168,6 +202,7 @@ class TestSolver:
                                SolverConfig(p=2.0, armijo=0.9, max_backtracks=1))
         assert (res.converged, res.stop_reason) == (True, "line_search_exhausted")
         assert res.step_trace.size == 0
+        assert res.backtracks == 1
 
     @pytest.mark.parametrize("dims", [(5, 7, 6), (6, 9), (5, 6, 7, 4)])
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -190,6 +225,25 @@ class TestSolver:
                 for shift in (0.0, 1.0)]
         assert abs(runs[0].iterations - runs[1].iterations) <= 2
         assert np.max(np.abs(runs[0].grid.values + 1.0 - runs[1].grid.values)) <= 1e-9
+
+    def test_gradient_built_once_per_accepted_step(self, monkeypatch):
+        # trial steps evaluate the energy alone; the gradient follows each accepted step
+        calls = {"energy": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(plaplace, "_energy", counted("energy", _energy))
+        monkeypatch.setattr(plaplace, "_energy_gradient",
+                            counted("gradient", _energy_gradient))
+        res = solve_p_harmonic(cold_log_norm(33)[1], SolverConfig(p=3.0))
+        assert res.stop_reason == "stalled" and res.backtracks > 0
+        assert calls["gradient"] == res.iterations + 1
+        # after the initial evaluation, one per accepted and one per rejected trial
+        assert calls["energy"] - 1 == len(res.energy_trace) - 1 + res.backtracks
 
     def test_p2_matches_direct_solve_with_excision(self):
         field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
