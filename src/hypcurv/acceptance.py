@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, plaplace, rigidity
-from .curvature import (cluster_kappas, codazzi_residual, commutation_residual,
-                        gauss_residual, ricci_coordinate, ricci_from_shape, shape_spectra)
+from .curvature import (cluster_kappas, commutation_residual, fd_residuals,
+                        ricci_coordinate, ricci_from_shape, shape_spectra)
 from .gridfn import GridFunction
 from .heightfield import Jet2, _lattice_dims, _mesh_points, make_catalog_surface
 from .inequalities import grad_direction_ricci, regime_reports
@@ -196,10 +196,9 @@ def criterion_fd_oracles(seed: int) -> CriterionResult:
     for field in fields:
         kwargs = {"r_min": 0.5, "r_max": 1.8} if field.kind == "equidistant_cone" else {}
         pts = field.sample_points(20, rng, margin=0.05, **kwargs)
-        for x in pts:
-            for resid_fn, tag in ((codazzi_residual, "codazzi"), (gauss_residual, "gauss")):
-                r_coarse = resid_fn(field, x, steps[0])
-                r_fine = resid_fn(field, x, steps[1])
+        coarse, fine = (np.stack(fd_residuals(field, pts, step), axis=1) for step in steps)
+        for x, point_coarse, point_fine in zip(pts, coarse, fine):
+            for r_coarse, r_fine, tag in zip(point_coarse, point_fine, ("codazzi", "gauss")):
                 _check(failures, r_fine <= 1e-4,
                        f"{tag} terminal residual {r_fine:.2e} on {field.kind}")
                 if r_fine > floor:

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import acceptance, asymptotics, plaplace, rigidity
-from .curvature import codazzi_residual, gauss_residual
+from .curvature import fd_residuals
 from .errors import HypcurvError
 from .gridfn import save_grid_function
 from .heightfield import FD_STEP, field_from_json, field_to_descriptor, sample_height_grid
@@ -122,13 +122,14 @@ def analyze(surface, point, step, out):
     """Curvature and inequality report at one point."""
     field = _load_surface(surface)
     x = _parse_tuple(point)
-    manifest = RunManifest("analyze", inputs={"surface": field_to_descriptor(field)},
-                           config={"point": x.tolist(), "step": step})
     if step is None:
         step = FD_STEP * max(1.0, float(np.linalg.norm(x)))
+    manifest = RunManifest("analyze", inputs={"surface": field_to_descriptor(field)},
+                           config={"point": x.tolist(), "step": step})
     jet = field.jet(x)
     regime = point_regime_report(jet)
     spec = regime.spectrum
+    codazzi, gauss = fd_residuals(field, x[None], step)
     report = {
         "x": x.tolist(),
         "f": jet.f,
@@ -137,10 +138,7 @@ def analyze(surface, point, step, out):
         "kappas": spec.kappas.tolist(),
         "H": spec.mean,
         "ricci_eigs": spec.ricci.tolist(),
-        "residuals": {
-            "codazzi": codazzi_residual(field, x, step),
-            "gauss": gauss_residual(field, x, step),
-        },
+        "residuals": {"codazzi": float(codazzi[0]), "gauss": float(gauss[0])},
         "regime": regime.regime.value,
         "factors": list(regime.factors),
         "density": regime.n_subharmonic_density,

@@ -17,29 +17,33 @@ closed-form mean curvature, and returns the Ricci eigenvalues
 in the shape operator.  :func:`shape_spectrum` and :func:`fundamental_forms` are its
 views at one jet; every caller reads from the spectra it returns.
 
-Oracles, scalar and independent of the kernel: the expanded coordinate double
-contraction (:func:`ricci_coordinate`, with scipy's generalized solver in
+Oracles, independent of the kernel: the expanded coordinate double contraction
+(:func:`ricci_coordinate`, with scipy's generalized solver in
 :func:`ricci_eigenvalues`) and the shape-operator polynomial lowered with g
-(:func:`ricci_from_shape`); their agreement is the implementation oracle.  Codazzi and
-Gauss residuals check the same data against finite-differenced covariant derivatives
-of the induced metric.
+(:func:`ricci_from_shape`), both scalar; their agreement is the implementation oracle.
+:func:`fd_residuals` checks the metric and II against each other through Codazzi and
+Gauss residuals built from central differences of both, for P points at once: one
+stencil batch per call (one ``jet_array`` call, one forms build, one batched inverse
+for the Christoffels at every centre).  :func:`codazzi_residual` and
+:func:`gauss_residual` are its views at one point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericError
+from .errors import NumericError, ParameterError
 from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
     "FundamentalForms", "ShapeSpectrum", "fundamental_forms", "shape_spectra",
     "shape_spectrum",
     "mean_curvature", "ricci_coordinate", "ricci_from_shape", "ricci_eigenvalues",
-    "christoffel_fd", "codazzi_residual", "gauss_residual", "commutation_residual",
+    "fd_residuals", "codazzi_residual", "gauss_residual", "commutation_residual",
     "cluster_kappas",
 ]
 
@@ -226,59 +230,74 @@ def cluster_kappas(kappas, rtol: float = KAPPA_CLUSTER_RTOL):
 
 # -- finite-difference residuals -------------------------------------------------------
 
-def _stencil_forms(field: HeightField, x, step: float):
-    """Metric g and second form II at x and their central differences, from one jet
-    batch over x and x +/- step e_i: returns (g, dg, II, dII), dT[i] = d_i T."""
+def _christoffel(g, dg) -> np.ndarray:
+    """Gamma^k_ij from metrics g (..., n, n) and derivatives dg[..., i, j, l] = d_i g_jl."""
+    # lowered symbol: [ij, l] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+    lowered = 0.5 * (dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1))
+    return np.einsum("...kl,...ijl->...kij", np.linalg.inv(g), lowered)
+
+
+def fd_residuals(field: HeightField, X, step: float):
+    """Codazzi and Gauss residuals (P,) at stacked points X (P, n), from one stencil batch.
+
+    Each point x has 2n+1 centres {x, x + s e_m, x - s e_m}, each centre c its own
+    stencil {c, c + s e_i, c - s e_i}, and all P (2n+1)^2 points go through one
+    ``jet_array`` call, whose DomainError names the first in that order.  Points are
+    not merged: (x + s e_m) - s e_m need not round to x.  Codazzi is the max of
+    |(nabla_i II)_jk - (nabla_j II)_ik| at x, with FD Christoffels of the metric;
+    Gauss is the max deviation of the Riemann tensor, from Christoffels differenced
+    across centres, from the Gauss-equation right-hand side.  Both vanish in exact
+    arithmetic.  ParameterError unless ``step`` is finite and nonzero.
+    """
+    step = float(step)
+    if not (math.isfinite(step) and step != 0.0):
+        raise ParameterError(f"finite-difference step must be finite and nonzero, "
+                             f"got {step!r}")
+    X = np.asarray(X, dtype=float)
     n = field.n
     e = np.eye(n) * step
-    forms, II = _forms(*field.jet_array(np.concatenate([x[None], x + e, x - e])))
-    g = forms.metric
-    return (g[0], (g[1:n + 1] - g[n + 1:]) / (2 * step),
-            II[0], (II[1:n + 1] - II[n + 1:]) / (2 * step))
 
+    def star(Y):  # (..., n) -> (..., 2n+1, n): Y, then Y + s e_i, then Y - s e_i
+        Y = Y[..., None, :]
+        return np.concatenate([Y, Y + e, Y - e], axis=-2)
 
-def _christoffel(g, dg) -> np.ndarray:
-    """Gamma^k_ij from the metric g and its derivatives dg[i, j, l] = d_i g_jl."""
-    # lowered symbol: [ij, l] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
-    lowered = 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-    return np.einsum("kl,ijl->kij", np.linalg.inv(g), lowered)
+    stencil = star(star(X))  # (P, centre, 2n+1, n)
+    forms, II = _forms(*field.jet_array(stencil.reshape(-1, n)))
+    shape = stencil.shape[:3] + (n, n)
+    g, II = forms.metric.reshape(shape), II.reshape(shape)
 
+    def centred(T):  # (..., 2n+1, n, n) -> values at the centre and d_i T
+        return T[..., 0, :, :], (T[..., 1:n + 1, :, :] - T[..., n + 1:, :, :]) / (2 * step)
 
-def christoffel_fd(field: HeightField, x, step: float) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij of the induced metric, metric derivative by FD."""
-    return _christoffel(*_stencil_forms(field, np.asarray(x, dtype=float), step)[:2])
+    g, dg = centred(g)
+    gamma = _christoffel(g, dg)  # (P, centre, k, i, j)
+    g, gamma0 = g[:, 0], gamma[:, 0]
+    II, dII = centred(II[:, 0])
+
+    nabla = (dII - np.einsum("...lij,...lk->...ijk", gamma0, II)
+             - np.einsum("...lik,...jl->...ijk", gamma0, II))
+    codazzi = np.max(np.abs(nabla - np.swapaxes(nabla, 1, 2)), axis=(1, 2, 3))
+
+    dgamma = (gamma[:, 1:n + 1] - gamma[:, n + 1:]) / (2 * step)  # [p, m, k, i, j]
+    # R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_ka Gamma^a_lj - Gamma^a_kj Gamma^m_la
+    riem_up = (np.einsum("...kmlj->...mjkl", dgamma)
+               - np.einsum("...lmkj->...mjkl", dgamma)
+               + np.einsum("...mka,...alj->...mjkl", gamma0, gamma0)
+               - np.einsum("...akj,...mla->...mjkl", gamma0, gamma0))
+    riem = np.einsum("...im,...mjkl->...ijkl", g, riem_up)
+    rhs = (-(np.einsum("...ik,...jl->...ijkl", g, g)
+             - np.einsum("...il,...jk->...ijkl", g, g))
+           + np.einsum("...ik,...jl->...ijkl", II, II)
+           - np.einsum("...il,...jk->...ijkl", II, II))
+    gauss = np.max(np.abs(riem - rhs), axis=(1, 2, 3, 4))
+    return codazzi, gauss
 
 
 def codazzi_residual(field: HeightField, x, step: float) -> float:
-    """Asymmetry of the covariant derivative of II (zero in exact arithmetic).
-
-    Covariant derivatives use FD Christoffels of the induced metric; the result is the
-    max over index triples of |(nabla_i II)_jk - (nabla_j II)_ik|.
-    """
-    g, dg, II, dII = _stencil_forms(field, np.asarray(x, dtype=float), step)
-    gamma = _christoffel(g, dg)
-    nabla = (dII - np.einsum("lij,lk->ijk", gamma, II)
-             - np.einsum("lik,jl->ijk", gamma, II))
-    return float(np.max(np.abs(nabla - nabla.transpose(1, 0, 2))))
+    """:func:`fd_residuals` Codazzi residual at one point."""
+    return float(fd_residuals(field, np.asarray(x, dtype=float)[None], step)[0][0])
 
 
 def gauss_residual(field: HeightField, x, step: float) -> float:
-    """Max deviation of the intrinsic FD Riemann tensor from the Gauss-equation RHS."""
-    x = np.asarray(x, dtype=float)
-    n = field.n
-    e = np.eye(n) * step
-    g, dg, II, _ = _stencil_forms(field, x, step)
-    gamma = _christoffel(g, dg)
-    dgamma = np.empty((n, n, n, n))  # dgamma[m, k, i, j] = d_m Gamma^k_ij
-    for m in range(n):
-        dgamma[m] = (christoffel_fd(field, x + e[m], step)
-                     - christoffel_fd(field, x - e[m], step)) / (2 * step)
-    # R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_ka Gamma^a_lj - Gamma^a_kj Gamma^m_la
-    riem_up = (np.einsum("kmlj->mjkl", dgamma)
-               - np.einsum("lmkj->mjkl", dgamma)
-               + np.einsum("mka,alj->mjkl", gamma, gamma)
-               - np.einsum("akj,mla->mjkl", gamma, gamma))
-    riem = np.einsum("im,mjkl->ijkl", g, riem_up)
-    rhs = (-(np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
-           + np.einsum("ik,jl->ijkl", II, II) - np.einsum("il,jk->ijkl", II, II))
-    return float(np.max(np.abs(riem - rhs)))
+    """:func:`fd_residuals` Gauss residual at one point."""
+    return float(fd_residuals(field, np.asarray(x, dtype=float)[None], step)[1][0])

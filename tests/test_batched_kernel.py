@@ -189,3 +189,116 @@ def test_corrupted_second_form_trips_mean_cross_check(monkeypatch):
         shape_spectra(f, df, hess)
     with pytest.raises(NumericError):
         shape_spectrum(Jet2(X[2], f[2], df[2], hess[2]))
+
+
+# -- FD Codazzi/Gauss residuals against the per-point stencil walk ---------------------
+
+def ref_stencil_forms(field, x, step):
+    """Metric g and II at x and their central differences over {x, x +/- step e_i}."""
+    n = field.n
+    e = np.eye(n) * step
+    forms, II = curvature._forms(*field.jet_array(np.concatenate([x[None], x + e, x - e])))
+    g = forms.metric
+    return (g[0], (g[1:n + 1] - g[n + 1:]) / (2 * step),
+            II[0], (II[1:n + 1] - II[n + 1:]) / (2 * step))
+
+
+def ref_christoffel(g, dg):
+    lowered = 0.5 * (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+    return np.einsum("kl,ijl->kij", np.linalg.inv(g), lowered)
+
+
+def ref_christoffel_fd(field, x, step):
+    return ref_christoffel(*ref_stencil_forms(field, x, step)[:2])
+
+
+def ref_codazzi(field, x, step):
+    g, dg, II, dII = ref_stencil_forms(field, x, step)
+    gamma = ref_christoffel(g, dg)
+    nabla = (dII - np.einsum("lij,lk->ijk", gamma, II)
+             - np.einsum("lik,jl->ijk", gamma, II))
+    return float(np.max(np.abs(nabla - nabla.transpose(1, 0, 2))))
+
+
+def ref_gauss(field, x, step):
+    n = field.n
+    e = np.eye(n) * step
+    g, dg, II, _ = ref_stencil_forms(field, x, step)
+    gamma = ref_christoffel(g, dg)
+    dgamma = np.empty((n, n, n, n))
+    for m in range(n):
+        dgamma[m] = (ref_christoffel_fd(field, x + e[m], step)
+                     - ref_christoffel_fd(field, x - e[m], step)) / (2 * step)
+    riem_up = (np.einsum("kmlj->mjkl", dgamma)
+               - np.einsum("lmkj->mjkl", dgamma)
+               + np.einsum("mka,alj->mjkl", gamma, gamma)
+               - np.einsum("akj,mla->mjkl", gamma, gamma))
+    riem = np.einsum("im,mjkl->ijkl", g, riem_up)
+    rhs = (-(np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
+           + np.einsum("ik,jl->ijkl", II, II) - np.einsum("il,jk->ijkl", II, II))
+    return float(np.max(np.abs(riem - rhs)))
+
+
+def assert_residuals_match_walk(field, X, step):
+    codazzi, gauss = curvature.fd_residuals(field, X, step)
+    assert codazzi.shape == gauss.shape == (len(X),)
+    for i, x in enumerate(X):
+        assert codazzi[i] == ref_codazzi(field, x, step), i
+        assert gauss[i] == ref_gauss(field, x, step), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.sampled_from(CATALOG),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([1e-3, 1e-5]))
+def test_fd_residuals_bitwise_equal_stencil_walk_on_catalog(n, surface, seed, step):
+    field = make_catalog_surface(surface[0], surface[1], n)
+    band = {"r_min": 0.5, "r_max": 1.8} if field.kind == "equidistant_cone" else {}
+    X = field.sample_points(3, np.random.default_rng(seed), margin=0.05, **band)
+    assert_residuals_match_walk(field, X, step)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("step", [1e-3, 1e-5])
+def test_fd_residuals_bitwise_equal_stencil_walk_on_sampled_grid(order, step):
+    cone = make_catalog_surface("equidistant_cone", {"slope": 1.3}, 3)
+    sampled = SampledGridField.from_field(cone, Box(np.full(3, 0.5), np.full(3, 1.5)), 17,
+                                          order)
+    X = sampled.sample_points(4, np.random.default_rng(order), margin=0.01)
+    assert_residuals_match_walk(sampled, X, step)
+
+
+def test_fd_residuals_views_rows_and_step_sign():
+    field = make_catalog_surface("geodesic_sphere_cap",
+                                 {"center_height": 2.0, "euclidean_radius": 1.0}, 3)
+    X = field.sample_points(4, np.random.default_rng(8), margin=0.05)
+    codazzi, gauss = curvature.fd_residuals(field, X, 1e-3)
+    for i, x in enumerate(X):
+        assert curvature.codazzi_residual(field, x, 1e-3) == codazzi[i]
+        assert curvature.gauss_residual(field, x, 1e-3) == gauss[i]
+    # the differences are symmetric: a negative step walks the same stencil
+    flipped = curvature.fd_residuals(field, X, -1e-3)
+    assert np.array_equal(flipped[0], codazzi) and np.array_equal(flipped[1], gauss)
+    empty = curvature.fd_residuals(field, np.empty((0, 3)), 1e-3)
+    assert [r.shape for r in empty] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_fd_residuals_rejects_degenerate_step(step):
+    field = make_catalog_surface("horosphere", {"c": 1.0}, 3)
+    with pytest.raises(ParameterError, match="finite and nonzero"):
+        curvature.fd_residuals(field, [[0.1, 0.2, 0.3]], step)
+
+
+def test_fd_residuals_domain_error_names_first_stencil_point():
+    field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+    e = np.eye(3) * 1e-2
+    inside, edge = np.array([1.0, 0.2, 0.1]), np.array([1.995, 0.1, 0.2])
+    # edge + s e_1 is the first point of edge's stencil that leaves the box
+    with pytest.raises(DomainError, match=re.escape(f"point {edge + e[0]} outside")):
+        curvature.fd_residuals(field, [inside, edge], 1e-2)
+    # near the apex ball (radius 1e-3) only the last centre x - s e_3 reaches into it,
+    # through its own last stencil point (x - s e_3) - s e_3
+    e = np.eye(3) * 1e-3
+    x = np.array([0.0, 0.0, 2.8e-3])
+    with pytest.raises(DomainError, match=re.escape(f"point {x - e[2] - e[2]} inside")):
+        curvature.fd_residuals(field, [inside, x], 1e-3)

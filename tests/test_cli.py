@@ -64,6 +64,22 @@ class TestAnalyze:
                                       "--point", "9,0,0"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("step", ["0", "nan", "inf"])
+    def test_degenerate_step_is_an_error(self, runner, surfaces, step):
+        result = runner.invoke(main, ["analyze", "--surface", surfaces["cone"],
+                                      "--point", "0.8,0.3,-0.2", "--step", step])
+        assert result.exit_code == 1
+        assert "finite and nonzero" in json.loads(result.stderr)["error"]
+
+    @pytest.mark.parametrize("point,step", [("0.8,0.3,-0.2", 1e-4), ("1.2,0.9,0", 1.5e-4)])
+    def test_manifest_records_resolved_default_step(self, runner, surfaces, point, step):
+        result = runner.invoke(main, ["analyze", "--surface", surfaces["cone"],
+                                      "--point", point])
+        assert json.loads(result.output)["manifest"]["config"]["step"] == pytest.approx(step)
+        explicit = runner.invoke(main, ["analyze", "--surface", surfaces["cone"],
+                                        "--point", point, "--step", "-2e-3"])
+        assert json.loads(explicit.output)["manifest"]["config"]["step"] == -2e-3
+
     def test_bad_point_usage_error(self, runner, surfaces):
         result = runner.invoke(main, ["analyze", "--surface", surfaces["cone"],
                                       "--point", "a,b,c"])
