@@ -16,6 +16,7 @@ import numpy as np
 import scipy.ndimage
 from scipy.spatial import ConvexHull, QhullError
 
+from .errors import ParameterError
 from .gridfn import GridFunction
 from .heightfield import HeightField, sample_height_grid
 
@@ -111,7 +112,7 @@ def recession_report(field: HeightField, levels, lo, hi, spacing: float) -> Rece
     """
     levels = tuple(float(M) for M in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+        raise ParameterError("levels must be strictly increasing")
     grid = sample_height_grid(field, lo, hi, spacing)
     per_level = []
     label_maps = []

@@ -36,8 +36,18 @@ def _parse_tuple(text: str) -> np.ndarray:
         raise click.UsageError(f"cannot parse tuple {text!r}: {exc}")
 
 
-def _parse_grid(text: str):
-    """Grid spec 'lo1,..,lon:hi1,..,hin:nodes' -> (lo, hi, nodes)."""
+def _parse_levels(text: str) -> list:
+    """Sublevel depths 'M1,..,Mk', finite and strictly increasing."""
+    levels = _parse_tuple(text)
+    if not np.all(np.isfinite(levels)) or np.any(np.diff(levels) <= 0):
+        raise click.UsageError(f"levels must be finite and strictly increasing, "
+                               f"got {text!r}")
+    return levels.tolist()
+
+
+def _parse_grid(text: str, n: int):
+    """Grid spec 'lo1,..,lon:hi1,..,hin:nodes' of an n-dimensional surface ->
+    (lo, hi, nodes)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise click.UsageError("grid spec must be 'lo..:hi..:nodes'")
@@ -48,6 +58,8 @@ def _parse_grid(text: str):
         raise click.UsageError(f"bad node count {parts[2]!r}")
     if lo.shape != hi.shape or np.any(lo >= hi) or nodes < 3:
         raise click.UsageError("grid spec needs lo < hi and nodes >= 3")
+    if lo.shape != (n,):
+        raise click.UsageError("grid dimension does not match the surface")
     return lo, hi, nodes
 
 
@@ -62,7 +74,7 @@ def _window(field, grid_spec):
         half = float(np.min(field.domain.hi - field.domain.lo)) / 8
         lo, hi, nodes = centre - half, centre + half, 65
     else:
-        lo, hi, nodes = _parse_grid(grid_spec)
+        lo, hi, nodes = _parse_grid(grid_spec, field.n)
     return lo, hi, float((hi[0] - lo[0]) / (nodes - 1))
 
 
@@ -157,9 +169,7 @@ def analyze(surface, point, step, out):
 def scan(surface, grid_spec, seed, out):
     """CSV scan of curvature quantities over a point grid."""
     field = _load_surface(surface)
-    lo, hi, nodes = _parse_grid(grid_spec)
-    if lo.shape != (field.n,):
-        raise click.UsageError("grid dimension does not match the surface")
+    lo, hi, nodes = _parse_grid(grid_spec, field.n)
     axes = [np.linspace(lo[d], hi[d], nodes) for d in range(field.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -195,14 +205,15 @@ def scan(surface, grid_spec, seed, out):
 @click.option("--grid", "grid_spec", default=None,
               help="Analysis window 'lo:hi:nodes' (default: a cube of side min(hi - lo)/4 "
                    "centred on the domain, 65 nodes).")
-@click.option("--samples", default=100, show_default=True, help="Curvature sample count.")
+@click.option("--samples", default=100, type=click.IntRange(min=1), show_default=True,
+              help="Curvature sample count.")
 @seed_opt
 @profile_opt
 @out_opt
 def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
     """Global verdict: rigidity constancy scan + recession-set count."""
     field = _load_surface(surface)
-    levels_list = [float(t) for t in levels.split(",")]
+    levels_list = _parse_levels(levels)
     lo, hi, spacing = _window(field, grid_spec)
     rng = np.random.default_rng(seed)
     ric_tol, product_tol, var_tol = TOLERANCE_PROFILES[tolerance_profile]
@@ -310,7 +321,7 @@ def probe(surface, grid_spec, p_value, out):
 def boundary(surface, levels, grid_spec, out):
     """Recession-set report: sublevel components and boundary-point count."""
     field = _load_surface(surface)
-    levels_list = [float(t) for t in levels.split(",")]
+    levels_list = _parse_levels(levels)
     lo, hi, spacing = _window(field, grid_spec)
     manifest = RunManifest("boundary", inputs={"surface": field_to_descriptor(field)},
                            config={"levels": levels_list,

@@ -14,8 +14,8 @@ g^{-1/2} = f (I + (1/sqrt(1 + |Df|^2) - 1) u u^T), u = Df/|Df|, solves all P sym
 eigenproblems with one ``np.linalg.eigh``, cross-checks every trace against the
 closed-form mean curvature, and returns the Ricci eigenvalues
 -(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is that polynomial
-in the shape operator.  :func:`shape_spectrum` and :func:`fundamental_forms` are its
-views at one jet; every caller reads from the spectra it returns.
+in the shape operator.  :func:`shape_spectrum` is its view at one jet, and its
+``forms`` field holds the metric data; every caller reads from the spectra it returns.
 
 Oracles, independent of the kernel: the expanded coordinate double contraction
 (:func:`ricci_coordinate`, with scipy's generalized solver in
@@ -24,8 +24,7 @@ Oracles, independent of the kernel: the expanded coordinate double contraction
 :func:`fd_residuals` checks the metric and II against each other through Codazzi and
 Gauss residuals built from central differences of both, for P points at once: one
 stencil batch per call (one ``jet_array`` call, one forms build, one batched inverse
-for the Christoffels at every centre).  :func:`codazzi_residual` and
-:func:`gauss_residual` are its views at one point.
+for the Christoffels at every centre); one point is the batch ``X[None]``.
 """
 
 from __future__ import annotations
@@ -40,11 +39,9 @@ from .errors import NumericError, ParameterError
 from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
-    "FundamentalForms", "ShapeSpectrum", "fundamental_forms", "shape_spectra",
-    "shape_spectrum",
+    "FundamentalForms", "ShapeSpectrum", "shape_spectra", "shape_spectrum",
     "mean_curvature", "ricci_coordinate", "ricci_from_shape", "ricci_eigenvalues",
-    "fd_residuals", "codazzi_residual", "gauss_residual", "commutation_residual",
-    "cluster_kappas",
+    "fd_residuals", "commutation_residual", "cluster_kappas",
 ]
 
 #: relative gap below which two principal curvatures belong to one multiplicity cluster
@@ -107,10 +104,6 @@ def _forms(f, df, hess):
     forms = FundamentalForms((eye + ddt) / f2, f2 * (eye - ddt / q[:, None, None]),
                              q - 1.0, normal)
     return forms, (eye + ddt + f[:, None, None] * hess) / (f2 * root_q[:, None, None])
-
-
-def fundamental_forms(jet: Jet2) -> FundamentalForms:
-    return _forms(*jet.stacked())[0].point(0)
 
 
 def _quadratic(v, M):
@@ -291,13 +284,3 @@ def fd_residuals(field: HeightField, X, step: float):
            - np.einsum("...il,...jk->...ijkl", II, II))
     gauss = np.max(np.abs(riem - rhs), axis=(1, 2, 3, 4))
     return codazzi, gauss
-
-
-def codazzi_residual(field: HeightField, x, step: float) -> float:
-    """:func:`fd_residuals` Codazzi residual at one point."""
-    return float(fd_residuals(field, np.asarray(x, dtype=float)[None], step)[0][0])
-
-
-def gauss_residual(field: HeightField, x, step: float) -> float:
-    """:func:`fd_residuals` Gauss residual at one point."""
-    return float(fd_residuals(field, np.asarray(x, dtype=float)[None], step)[1][0])

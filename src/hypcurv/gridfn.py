@@ -129,14 +129,16 @@ def save_grid_function(gf: GridFunction, csv_path, header_path):
 
 
 def load_grid_function(csv_path, header_path) -> GridFunction:
-    """Inverse of :func:`save_grid_function`."""
+    """Inverse of :func:`save_grid_function`; DataError on a malformed cell or a row
+    count that does not match the header's dims."""
     with open(header_path) as fh:
         header = json.load(fh)
     dims = tuple(int(d) for d in header["dims"])
-    rows = np.genfromtxt(csv_path, delimiter=",", skip_header=1)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
-    values = rows[:, 0].reshape(dims)
-    boundary = rows[:, 1].reshape(dims).astype(bool)
+    try:
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        values = rows[:, 0].reshape(dims)
+        boundary = rows[:, 1].reshape(dims).astype(bool)
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed grid values in {csv_path}: {exc}") from exc
     return GridFunction(dims, float(header["spacing"]), np.asarray(header["origin"], float),
                         values, boundary)

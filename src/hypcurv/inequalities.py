@@ -8,19 +8,18 @@ the mean curvature splits into two factors,
 
 with A + B = H identically and A * B >= n - 1 exactly when the Ricci curvature in the
 gradient direction is nonnegative.  Nonnegative Ricci then forces H >= n and makes the
-height log f Euclidean n-subharmonic; the density returned by
-:func:`n_subharmonic_density` is the adapted-frame expression
-(n-1) (log f)_11 + sum_{i>=2} (log f)_ii, which equals |D log f|^{2-n} Delta_n log f.
+height log f Euclidean n-subharmonic; the report's ``n_subharmonic_density`` is the
+adapted-frame expression (n-1) (log f)_11 + sum_{i>=2} (log f)_ii, which equals
+|D log f|^{2-n} Delta_n log f.
 
 Production route: :func:`regime_reports` is the batched kernel over stacked jets.  It
 takes one batch of shape spectra and one unit gradient u per point (e_1 where
 |Df| <= GRADIENT_EPS), and from them the regime, the factors
 A = f q^{-3/2} (u^T D^2f u + q/f), q = 1 + |Df|^2, and B = H - A in the same form, and
-the density.  :func:`point_regime_report`, :func:`convexity_classify`,
-:func:`adapted_frame`, :func:`key_factors` and :func:`n_subharmonic_density` are its
-views at one point.  Oracles, scalar and independent: :func:`grad_direction_ricci`
-(the H1/H2 contraction) against :func:`ricci_gradient_adapted`, and
-:func:`n_laplacian_expansion` against the density.
+the density.  :func:`point_regime_report` is its view at one point and
+:func:`convexity_classify` its regime step.  Oracles, scalar and independent:
+:func:`grad_direction_ricci` (the H1/H2 contraction) against
+:func:`ricci_gradient_adapted`, and :func:`n_laplacian_expansion` against the density.
 """
 
 from __future__ import annotations
@@ -36,41 +35,13 @@ from .errors import DegenerateGradientError
 from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
-    "AdaptedJet", "Regime", "RegimeReport", "KeyFactors", "DensityResult",
-    "MeanBoundReport", "adapted_frame", "grad_direction_ricci",
-    "ricci_gradient_adapted", "key_factors", "mean_bound_check",
-    "n_subharmonic_density", "n_laplacian_expansion", "convexity_classify",
-    "point_regime_report", "regime_reports", "scan_field",
+    "Regime", "RegimeReport", "grad_direction_ricci", "ricci_gradient_adapted",
+    "n_laplacian_expansion", "convexity_classify", "point_regime_report",
+    "regime_reports", "scan_field",
 ]
 
 #: absolute tolerance for inequality assertions on O(1) quantities
 INEQ_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class AdaptedJet:
-    """Jet rotated so the first axis is the gradient direction."""
-
-    jet: Jet2
-    rotation: np.ndarray
-    grad: np.ndarray  # rotated gradient, (|Df|, 0, ..., 0)
-    hess: np.ndarray  # rotated Hessian
-    degenerate: bool
-
-
-def adapted_frame(jet: Jet2) -> AdaptedJet:
-    """Householder-style rotation sending the kernel's unit gradient u to e_1.
-
-    Its first row is u.  With |Df| <= GRADIENT_EPS, u = e_1, the rotation is the
-    identity and the jet is flagged degenerate.
-    """
-    n = jet.n
-    u, degenerate = _unit_gradient(jet.grad[None])
-    v = u[0] - np.eye(n)[0]
-    vv = float(v @ v)
-    rot = np.eye(n) if vv < 1e-30 else np.eye(n) - 2.0 * np.outer(v, v) / vv
-    return AdaptedJet(jet, rot, rot @ jet.grad, rot @ jet.hess @ rot.T,
-                      bool(degenerate[0]))
 
 
 def grad_direction_ricci(jet: Jet2) -> float:
@@ -95,114 +66,46 @@ def grad_direction_ricci(jet: Jet2) -> float:
 
 
 def ricci_gradient_adapted(jet: Jet2) -> float:
-    """Adapted-coordinate simplification of the gradient-direction Ricci curvature."""
-    aj = adapted_frame(jet)
-    if aj.degenerate:
-        raise DegenerateGradientError("gradient direction undefined where Df = 0")
+    """Adapted-coordinate simplification of the gradient-direction Ricci curvature.
+
+    The coordinates are turned by the Householder-style reflection sending the unit
+    gradient u to e_1.
+    """
     n = jet.n
+    u, degenerate = _unit_gradient(jet.grad[None])
+    if degenerate[0]:
+        raise DegenerateGradientError("gradient direction undefined where Df = 0")
+    v = u[0] - np.eye(n)[0]
+    vv = float(v @ v)
+    rot = np.eye(n) if vv < 1e-30 else np.eye(n) - 2.0 * np.outer(v, v) / vv
+    grad, hess = rot @ jet.grad, rot @ jet.hess @ rot.T
     f = jet.f
-    f1 = aj.grad[0]
+    f1 = grad[0]
     q = 1.0 + f1 ** 2
-    a_raw = q / f + aj.hess[0, 0]
-    b_raw = float(np.sum(np.diag(aj.hess)[1:])) + (n - 1) / f
-    cross = float(np.sum(aj.hess[0, 1:] ** 2))
+    a_raw = q / f + hess[0, 0]
+    b_raw = float(np.sum(np.diag(hess)[1:])) + (n - 1) / f
+    cross = float(np.sum(hess[0, 1:] ** 2))
     return (f ** 2 / q ** 2) * a_raw * b_raw - (n - 1) - (f ** 2 / q ** 2) * cross
 
 
-@dataclass(frozen=True)
-class KeyFactors(Stacked):
-    """The two mean-curvature factors and the associated inequality checks."""
-
-    A: float
-    B: float
-    product_ok: bool       # A * B >= n - 1 - tol
-    sum_check: float       # |A + B - H|
-    sqrt_form_applicable: bool
-    sqrt_form_ok: bool     # sqrt((n-1) A') sqrt(B') >= (n-1)(1+f_1^2)/f when applicable
-
-
-def _factors(f, df, hess, u, mean, tol) -> KeyFactors:
-    """KeyFactors of stacked jets, split along their unit gradients u (P, n)."""
+def _factors(f, df, hess, u):
+    """The factors (A, B) of stacked jets, split along their unit gradients u (P, n)."""
     n = df.shape[1]
     q = 1.0 + _row_dot(df, df)
     huu = _quadratic(u, hess)
-    a_raw = huu + q / f
-    b_raw = np.trace(hess, axis1=1, axis2=2) - huu + (n - 1) / f
-    A = f * q ** -1.5 * a_raw
-    B = f * q ** -0.5 * b_raw
-    applicable = (a_raw >= 0) & (b_raw >= 0)
-    sqrt_ok = applicable & (np.sqrt((n - 1) * np.maximum(a_raw, 0.0))
-                            * np.sqrt(np.maximum(b_raw, 0.0)) >= (n - 1) * q / f - tol)
-    return KeyFactors(A, B, A * B >= (n - 1) - tol, np.abs(A + B - mean), applicable,
-                      sqrt_ok)
+    A = f * q ** -1.5 * (huu + q / f)
+    B = f * q ** -0.5 * (np.trace(hess, axis1=1, axis2=2) - huu + (n - 1) / f)
+    return A, B
 
 
-def key_factors(aj: AdaptedJet, mean: float, tol: float = INEQ_TOL) -> KeyFactors:
-    """Split H into the gradient-direction factor A and the transverse factor B.
-
-    ``mean`` is the closed-form mean curvature that A + B is checked against.  At
-    critical points the adapted frame degenerates to the identity, where A and B are
-    still well defined because f_1 = 0.
-    """
-    return _factors(*aj.jet.stacked(), aj.rotation[:1], np.array([mean]), tol).point(0)
-
-
-@dataclass(frozen=True)
-class MeanBoundReport:
-    """Outcome of the H >= n check under nonnegative Ricci."""
-
-    ok: bool
-    mean: float
-    n: int
-    ric_min: float
-    applicable: bool               # ric_min >= -tol, so the bound is asserted
-    direction_slack: np.ndarray    # kappa_i H - (n - 1 + kappa_i^2) per direction
-    counterexample: dict = None
-
-
-def mean_bound_check(spec: ShapeSpectrum, ric_min: float, n: int,
-                     tol: float = INEQ_TOL) -> MeanBoundReport:
-    """Check H >= n and the per-direction inequality kappa_i H >= n - 1 + kappa_i^2."""
-    H = spec.mean
-    slack = spec.kappas * H - (n - 1) - spec.kappas ** 2
-    applicable = ric_min >= -tol
-    ok = True
-    counter = None
-    if applicable:
-        ok = H >= n - tol and bool(np.all(slack >= -tol))
-        if not ok:
-            counter = {"kappas": spec.kappas.tolist(), "H": H, "ric_min": ric_min}
-    return MeanBoundReport(ok, H, n, ric_min, applicable, slack, counter)
-
-
-@dataclass(frozen=True)
-class DensityResult(Stacked):
-    """n-subharmonicity density of the height function at one jet."""
-
-    density: float
-    weak_value: float      # |D log f|^(n-2) * density
-    at_critical_point: bool
-
-
-def _density(f, df, hess, u, degenerate) -> DensityResult:
-    """DensityResult of stacked jets along their unit gradients u (P, n)."""
+def _density(f, df, hess, u, degenerate):
+    """Adapted-frame density (n-1)(log f)_11 + sum_{i>=2} (log f)_ii of stacked jets
+    along their unit gradients u (P, n); Delta log f where the gradient is degenerate."""
     n = df.shape[1]
     f3 = f[:, None, None]
     log_hess = (hess - df[:, :, None] * df[:, None, :] / f3) / f3
     lap = np.trace(log_hess, axis1=1, axis2=2)
-    density = np.where(degenerate, lap, (n - 2) * _quadratic(u, log_hess) + lap)
-    norm = np.sqrt(_row_dot(df, df)) / f
-    weak = np.where(degenerate, 0.0 if n > 2 else lap, norm ** (n - 2) * density)
-    return DensityResult(density, weak, degenerate)
-
-
-def n_subharmonic_density(aj: AdaptedJet) -> DensityResult:
-    """Adapted-frame density (n-1)(log f)_11 + sum_{i>=2} (log f)_ii.
-
-    At critical points of f the gradient direction is undefined and the density is
-    taken to be Delta log f, flagged accordingly.
-    """
-    return _density(*aj.jet.stacked(), aj.rotation[:1], np.array([aj.degenerate])).point(0)
+    return np.where(degenerate, lap, (n - 2) * _quadratic(u, log_hess) + lap)
 
 
 def n_laplacian_expansion(jet: Jet2) -> float:
@@ -264,10 +167,9 @@ def regime_reports(f, df, hess, tol: float = INEQ_TOL) -> RegimeReport:
     spec = shape_spectra(f, df, hess)
     u, degenerate = _unit_gradient(df)
     base = convexity_classify(spec.kappas, spec.ricci, df.shape[1], tol)
-    kf = _factors(f, df, hess, u, spec.mean_closed, tol)
-    dens = _density(f, df, hess, u, degenerate)
-    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean, (kf.A, kf.B),
-                        dens.density, degenerate, spec)
+    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean,
+                        _factors(f, df, hess, u), _density(f, df, hess, u, degenerate),
+                        degenerate, spec)
 
 
 def point_regime_report(jet: Jet2, tol: float = INEQ_TOL) -> RegimeReport:

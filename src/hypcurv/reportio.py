@@ -23,7 +23,9 @@ def format_float(x: float) -> str:
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    return f"{x:.17g}"
+    text = f"{x:.17g}"
+    # a JSON reader takes "-0" for the integer 0 and drops the sign
+    return "-0.0" if text == "-0" else text
 
 
 def _encode(obj, indent: int, level: int) -> str:

@@ -6,6 +6,10 @@ smaller root (H - sqrt(H^2 - 4(n-1))) / 2, and the spectrum splits into a
 multiplicity-1 curvature kappa_0 and its reciprocal with multiplicity n-1.  Constancy
 of that split across samples, combined with a two-point recession set, certifies an
 equidistant tube; the all-ones spectrum certifies a horosphere.
+
+The parts stay separate: :func:`flat_direction_check` reads the null directions of
+one point's spectrum, :func:`constancy_scan` clusters one batch of spectra over the
+samples, and :func:`classify_global` combines a scan with the recession count.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from .errors import HypothesisContradiction, ParameterError, PreconditionError
 from .heightfield import HeightField
 
 __all__ = [
-    "Verdict", "RigidityReport", "NullDirectionReport", "ConstancyScan",
-    "flat_direction_check", "constancy_scan", "classify_global", "rigidity_report",
-    "verdict_report",
+    "Verdict", "NullDirectionReport", "ConstancyScan", "flat_direction_check",
+    "constancy_scan", "classify_global", "verdict_report",
 ]
 
 #: absolute eigenvalue threshold below which a Ricci eigenvalue counts as null
@@ -70,16 +73,6 @@ class ConstancyScan:
     umbilic_value: float
     samples: int
     ric_min: float       # smallest Ricci eigenvalue over the samples
-
-
-@dataclass(frozen=True)
-class RigidityReport:
-    null_space_dim: int
-    kappa0: float
-    kappa0_expected: float
-    principal_alignment: float
-    kappa_variance: tuple
-    verdict: Verdict
 
 
 def _smaller_root(H: float, n: int) -> float:
@@ -138,11 +131,7 @@ def constancy_scan(field: HeightField, samples) -> ConstancyScan:
     cluster is reported as umbilic; any other structure sets split_ok False.  The
     smallest Ricci eigenvalue over all samples is read from the same spectra.
     """
-    return _constancy(shape_spectra(*field.jet_array(samples)))
-
-
-def _constancy(spec: ShapeSpectrum) -> ConstancyScan:
-    """:func:`constancy_scan` of stacked spectra."""
+    spec = shape_spectra(*field.jet_array(samples))
     count, n = spec.kappas.shape
     kappa0s, kappa_ts = [], []
     umbilic_vals = []
@@ -198,28 +187,6 @@ def classify_global(constancy: ConstancyScan, boundary_points: int,
     if boundary_points == 1:
         return Verdict.SINGLE_END_CANDIDATE
     return Verdict.INCONCLUSIVE
-
-
-def rigidity_report(field: HeightField, samples, boundary_points: int,
-                    nonneg_ricci: bool = False,
-                    ric_tol: float = RICCI_NULL_TOL) -> RigidityReport:
-    """Null directions, constancy and verdict, all read from one batch of spectra."""
-    spec = shape_spectra(*field.jet_array(samples))
-    scan = _constancy(spec)
-    dim = 0
-    kappa0 = math.nan
-    kappa0_exp = math.nan
-    alignment = 0.0
-    for i in range(scan.samples):
-        frag = flat_direction_check(spec.point(i), ric_tol)
-        if frag.null_space_dim > 0:
-            dim = frag.null_space_dim
-            kappa0 = frag.kappa0
-            kappa0_exp = frag.kappa0_expected
-            alignment = max(alignment, frag.principal_alignment)
-    verdict = classify_global(scan, boundary_points, nonneg_ricci)
-    return RigidityReport(dim, kappa0, kappa0_exp, alignment,
-                          (scan.kappa0_var, scan.kappa_t_var), verdict)
 
 
 def verdict_report(verdict: Verdict, constancy: ConstancyScan, boundary_points: int) -> dict:

@@ -5,6 +5,7 @@ import pytest
 
 from hypcurv.asymptotics import (recession_json, recession_report,
                                  sublevel_components)
+from hypcurv.errors import ParameterError
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import SampledGridField, make_catalog_surface
 
@@ -86,7 +87,7 @@ class TestRecessionReport:
         assert fine[0].diameter <= coarse[0].diameter + 2.0 / 32
 
     def test_levels_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="strictly increasing"):
             recession_report(cone(), [2, 1], *WINDOW, 1.0 / 16)
 
     def test_fat_recession_flag(self):

@@ -3,11 +3,15 @@ import dataclasses
 import gc
 import io
 import json
+import math
+import struct
 import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypcurv import asymptotics
 from hypcurv.cli import main
@@ -230,6 +234,31 @@ def test_default_window_inside_off_origin_domain(runner, surfaces, command):
     assert lo == [1.25, -0.25, -0.25] and hi == [1.75, 0.25, 0.25]
 
 
+@pytest.mark.parametrize("command", ["classify", "boundary"])
+@pytest.mark.parametrize("levels", ["2,1", "1,1", "a,b", "1,nan", "1,inf"])
+def test_bad_levels_usage_error(runner, surfaces, command, levels):
+    result = runner.invoke(main, [command, "--surface", surfaces["cone"],
+                                  "--levels", levels])
+    assert result.exit_code == 2
+    assert "Error:" in result.output
+
+
+@pytest.mark.parametrize("command", ["scan", "classify", "solve", "probe", "boundary"])
+def test_grid_dimension_mismatch_usage_error(runner, surfaces, command):
+    result = runner.invoke(main, [command, "--surface", surfaces["cone"],
+                                  "--grid", "0.5,0.5:1.5,1.5:9"])
+    assert result.exit_code == 2
+    assert "grid dimension does not match the surface" in result.output
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_nonpositive_samples_usage_error(runner, surfaces, samples):
+    result = runner.invoke(main, ["classify", "--surface", surfaces["cone"],
+                                  "--samples", samples])
+    assert result.exit_code == 2
+    assert "--samples" in result.output
+
+
 @pytest.fixture()
 def excised_grid(tmp_path):
     """A 7^3 sampled horosphere whose centre node is excised (-inf)."""
@@ -325,3 +354,38 @@ class TestReportIO:
         doc = json.loads(text)
         assert doc["x"] == -float("inf")
         assert doc["y"] != doc["y"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.one_of(st.floats(), st.integers(), st.booleans(), st.text(),
+                  st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+                  st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                  st.booleans().map(np.bool_)),
+        lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+        max_leaves=20))
+    @example({"z": -0.0})
+    def test_json_round_trip(self, obj):
+        assert_round_trip(json.loads(dumps(obj)), obj)
+
+
+def assert_round_trip(got, sent):
+    """``got`` is ``sent`` read back: the same nesting, keys, strings, bools and ints,
+    floats bitwise (integral ones may read back as ints), any NaN as a NaN."""
+    if isinstance(sent, np.generic):
+        sent = sent.item()
+    if isinstance(sent, dict):
+        assert isinstance(got, dict) and list(got) == list(sent)
+        for key in sent:
+            assert_round_trip(got[key], sent[key])
+    elif isinstance(sent, list):
+        assert isinstance(got, list) and len(got) == len(sent)
+        for g, s in zip(got, sent):
+            assert_round_trip(g, s)
+    elif isinstance(sent, float):
+        assert type(got) in (int, float)
+        if math.isnan(sent):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", float(got)) == struct.pack("<d", sent)
+    else:
+        assert type(got) is type(sent) and got == sent

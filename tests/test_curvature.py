@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcurv import curvature
-from hypcurv.curvature import (cluster_kappas, codazzi_residual, commutation_residual,
-                               fundamental_forms, gauss_residual, mean_curvature,
-                               ricci_coordinate, ricci_eigenvalues, ricci_from_shape,
-                               shape_spectrum)
+from hypcurv.curvature import (cluster_kappas, commutation_residual, fd_residuals,
+                               mean_curvature, ricci_coordinate, ricci_eigenvalues,
+                               ricci_from_shape, shape_spectrum)
 from hypcurv.errors import NumericError
 from hypcurv.heightfield import Jet2, make_catalog_surface
 
@@ -48,20 +47,20 @@ def random_jet(rng, n):
 class TestFundamentalForms:
     def test_horosphere(self):
         jet = horosphere().jet([0.4, -0.2, 0.9])
-        forms = fundamental_forms(jet)
+        forms = shape_spectrum(jet).forms
         assert np.allclose(forms.metric, np.eye(3), atol=1e-15)
         assert np.allclose(forms.metric_inv, np.eye(3), atol=1e-15)
         assert np.allclose(forms.normal, [0, 0, 0, 1], atol=1e-15)
 
     def test_cone_adapted_point(self):
         jet = cone().jet([1.0, 0.0, 0.0])
-        forms = fundamental_forms(jet)
+        forms = shape_spectrum(jet).forms
         assert np.allclose(forms.metric, np.diag([2.0, 1.0, 1.0]), atol=1e-15)
         assert np.allclose(forms.metric_inv, np.diag([0.5, 1.0, 1.0]), atol=1e-15)
         assert np.allclose(forms.normal, np.array([-1, 0, 0, 1]) / SQ2, atol=1e-15)
 
     def test_cap_center(self):
-        forms = fundamental_forms(cap().jet([0.0, 0.0, 0.0]))
+        forms = shape_spectrum(cap().jet([0.0, 0.0, 0.0])).forms
         assert np.allclose(forms.metric, np.eye(3), atol=1e-15)
         assert np.allclose(forms.normal, [0, 0, 0, 1], atol=1e-15)
 
@@ -70,7 +69,7 @@ class TestFundamentalForms:
         for field in (cone(0.7), cap(), plane(2.0), horosphere(1.7, 4)):
             for x in field.sample_points(25, rng, margin=0.01):
                 jet = field.jet(x)
-                forms = fundamental_forms(jet)
+                forms = shape_spectrum(jet).forms
                 assert np.max(np.abs(forms.metric @ forms.metric_inv - np.eye(field.n))) <= 1e-12
                 # Euclidean norm of the hyperbolic unit normal equals f
                 assert np.linalg.norm(forms.normal) == pytest.approx(jet.f, rel=1e-13)
@@ -192,8 +191,8 @@ class TestRicci:
 def test_two_route_ricci_random_jets(n, seed):
     rng = np.random.default_rng(seed)
     jet = random_jet(rng, n)
-    forms = fundamental_forms(jet)
     spec = shape_spectrum(jet)
+    forms = spec.forms
     r1 = ricci_coordinate(jet, forms)
     r2 = ricci_from_shape(spec)
     assert np.max(np.abs(r1 - r2)) <= 1e-9 * (1.0 + np.max(np.abs(r1)))
@@ -211,10 +210,10 @@ def test_spectrum_ricci_matches_coordinate_oracle(n, seed, critical):
     jet = random_jet(rng, n)
     if critical:
         jet = Jet2(jet.x, jet.f, np.zeros(n), jet.hess)
-    forms = fundamental_forms(jet)
+    spec = shape_spectrum(jet)
+    forms = spec.forms
     ric = ricci_coordinate(jet, forms)
     oracle = ricci_eigenvalues(ric, forms.metric)
-    spec = shape_spectrum(jet)
     assert np.all(np.diff(spec.ricci) >= 0.0)
     assert np.max(np.abs(spec.ricci - oracle)) <= 1e-9 * (1.0 + np.max(np.abs(ric)))
 
@@ -222,32 +221,32 @@ def test_spectrum_ricci_matches_coordinate_oracle(n, seed, critical):
 class TestFiniteDifferenceResiduals:
     def test_horosphere_zero(self):
         field = horosphere()
-        assert codazzi_residual(field, [0.1, 0.0, 0.2], 1e-4) == 0.0
-        assert gauss_residual(field, [0.1, 0.0, 0.2], 1e-3) == 0.0
+        assert fd_residuals(field, [[0.1, 0.0, 0.2]], 1e-4)[0][0] == 0.0
+        assert fd_residuals(field, [[0.1, 0.0, 0.2]], 1e-3)[1][0] == 0.0
 
     @pytest.mark.parametrize("field,x", [
         (cap(), [0.2, 0.1, 0.0]),
         (cone(), [1.0, 0.2, 0.1]),
     ])
     def test_codazzi_small(self, field, x):
-        assert codazzi_residual(field, x, 1e-4) <= 1e-5
+        assert fd_residuals(field, [x], 1e-4)[0][0] <= 1e-5
 
     @pytest.mark.parametrize("field,x", [
         (cone(), [1.0, 0.0, 0.0]),
         (cap(), [0.3, 0.0, 0.0]),
     ])
     def test_gauss_small(self, field, x):
-        assert gauss_residual(field, x, 1e-3) <= 1e-4
+        assert fd_residuals(field, [x], 1e-3)[1][0] <= 1e-4
 
-    @pytest.mark.parametrize("resid", [codazzi_residual, gauss_residual])
-    def test_residual_convergence_order(self, resid):
+    @pytest.mark.parametrize("which", [0, 1], ids=["codazzi", "gauss"])
+    def test_residual_convergence_order(self, which):
         field = cone()
-        x = [0.9, 0.35, -0.2]
-        r_coarse = resid(field, x, 2e-3)
-        r_fine = resid(field, x, 1e-3)
+        x = [[0.9, 0.35, -0.2]]
+        r_coarse = fd_residuals(field, x, 2e-3)[which][0]
+        r_fine = fd_residuals(field, x, 1e-3)[which][0]
         assert math.log2(r_coarse / r_fine) >= 1.9
 
     def test_stencil_domain_error(self):
         from hypcurv.errors import DomainError
         with pytest.raises(DomainError):
-            codazzi_residual(cone(), [1.999, 0.0, 0.0], 1e-2)
+            fd_residuals(cone(), [[1.999, 0.0, 0.0]], 1e-2)

@@ -310,6 +310,27 @@ class TestDescriptorsAndIO:
         back = load_grid_function(tmp_path / "g.csv", tmp_path / "g.json")
         assert np.isneginf(back.values[0, 0, 0])
 
+    def test_grid_io_malformed_cell(self, tmp_path):
+        gf = GridFunction((3, 3, 3), 1.0, np.zeros(3), np.zeros((3, 3, 3)))
+        save_grid_function(gf, tmp_path / "g.csv", tmp_path / "g.json")
+        lines = (tmp_path / "g.csv").read_text().splitlines()
+        lines[5] = "0.0x,1"
+        (tmp_path / "g.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="malformed grid values"):
+            load_grid_function(tmp_path / "g.csv", tmp_path / "g.json")
+        # no boundary column at all
+        (tmp_path / "g.csv").write_text("value\n" + "0.0\n" * 27)
+        with pytest.raises(DataError, match="malformed grid values"):
+            load_grid_function(tmp_path / "g.csv", tmp_path / "g.json")
+
+    def test_grid_io_too_few_rows(self, tmp_path):
+        gf = GridFunction((3, 3, 3), 1.0, np.zeros(3), np.zeros((3, 3, 3)))
+        save_grid_function(gf, tmp_path / "g.csv", tmp_path / "g.json")
+        lines = (tmp_path / "g.csv").read_text().splitlines()
+        (tmp_path / "g.csv").write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(DataError, match="malformed grid values"):
+            load_grid_function(tmp_path / "g.csv", tmp_path / "g.json")
+
 
 class TestGridFunctionInvariants:
     def test_too_small(self):

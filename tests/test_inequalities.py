@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcurv.curvature import (fundamental_forms, mean_curvature, ricci_coordinate,
-                               shape_spectrum)
+from hypcurv.curvature import mean_curvature, ricci_coordinate, shape_spectrum
 from hypcurv.errors import DegenerateGradientError
 from hypcurv.heightfield import Jet2, make_catalog_surface
-from hypcurv.inequalities import (Regime, adapted_frame, convexity_classify,
-                                  grad_direction_ricci, key_factors, mean_bound_check,
-                                  n_laplacian_expansion,
-                                  n_subharmonic_density, point_regime_report,
-                                  ricci_gradient_adapted, scan_field)
+from hypcurv.inequalities import (INEQ_TOL, Regime, convexity_classify,
+                                  grad_direction_ricci, n_laplacian_expansion,
+                                  point_regime_report, ricci_gradient_adapted, scan_field)
 
 SQ2 = math.sqrt(2.0)
 
@@ -30,8 +27,14 @@ def horosphere(c=1.0, n=3):
     return make_catalog_surface("horosphere", {"c": c}, n)
 
 
+def cap(n=3):
+    return make_catalog_surface(
+        "geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0}, n)
+
+
 def factors_at(jet):
-    return key_factors(adapted_frame(jet), mean_curvature(jet))
+    """(A, B) and the closed-form H of the production report at one jet."""
+    return point_regime_report(jet).factors + (mean_curvature(jet),)
 
 
 def tangent_sphere_jet(x, rho=1.0):
@@ -43,34 +46,6 @@ def tangent_sphere_jet(x, rho=1.0):
     x = np.asarray(x, dtype=float)
     w = math.sqrt(rho ** 2 - float(x @ x))
     return Jet2(x, rho - w, x / w, np.eye(x.size) / w + np.outer(x, x) / w ** 3)
-
-
-class TestAdaptedFrame:
-    def test_degenerate(self):
-        aj = adapted_frame(horosphere().jet([0.0, 0.0, 0.0]))
-        assert aj.degenerate
-        assert np.array_equal(aj.rotation, np.eye(3))
-
-    def test_axis_swap(self):
-        jet = Jet2(np.zeros(3), 1.0, np.array([0.0, 1.0, 0.0]), np.zeros((3, 3)))
-        aj = adapted_frame(jet)
-        assert np.allclose(aj.grad, [1.0, 0.0, 0.0], atol=1e-15)
-        assert abs(abs(aj.rotation[0, 1]) - 1.0) <= 1e-15
-
-    def test_cone_rotational_symmetry(self):
-        aj = adapted_frame(cone().jet([0.0, 1.0, 0.0]))
-        assert np.allclose(aj.hess, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
-
-    def test_rotation_orthogonal_and_aligned(self):
-        rng = np.random.default_rng(9)
-        for field in (cone(0.8), plane(1.4)):
-            for x in field.sample_points(25, rng, margin=0.01):
-                jet = field.jet(x)
-                aj = adapted_frame(jet)
-                assert np.max(np.abs(aj.rotation @ aj.rotation.T - np.eye(3))) <= 1e-12
-                norm = math.sqrt(jet.grad_norm_sq)
-                assert np.max(np.abs(aj.grad[1:])) <= 1e-12 * norm
-                assert aj.grad[0] == pytest.approx(norm, rel=1e-13)
 
 
 class TestGradDirectionRicci:
@@ -89,21 +64,21 @@ class TestGradDirectionRicci:
         assert grad_direction_ricci(jet) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_raises(self):
+        jet = horosphere().jet([0.0, 0.0, 0.0])
         with pytest.raises(DegenerateGradientError):
-            grad_direction_ricci(horosphere().jet([0.0, 0.0, 0.0]))
+            grad_direction_ricci(jet)
+        with pytest.raises(DegenerateGradientError):
+            ricci_gradient_adapted(jet)
 
     def test_matches_tensor_contraction_and_adapted_form(self):
         rng = np.random.default_rng(10)
-        for field in (cone(1.7), plane(0.9),
-                      make_catalog_surface("geodesic_sphere_cap",
-                                           {"center_height": 2.0,
-                                            "euclidean_radius": 1.0}, 3)):
+        for field in (cone(1.7), plane(0.9), cap()):
             for x in field.sample_points(40, rng, margin=0.01):
                 jet = field.jet(x)
                 if jet.grad_norm_sq < 1e-20:
                     continue
                 val = grad_direction_ricci(jet)
-                forms = fundamental_forms(jet)
+                forms = shape_spectrum(jet).forms
                 ric = ricci_coordinate(jet, forms)
                 q = 1.0 + jet.grad_norm_sq
                 fbar = jet.f / (math.sqrt(jet.grad_norm_sq) * math.sqrt(q)) * jet.grad
@@ -115,128 +90,81 @@ class TestGradDirectionRicci:
 
 class TestKeyFactors:
     def test_horosphere(self):
-        kf = factors_at(horosphere().jet([0.3, 0.1, 0.0]))
-        assert kf.A == pytest.approx(1.0, abs=1e-14)
-        assert kf.B == pytest.approx(2.0, abs=1e-14)
-        assert kf.product_ok
-        assert kf.sum_check <= 1e-14
+        A, B, H = factors_at(horosphere().jet([0.3, 0.1, 0.0]))
+        assert A == pytest.approx(1.0, abs=1e-14)
+        assert B == pytest.approx(2.0, abs=1e-14)
+        assert A * B >= 2 - INEQ_TOL
+        assert abs(A + B - H) <= 1e-14
 
     def test_cone_equality_case(self):
-        kf = factors_at(cone().jet([1.0, 0.0, 0.0]))
-        assert kf.A == pytest.approx(1.0 / SQ2, rel=1e-13)
-        assert kf.B == pytest.approx(2.0 * SQ2, rel=1e-13)
-        assert kf.A * kf.B == pytest.approx(2.0, rel=1e-12)
-        assert kf.product_ok
+        rep = point_regime_report(cone().jet([1.0, 0.0, 0.0]))
+        A, B = rep.factors
+        assert A == pytest.approx(1.0 / SQ2, rel=1e-13)
+        assert B == pytest.approx(2.0 * SQ2, rel=1e-13)
+        assert A * B == pytest.approx(2.0, rel=1e-12)
+        assert A * B >= 2 - INEQ_TOL
+        assert rep.mean == pytest.approx(5.0 / SQ2, rel=1e-13)
+        assert rep.mean >= 3  # nonnegative Ricci forces H >= n
 
     def test_plane_inequality_fails(self):
-        kf = factors_at(plane().jet([1.0, 0.0, 0.0]))
-        assert kf.A == pytest.approx(1.0 / SQ2, rel=1e-13)
-        assert kf.B == pytest.approx(SQ2, rel=1e-13)
-        assert kf.A * kf.B == pytest.approx(1.0, rel=1e-12)
-        assert not kf.product_ok
+        A, B, _ = factors_at(plane().jet([1.0, 0.0, 0.0]))
+        assert A == pytest.approx(1.0 / SQ2, rel=1e-13)
+        assert B == pytest.approx(SQ2, rel=1e-13)
+        assert A * B == pytest.approx(1.0, rel=1e-12)
+        assert not A * B >= 2 - INEQ_TOL
 
     def test_sum_identity_everywhere(self):
         rng = np.random.default_rng(11)
         for field in (cone(0.5), cone(5.0), plane(2.0), horosphere(2.0, 4)):
             for x in field.sample_points(50, rng, margin=0.01):
-                jet = field.jet(x)
-                kf = factors_at(jet)
-                H = mean_curvature(jet)
-                assert kf.sum_check <= 1e-12 * max(1.0, abs(H))
-
-    def test_sqrt_form_on_nonneg_vs_not_applicable(self):
-        kf = factors_at(cone().jet([1.0, 0.2, 0.0]))
-        assert kf.sqrt_form_applicable and kf.sqrt_form_ok
-        upper = make_catalog_surface(
-            "geodesic_sphere_cap",
-            {"center_height": 2.0, "euclidean_radius": 1.0, "cap": "upper"}, 3)
-        kf = factors_at(upper.jet([0.3, 0.0, 0.0]))
-        assert not kf.sqrt_form_applicable
-
-
-class TestMeanBound:
-    def test_horosphere_equality(self):
-        jet = horosphere().jet([0.0, 0.0, 0.0])
-        spec = shape_spectrum(jet)
-        rep = mean_bound_check(spec, 0.0, 3)
-        assert rep.ok and rep.applicable
-        assert rep.mean == pytest.approx(3.0, abs=1e-13)
-
-    def test_cone(self):
-        jet = cone().jet([1.0, 0.0, 0.0])
-        spec = shape_spectrum(jet)
-        rep = mean_bound_check(spec, 0.0, 3)
-        assert rep.ok
-        assert rep.mean == pytest.approx(5.0 / SQ2, rel=1e-13)
-
-    def test_cap(self):
-        field = make_catalog_surface(
-            "geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0}, 3)
-        jet = field.jet([0.0, 0.0, 0.0])
-        spec = shape_spectrum(jet)
-        rep = mean_bound_check(spec, 6.0, 3)
-        assert rep.ok and rep.mean == pytest.approx(6.0, rel=1e-13)
-
-    def test_negative_ricci_not_applicable(self):
-        jet = plane().jet([1.0, 0.0, 0.0])
-        spec = shape_spectrum(jet)
-        rep = mean_bound_check(spec, -1.0, 3)
-        assert not rep.applicable and rep.ok
-
-    def test_violation_produces_counterexample(self):
-        # inconsistent inputs (claimed nonneg Ricci with H < n) must be reported
-        field = make_catalog_surface(
-            "geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0}, 3)
-        jet = field.jet([0.0, 0.0, 0.0])
-        spec = shape_spectrum(jet)
-        rep = mean_bound_check(spec, 0.0, 10)
-        assert not rep.ok
-        assert rep.counterexample is not None
-        assert rep.counterexample["H"] == pytest.approx(6.0, rel=1e-12)
+                A, B, H = factors_at(field.jet(x))
+                assert abs(A + B - H) <= 1e-12 * max(1.0, abs(H))
 
 
 class TestDensity:
     def test_horosphere_critical(self):
-        res = n_subharmonic_density(adapted_frame(horosphere().jet([0.0, 0.0, 0.0])))
-        assert res.density == 0.0
-        assert res.at_critical_point
+        rep = point_regime_report(horosphere().jet([0.0, 0.0, 0.0]))
+        assert rep.n_subharmonic_density == 0.0
+        assert rep.at_critical_point
+        assert rep.mean == pytest.approx(3.0, abs=1e-13)
+
+    def test_cap_critical(self):
+        # at the cap's centre the density is Delta log f, and H = 6 >= n
+        jet = cap().jet([0.0, 0.0, 0.0])
+        rep = point_regime_report(jet)
+        assert rep.at_critical_point
+        assert rep.n_subharmonic_density == pytest.approx(np.trace(jet.hess) / jet.f,
+                                                          rel=1e-13)
+        assert rep.mean == pytest.approx(6.0, rel=1e-13)
 
     def test_cone_n_harmonic(self):
         rng = np.random.default_rng(12)
         for s in (0.5, 1.0, 3.0):
             field = cone(s)
             for x in field.sample_points(30, rng, r_min=0.3, r_max=1.8):
-                res = n_subharmonic_density(adapted_frame(field.jet(x)))
-                assert abs(res.density) <= 1e-10
+                rep = point_regime_report(field.jet(x))
+                assert abs(rep.n_subharmonic_density) <= 1e-10
 
     def test_plane_density_value(self):
         # log f = log s + log x1: density = (n-1) * (-1/x1^2)
         for x1 in (1.0, 1.7):
-            res = n_subharmonic_density(adapted_frame(plane().jet([x1, 0.2, -0.3])))
-            assert res.density == pytest.approx(-2.0 / x1 ** 2, rel=1e-12)
-
-    def test_weak_form_scaling(self):
-        jet = plane().jet([1.0, 0.0, 0.0])
-        res = n_subharmonic_density(adapted_frame(jet))
-        norm = np.linalg.norm(jet.grad / jet.f)
-        assert res.weak_value == pytest.approx(norm * res.density, rel=1e-13)
+            rep = point_regime_report(plane().jet([x1, 0.2, -0.3]))
+            assert rep.n_subharmonic_density == pytest.approx(-2.0 / x1 ** 2, rel=1e-12)
 
     def test_matches_direct_expansion(self):
         rng = np.random.default_rng(13)
         for field in (cone(1.4), plane(0.8)):
             for x in field.sample_points(40, rng, margin=0.01):
                 jet = field.jet(x)
-                res = n_subharmonic_density(adapted_frame(jet))
+                density = point_regime_report(jet).n_subharmonic_density
                 direct = n_laplacian_expansion(jet)
-                assert abs(res.density - direct) <= 1e-9 * (1.0 + abs(direct))
+                assert abs(density - direct) <= 1e-9 * (1.0 + abs(direct))
 
     def test_n2_reduces_to_log_laplacian(self):
         jet = plane(1.0, 2).jet([1.0, 0.3])
-        res = n_subharmonic_density(adapted_frame(jet))
         u_hess = jet.hess / jet.f - np.outer(jet.grad, jet.grad) / jet.f ** 2
-        aj = adapted_frame(jet)
-        rot = aj.rotation @ u_hess @ aj.rotation.T
-        assert res.density == pytest.approx(rot[0, 0] + rot[1, 1], rel=1e-12)
+        assert point_regime_report(jet).n_subharmonic_density == pytest.approx(
+            np.trace(u_hess), rel=1e-12)
 
 
 class TestClassifier:
@@ -304,5 +232,5 @@ def test_factor_sum_is_mean_curvature_random_jets(n, seed):
     h = rng.normal(size=(n, n))
     jet = Jet2(np.zeros(n), float(rng.uniform(0.2, 3.0)), rng.normal(size=n),
                0.5 * (h + h.T))
-    kf = factors_at(jet)
-    assert kf.sum_check <= 1e-12 * max(1.0, abs(mean_curvature(jet)))
+    A, B, H = factors_at(jet)
+    assert abs(A + B - H) <= 1e-12 * max(1.0, abs(H))

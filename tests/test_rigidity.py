@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hypcurv.curvature import (commutation_residual, fundamental_forms, ricci_coordinate,
-                               shape_spectrum)
+from hypcurv.curvature import commutation_residual, ricci_coordinate, shape_spectrum
 from hypcurv.errors import HypothesisContradiction, ParameterError, PreconditionError
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import SampledGridField, make_catalog_surface
 from hypcurv.rigidity import (Verdict, classify_global, constancy_scan,
-                              flat_direction_check, rigidity_report, verdict_report)
+                              flat_direction_check, verdict_report)
 
 SQ2 = math.sqrt(2.0)
 
@@ -72,16 +71,16 @@ class TestFlatDirection:
 class TestCommutation:
     def test_horosphere_zero(self):
         jet = horosphere().jet([0.1, 0.2, 0.3])
-        forms = fundamental_forms(jet)
         spec = shape_spectrum(jet)
+        forms = spec.forms
         ric = ricci_coordinate(jet, forms)
         assert commutation_residual(ric, forms.metric, spec.shape) == 0.0
 
     def test_plane_umbilic(self):
         plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
         jet = plane.jet([1.0, 0.3, -0.2])
-        forms = fundamental_forms(jet)
         spec = shape_spectrum(jet)
+        forms = spec.forms
         ric = ricci_coordinate(jet, forms)
         assert commutation_residual(ric, forms.metric, spec.shape) <= 1e-12
 
@@ -101,8 +100,8 @@ class TestCommutation:
         worst = 0.0
         for x in pts:
             jet = sampled.jet(x)
-            forms = fundamental_forms(jet)
             spec = shape_spectrum(jet)
+            forms = spec.forms
             ric = ricci_coordinate(jet, forms)
             worst = max(worst, commutation_residual(ric, forms.metric, spec.shape))
         assert worst <= 1e-9
@@ -184,11 +183,13 @@ class TestGlobalVerdict:
         field = cone()
         rng = np.random.default_rng(23)
         pts = field.sample_points(40, rng, r_min=0.5, r_max=2.0)
-        rep = rigidity_report(field, pts, 2)
-        assert rep.verdict is Verdict.EQUIDISTANT_TUBE
-        assert rep.null_space_dim == 1
-        assert rep.kappa0 == pytest.approx(rep.kappa0_expected, abs=1e-8)
-        assert max(rep.kappa_variance) <= 1e-20
+        scan = constancy_scan(field, pts)
+        assert classify_global(scan, 2) is Verdict.EQUIDISTANT_TUBE
+        assert max(scan.kappa0_var, scan.kappa_t_var) <= 1e-20
+        for x in pts:
+            frag = flat_direction_check(shape_spectrum(field.jet(x)))
+            assert frag.null_space_dim == 1
+            assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
 
 
 def test_min_ricci_eigenvalue():
