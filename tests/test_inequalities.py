@@ -48,6 +48,32 @@ def tangent_sphere_jet(x, rho=1.0):
     return Jet2(x, rho - w, x / w, np.eye(x.size) / w + np.outer(x, x) / w ** 3)
 
 
+class TestAdaptedFrame:
+    def test_degenerate(self):
+        # the frame adapted to grad f does not exist where the gradient vanishes
+        with pytest.raises(DegenerateGradientError):
+            ricci_gradient_adapted(horosphere().jet([0.0, 0.0, 0.0]))
+
+    def test_axis_swap(self):
+        # gradient along e_2: the frame swaps the axes; Ric = -(n-1)|Df|^2/q = -1
+        jet = Jet2(np.zeros(3), 1.0, np.array([0.0, 1.0, 0.0]), np.zeros((3, 3)))
+        assert ricci_gradient_adapted(jet) == pytest.approx(-1.0, abs=1e-14)
+        assert grad_direction_ricci(jet) == pytest.approx(-1.0, abs=1e-14)
+
+    def test_cone_rotational_symmetry(self):
+        for x in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]):
+            assert ricci_gradient_adapted(cone().jet(x)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rotation_orthogonal_and_aligned(self):
+        # a frame that is not orthogonal or not aligned with Df changes the value
+        rng = np.random.default_rng(9)
+        for field in (cone(0.8), plane(1.4)):
+            for x in field.sample_points(25, rng, margin=0.01):
+                jet = field.jet(x)
+                val = grad_direction_ricci(jet)
+                assert abs(ricci_gradient_adapted(jet) - val) <= 1e-10 * (1.0 + abs(val))
+
+
 class TestGradDirectionRicci:
     def test_cone_ruling_flat(self):
         assert grad_direction_ricci(cone().jet([1.0, 0.0, 0.0])) == pytest.approx(
@@ -64,11 +90,8 @@ class TestGradDirectionRicci:
         assert grad_direction_ricci(jet) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_raises(self):
-        jet = horosphere().jet([0.0, 0.0, 0.0])
         with pytest.raises(DegenerateGradientError):
-            grad_direction_ricci(jet)
-        with pytest.raises(DegenerateGradientError):
-            ricci_gradient_adapted(jet)
+            grad_direction_ricci(horosphere().jet([0.0, 0.0, 0.0]))
 
     def test_matches_tensor_contraction_and_adapted_form(self):
         rng = np.random.default_rng(10)
@@ -103,8 +126,6 @@ class TestKeyFactors:
         assert B == pytest.approx(2.0 * SQ2, rel=1e-13)
         assert A * B == pytest.approx(2.0, rel=1e-12)
         assert A * B >= 2 - INEQ_TOL
-        assert rep.mean == pytest.approx(5.0 / SQ2, rel=1e-13)
-        assert rep.mean >= 3  # nonnegative Ricci forces H >= n
 
     def test_plane_inequality_fails(self):
         A, B, _ = factors_at(plane().jet([1.0, 0.0, 0.0]))
@@ -121,21 +142,47 @@ class TestKeyFactors:
                 assert abs(A + B - H) <= 1e-12 * max(1.0, abs(H))
 
 
+class TestMeanBound:
+    """Nonnegative Ricci curvature forces H >= n (here n = 3)."""
+
+    def test_horosphere_equality(self):
+        rep = point_regime_report(horosphere().jet([0.0, 0.0, 0.0]))
+        assert rep.min_ricci_eig >= -INEQ_TOL
+        assert rep.mean == pytest.approx(3.0, abs=1e-13)
+
+    def test_cone(self):
+        rep = point_regime_report(cone().jet([1.0, 0.0, 0.0]))
+        assert rep.min_ricci_eig >= -INEQ_TOL
+        assert rep.mean == pytest.approx(5.0 / SQ2, rel=1e-13)
+        assert rep.mean >= 3
+
+    def test_cap(self):
+        rep = point_regime_report(cap().jet([0.0, 0.0, 0.0]))
+        assert rep.min_ricci_eig >= -INEQ_TOL
+        assert rep.mean == pytest.approx(6.0, rel=1e-13)
+        assert rep.mean >= 3
+
+    def test_negative_ricci_not_applicable(self):
+        # the tilted plane has Ricci -1 in the gradient direction and H < n
+        rep = point_regime_report(plane().jet([1.0, 0.0, 0.0]))
+        assert rep.min_ricci_eig == pytest.approx(-1.0, abs=1e-12)
+        assert rep.mean == pytest.approx(3.0 / SQ2, rel=1e-13)
+        assert rep.mean < 3
+
+
 class TestDensity:
     def test_horosphere_critical(self):
         rep = point_regime_report(horosphere().jet([0.0, 0.0, 0.0]))
         assert rep.n_subharmonic_density == 0.0
         assert rep.at_critical_point
-        assert rep.mean == pytest.approx(3.0, abs=1e-13)
 
     def test_cap_critical(self):
-        # at the cap's centre the density is Delta log f, and H = 6 >= n
+        # at the cap's centre the density is Delta log f
         jet = cap().jet([0.0, 0.0, 0.0])
         rep = point_regime_report(jet)
         assert rep.at_critical_point
         assert rep.n_subharmonic_density == pytest.approx(np.trace(jet.hess) / jet.f,
                                                           rel=1e-13)
-        assert rep.mean == pytest.approx(6.0, rel=1e-13)
 
     def test_cone_n_harmonic(self):
         rng = np.random.default_rng(12)
