@@ -45,11 +45,11 @@ class RecessionReport:
     includes_projection_point: bool
     fat_recession: bool        # some final-level component failed to decay
     trajectories: tuple        # per final-level component: diameters across levels
+    dims: tuple                # node counts of the analysis lattice
 
 
-def _set_diameter(points: np.ndarray) -> float:
+def _set_diameter(pts: np.ndarray) -> float:
     """Exact max pairwise distance; convex hull first, brute force on small sets."""
-    pts = np.unique(points, axis=0)
     if pts.shape[0] <= 1:
         return 0.0
     if pts.shape[0] <= 512:
@@ -81,13 +81,23 @@ def _label_sublevel(grid: GridFunction, level: float):
 
 
 def _components_from_labels(grid: GridFunction, labels, count) -> list:
-    comps = []
-    coords_cache = grid.node_coords()
-    for lab in range(1, count + 1):
-        idx = np.argwhere(labels == lab)
-        pts = coords_cache[tuple(idx.T)]
-        comps.append(Component(idx, pts, _set_diameter(pts)))
-    return comps
+    """Components of a labelling, from one pass over its labelled nodes.
+
+    Nodes stay in C order within each component; coordinates are gathered per axis.
+    """
+    idx = np.argwhere(labels)
+    lab = labels[tuple(idx.T)]
+    order = np.argsort(lab, kind="stable")
+    idx = idx[order]
+    pts = np.stack([axis[idx[:, d]] for d, axis in enumerate(grid.axes())], axis=-1)
+    ends = np.cumsum(np.bincount(lab, minlength=count + 1))
+    # a node between two others of its lattice row lies on their segment, so it is no
+    # extreme point and the diameter needs only the ends of each row of a component
+    first = np.r_[True, np.any(idx[1:, :-1] != idx[:-1, :-1], axis=1)]
+    first[ends[:-1]] = True
+    edge = first | np.r_[first[1:], True]
+    return [Component(idx[a:b], pts[a:b], _set_diameter(pts[a:b][edge[a:b]]))
+            for a, b in zip(ends[:-1], ends[1:])]
 
 
 def sublevel_components(field: HeightField, lo, hi, spacing: float, level: float,
@@ -147,7 +157,7 @@ def recession_report(field: HeightField, levels, lo, hi, spacing: float) -> Rece
             fat = True
     k = decaying + (1 if field.unbounded else 0)
     return RecessionReport(levels, counts, max_diams, k, field.unbounded, fat,
-                           tuple(trajectories))
+                           tuple(trajectories), grid.dims)
 
 
 def recession_json(report: RecessionReport) -> dict:

@@ -224,6 +224,7 @@ def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
                 "tolerance_profile": tolerance_profile},
         seed=seed)
     rec = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
+    manifest.config["dims"] = list(rec.dims)
     kwargs = {}
     if field.kind == "equidistant_cone":
         kwargs = {"r_min": float(np.min(np.abs(field.domain.hi)) / 4),
@@ -328,6 +329,7 @@ def boundary(surface, levels, grid_spec, out):
                                    "window": [lo.tolist(), hi.tolist()],
                                    "spacing": spacing})
     rep = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
+    manifest.config["dims"] = list(rep.dims)
     _emit(asymptotics.recession_json(rep), manifest, out, "boundary.json")
 
 

@@ -208,17 +208,27 @@ def commutation_residual(ric: np.ndarray, metric: np.ndarray, shape: np.ndarray,
     return float(np.linalg.norm(comm) / denom)
 
 
+def _cluster_labels(kappas, rtol: float = KAPPA_CLUSTER_RTOL) -> np.ndarray:
+    """Multiplicity-cluster label of each curvature in ascending rows (..., n).
+
+    A curvature joins the current cluster when it is within rtol * max(1, max|kappa|)
+    of the cluster's first member, else it starts the next; labels count from 0.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    tol = rtol * np.fmax(1.0, np.max(np.abs(kappas), axis=-1))
+    labels = np.zeros(kappas.shape, dtype=int)
+    leader = kappas[..., 0]
+    for i in range(1, kappas.shape[-1]):
+        new = ~(kappas[..., i] - leader <= tol)
+        labels[..., i] = labels[..., i - 1] + new
+        leader = np.where(new, kappas[..., i], leader)
+    return labels
+
+
 def cluster_kappas(kappas, rtol: float = KAPPA_CLUSTER_RTOL):
     """Group an ascending curvature list into multiplicity clusters by relative gap."""
-    kappas = np.asarray(kappas, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(kappas))))
-    groups = [[0]]
-    for i in range(1, kappas.size):
-        if kappas[i] - kappas[groups[-1][0]] <= rtol * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.asarray(g, dtype=int) for g in groups]
+    labels = _cluster_labels(kappas, rtol)
+    return [np.flatnonzero(labels == c) for c in range(labels[-1] + 1)]
 
 
 # -- finite-difference residuals -------------------------------------------------------

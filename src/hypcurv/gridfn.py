@@ -78,11 +78,6 @@ class GridFunction:
         """Per-axis node coordinate arrays."""
         return [self.origin[k] + self.spacing * np.arange(d) for k, d in enumerate(self.dims)]
 
-    def node_coords(self):
-        """Coordinates of every node, shape dims + (ndim,)."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(grids, axis=-1)
-
     def active_mask(self):
         """Nodes carrying a finite value."""
         return np.isfinite(self.values)

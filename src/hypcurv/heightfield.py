@@ -213,26 +213,41 @@ class HeightField:
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
                       margin: float = 0.0) -> np.ndarray:
-        """Rejection-sample points from the domain box, optionally within a radius band."""
-        out = np.empty((count, self.n))
+        """Rejection-sample points from the domain box, optionally within a radius band.
+
+        Candidates are drawn and filtered in blocks, and the generator is rewound to
+        stop right after the count-th accepted one, so the points and the generator's
+        final state are those of drawing one candidate at a time.  Gives up after
+        100000 * count candidates.
+        """
         lo, hi = self.domain.lo + margin, self.domain.hi - margin
-        got = 0
-        attempts = 0
+        if np.any(lo >= hi):
+            raise ParameterError(f"margin {margin} leaves no room in the domain box")
+        if r_min is not None and r_max is not None and r_min > r_max:
+            raise ParameterError(f"empty radius band: r_min={r_min} > r_max={r_max}")
+        out = [np.empty((0, self.n))]
+        got, drawn, left = 0, 0, 100000 * count
         while got < count:
-            attempts += 1
-            if attempts > 100000 * count:
+            if left == 0:
                 raise ParameterError("sampling region too small for the domain")
-            x = rng.uniform(lo, hi)
-            r = float(np.linalg.norm(x))
-            if r_min is not None and r < r_min:
-                continue
-            if r_max is not None and r > r_max:
-                continue
-            if not self.contains(x):
-                continue
-            out[got] = x
-            got += 1
-        return out
+            # enough candidates for the rest at the acceptance rate seen so far
+            k = min(left, 1 << 16, (count - got) * (drawn + 1) // (got + 1) * 5 // 4 + 16)
+            state = rng.bit_generator.state
+            X = rng.uniform(lo, hi, size=(k, self.n))
+            drawn, left = drawn + k, left - k
+            r = np.sqrt(_row_dot(X, X))
+            keep = self.contains_array(X)
+            if r_min is not None:
+                keep &= r >= r_min
+            if r_max is not None:
+                keep &= r <= r_max
+            accepted = np.flatnonzero(keep)[:count - got]
+            if got + len(accepted) == count:
+                rng.bit_generator.state = state
+                rng.uniform(lo, hi, size=(accepted[-1] + 1, self.n))
+            out.append(X[accepted])
+            got += len(accepted)
+        return np.concatenate(out)
 
     def params(self) -> dict:
         return {}

@@ -39,7 +39,7 @@ from .heightfield import HeightField, sample_height_grid
 __all__ = [
     "SolverConfig", "PHarmonicResult", "ComparisonReport", "ProbeResult",
     "p_dirichlet_energy", "solve_p_harmonic", "solve_laplace_linear",
-    "comparison_check", "viscosity_probe", "tighten_boundary", "annulus_grid",
+    "comparison_check", "viscosity_probe", "tighten_boundary",
 ]
 
 #: default grid spacing for the viscosity probe
@@ -441,24 +441,3 @@ def viscosity_probe(field: HeightField, lo, hi, config: SolverConfig,
               if np.any(interior) else 0.0)
     return ProbeResult(margin >= -tol, margin, tol, excised, spacing, result.iterations,
                        result.stop_reason, result.backtracks)
-
-
-# -- analytic-region grids ----------------------------------------------------------------
-
-def annulus_grid(fn, r_inner: float, r_outer: float, spacing: float, n: int = 3) -> GridFunction:
-    """Sample fn(|x|-coords) on the lattice covering the spherical annulus.
-
-    Nodes within half a spacing of the annulus keep values (so complete cells cover
-    the region without a systematic staircase deficit); everything else is excised.
-    """
-    half = r_outer + spacing
-    count = int(math.ceil(2 * half / spacing)) + 1
-    axes = [-half + spacing * np.arange(count) for _ in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(sum(m * m for m in mesh))
-    active = (r >= r_inner - spacing / 2) & (r <= r_outer + spacing / 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(active, fn(mesh), -np.inf)
-    mask = box_face_mask(vals.shape) | ~active
-    gf = GridFunction(vals.shape, spacing, np.array([a[0] for a in axes]), vals, mask)
-    return tighten_boundary(gf)

@@ -21,7 +21,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .curvature import ShapeSpectrum, cluster_kappas, ricci_from_shape, shape_spectra
+from .curvature import (ShapeSpectrum, _cluster_labels, cluster_kappas, ricci_from_shape,
+                        shape_spectra)
 from .errors import HypothesisContradiction, ParameterError, PreconditionError
 from .heightfield import HeightField
 
@@ -132,33 +133,27 @@ def constancy_scan(field: HeightField, samples) -> ConstancyScan:
     smallest Ricci eigenvalue over all samples is read from the same spectra.
     """
     spec = shape_spectra(*field.jet_array(samples))
-    count, n = spec.kappas.shape
-    kappa0s, kappa_ts = [], []
-    umbilic_vals = []
-    split_ok = True
+    kappas = spec.kappas
+    count, n = kappas.shape
     ric_min = float(np.min(spec.ricci[:, 0], initial=math.inf))
-    for kappas in spec.kappas:
-        clusters = cluster_kappas(kappas)
-        if len(clusters) == 1:
-            umbilic_vals.extend(kappas.tolist())
-            continue
-        if len(clusters) == 2 and {len(c) for c in clusters} == {1, n - 1}:
-            single = clusters[0] if len(clusters[0]) == 1 else clusters[1]
-            rest = clusters[1] if len(clusters[0]) == 1 else clusters[0]
-            kappa0s.append(float(kappas[single[0]]))
-            kappa_ts.extend(kappas[rest].tolist())
-            continue
-        split_ok = False
-    if umbilic_vals and not kappa0s:
-        vals = np.asarray(umbilic_vals)
+    labels = _cluster_labels(kappas)
+    umbilic = labels[:, -1] == 0
+    # the {1, n-1} split: two clusters, the single one first (preferred at n = 2) or last
+    two = labels[:, -1] == 1
+    first = two & (labels[:, 1] == 1)
+    split = first | (two & (labels[:, -2] == 0))
+    split_ok = bool(np.all(umbilic | split))
+    if umbilic.any() and not split.any():
+        vals = kappas[umbilic].ravel()
         return ConstancyScan(float(np.var(vals)), float(np.var(vals)), math.nan,
                              float(np.mean(vals)), float(np.mean(vals)),
                              False, True, float(np.mean(vals)), count, ric_min)
-    if not kappa0s or umbilic_vals:
+    if not split.any() or umbilic.any():
         return ConstancyScan(math.nan, math.nan, math.nan, math.nan, math.nan,
                              False, False, math.nan, count, ric_min)
-    k0 = np.asarray(kappa0s)
-    kt = np.asarray(kappa_ts)
+    first = first[split]
+    k0 = np.where(first, kappas[split, 0], kappas[split, -1])
+    kt = np.where(first[:, None], kappas[split, 1:], kappas[split, :-1]).ravel()
     defect = float(np.max(np.abs(np.repeat(k0, n - 1) * kt - 1.0)))
     return ConstancyScan(float(np.var(k0)), float(np.var(kt)), defect,
                          float(np.mean(k0)), float(np.mean(kt)),

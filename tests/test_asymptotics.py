@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypcurv.asymptotics import (recession_json, recession_report,
+from hypcurv import asymptotics
+from hypcurv.asymptotics import (Component, recession_json, recession_report,
                                  sublevel_components)
 from hypcurv.errors import ParameterError
-from hypcurv.gridfn import GridFunction
+from hypcurv.gridfn import GridFunction, box_face_mask
 from hypcurv.heightfield import SampledGridField, make_catalog_surface
 
 WINDOW = ([-0.5] * 3, [0.5] * 3)
@@ -111,3 +114,58 @@ class TestRecessionReport:
         assert doc["boundary_points"] == 2
         assert len(doc["components"]) == 2
         assert doc["components"][0]["count"] == 1
+
+
+def components_per_label(grid, labels, count):
+    """Reference: a lattice scan per label, coordinates from the full node mesh and
+    diameters of the ``np.unique`` point sets."""
+    coords = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+    comps = []
+    for lab in range(1, count + 1):
+        idx = np.argwhere(labels == lab)
+        pts = coords[tuple(idx.T)]
+        comps.append(Component(idx, pts, asymptotics._set_diameter(np.unique(pts, axis=0))))
+    return comps
+
+
+def masked_lattice(seed, n, excised):
+    """Random heights on a lattice of 3..12 nodes per axis (3..6 at n = 4), with a
+    fraction of interior nodes excised (-inf and masked)."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(3, 13 if n < 4 else 7, size=n))
+    values = rng.normal(size=dims)
+    mask = box_face_mask(dims) | (rng.random(dims) < excised)
+    values[mask & (rng.random(dims) < 0.5)] = -np.inf
+    return GridFunction(dims, float(rng.uniform(0.05, 0.5)), rng.uniform(-1, 1, size=n),
+                        values, mask)
+
+
+def same_components(new, ref):
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        assert a.indices.tolist() == b.indices.tolist()
+        assert a.coords.tobytes() == b.coords.tobytes()
+        assert a.diameter == b.diameter
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       level=st.floats(-1.5, 1.0), excised=st.floats(0.0, 0.3))
+def test_sublevel_components_match_per_label_walk(seed, n, level, excised):
+    grid = masked_lattice(seed, n, excised)
+    labels, count = asymptotics._label_sublevel(grid, level)
+    same_components(sublevel_components(None, None, None, None, level, grid=grid),
+                    components_per_label(grid, labels, count))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), excised=st.floats(0.0, 0.3))
+def test_recession_report_matches_per_label_walk(seed, n, excised):
+    grid = masked_lattice(seed, n, excised)
+    levels = [-1.0, -0.3, 0.4, 1.2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotics, "sample_height_grid", lambda *args: grid)
+        new = recession_report(cone(), levels, None, None, grid.spacing)
+        mp.setattr(asymptotics, "_components_from_labels", components_per_label)
+        ref = recession_report(cone(), levels, None, None, grid.spacing)
+    assert repr(new) == repr(ref)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypcurv import acceptance
 from hypcurv.errors import DataError, DomainError, ParameterError
@@ -255,6 +257,66 @@ class TestLatticeContract:
         grid = sample_height_grid(cone(), lo, hi, 0.05)
         assert grid.dims == (21, 16, 13)
         assert np.allclose(grid.origin + grid.spacing * (np.asarray(grid.dims) - 1), hi)
+
+
+def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
+    """Reference: the rejection sampler that draws and tests one candidate per step."""
+    out = np.empty((count, field.n))
+    lo, hi = field.domain.lo + margin, field.domain.hi - margin
+    got = 0
+    while got < count:
+        x = rng.uniform(lo, hi)
+        r = float(np.linalg.norm(x))
+        if r_min is not None and r < r_min:
+            continue
+        if r_max is not None and r > r_max:
+            continue
+        if not field.contains(x):
+            continue
+        out[got] = x
+        got += 1
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), count=st.integers(1, 30),
+       mask_radius=st.floats(1e-3, 0.5), margin=st.floats(0.0, 0.5),
+       r_min=st.none() | st.floats(0.5, 1.5), width=st.none() | st.floats(0.02, 2.0))
+def test_sample_points_matches_one_at_a_time(seed, n, count, mask_radius, margin, r_min,
+                                             width):
+    # the [-2, 2]^n cone with its apex ball; a band ends a width w past r_min (or 1),
+    # so it lies beyond the ball, and at w = 0.02 keeps about 2% of the candidates
+    field = make_catalog_surface("equidistant_cone",
+                                 {"slope": 1.0, "mask_radius": mask_radius}, n)
+    r_max = None if width is None else (r_min or 1.0) + width
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    X = field.sample_points(count, fast, r_min=r_min, r_max=r_max, margin=margin)
+    ref = sample_one_at_a_time(field, count, slow, r_min=r_min, r_max=r_max, margin=margin)
+    assert X.tobytes() == ref.tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestSampleArguments:
+    @pytest.mark.parametrize("margin", [2.0, 3.0])
+    def test_margin_box_without_room(self, margin):
+        # the horosphere's box is [-2, 2]^3: a margin of 2 leaves a point, 3 nothing
+        with pytest.raises(ParameterError, match="margin"):
+            make_catalog_surface("horosphere", {"c": 1.0}, 3).sample_points(
+                3, np.random.default_rng(0), margin=margin)
+
+    def test_inverted_radius_band(self):
+        with pytest.raises(ParameterError, match="radius band"):
+            cone().sample_points(400, np.random.default_rng(0), r_min=1.5, r_max=0.5)
+
+    def test_band_missing_the_box_stops_at_the_attempt_cap(self):
+        # no point of [-2, 2]^3 has |x| >= 4, so every candidate is rejected; the
+        # sampler gives up after 100000 candidates per point, as many as it drew
+        field, rng = cone(), np.random.default_rng(1)
+        with pytest.raises(ParameterError, match="too small"):
+            field.sample_points(3, rng, r_min=4.0, r_max=5.0)
+        ref = np.random.default_rng(1)
+        ref.uniform(field.domain.lo, field.domain.hi, size=(300000, 3))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestDescriptorsAndIO:

@@ -5,14 +5,33 @@ import pytest
 import scipy.sparse.linalg
 
 from hypcurv.errors import DataError, ParameterError, PreconditionError
-from hypcurv.gridfn import GridFunction
+from hypcurv.gridfn import GridFunction, box_face_mask
 from hypcurv.heightfield import make_catalog_surface, sample_height_grid
 from hypcurv import plaplace
 from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _cell_weights,
                               _complete_cells, _energy, _energy_gradient,
-                              _gradient_operator, annulus_grid, comparison_check,
+                              _gradient_operator, comparison_check,
                               p_dirichlet_energy, solve_laplace_linear, solve_p_harmonic,
                               tighten_boundary, viscosity_probe)
+
+
+def annulus_grid(fn, r_inner: float, r_outer: float, spacing: float, n: int = 3) -> GridFunction:
+    """Sample fn(|x|-coords) on the lattice covering the spherical annulus.
+
+    Nodes within half a spacing of the annulus keep values (so complete cells cover
+    the region without a systematic staircase deficit); everything else is excised.
+    """
+    half = r_outer + spacing
+    count = int(math.ceil(2 * half / spacing)) + 1
+    axes = [-half + spacing * np.arange(count) for _ in range(n)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    r = np.sqrt(sum(m * m for m in mesh))
+    active = (r >= r_inner - spacing / 2) & (r <= r_outer + spacing / 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(active, fn(mesh), -np.inf)
+    mask = box_face_mask(vals.shape) | ~active
+    gf = GridFunction(vals.shape, spacing, np.array([a[0] for a in axes]), vals, mask)
+    return tighten_boundary(gf)
 
 
 def unit_grid(nodes=9):

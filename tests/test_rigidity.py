@@ -1,13 +1,19 @@
 import math
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypcurv.curvature import commutation_residual, ricci_coordinate, shape_spectrum
+from hypcurv import rigidity
+from hypcurv.curvature import (cluster_kappas, commutation_residual, ricci_coordinate,
+                               shape_spectrum)
 from hypcurv.errors import HypothesisContradiction, ParameterError, PreconditionError
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import SampledGridField, make_catalog_surface
-from hypcurv.rigidity import (Verdict, classify_global, constancy_scan,
+from hypcurv.rigidity import (ConstancyScan, Verdict, classify_global, constancy_scan,
                               flat_direction_check, verdict_report)
 
 SQ2 = math.sqrt(2.0)
@@ -134,6 +140,77 @@ class TestConstancyScan:
         scan = constancy_scan(field, field.sample_points(20, rng))
         assert scan.umbilic
         assert scan.umbilic_value > 1.5
+
+
+def constancy_per_row(spectra, n):
+    """Reference: ``constancy_scan`` clustering one sample at a time with
+    ``cluster_kappas``."""
+    count = len(spectra.kappas)
+    kappa0s, kappa_ts = [], []
+    umbilic_vals = []
+    split_ok = True
+    ric_min = float(np.min(spectra.ricci[:, 0], initial=math.inf))
+    for kappas in spectra.kappas:
+        clusters = cluster_kappas(kappas)
+        if len(clusters) == 1:
+            umbilic_vals.extend(kappas.tolist())
+            continue
+        if len(clusters) == 2 and {len(c) for c in clusters} == {1, n - 1}:
+            single = clusters[0] if len(clusters[0]) == 1 else clusters[1]
+            rest = clusters[1] if len(clusters[0]) == 1 else clusters[0]
+            kappa0s.append(float(kappas[single[0]]))
+            kappa_ts.extend(kappas[rest].tolist())
+            continue
+        split_ok = False
+    if umbilic_vals and not kappa0s:
+        vals = np.asarray(umbilic_vals)
+        return ConstancyScan(float(np.var(vals)), float(np.var(vals)), math.nan,
+                             float(np.mean(vals)), float(np.mean(vals)),
+                             False, True, float(np.mean(vals)), count, ric_min)
+    if not kappa0s or umbilic_vals:
+        return ConstancyScan(math.nan, math.nan, math.nan, math.nan, math.nan,
+                             False, False, math.nan, count, ric_min)
+    k0 = np.asarray(kappa0s)
+    kt = np.asarray(kappa_ts)
+    defect = float(np.max(np.abs(np.repeat(k0, n - 1) * kt - 1.0)))
+    return ConstancyScan(float(np.var(k0)), float(np.var(kt)), defect,
+                         float(np.mean(k0)), float(np.mean(kt)),
+                         split_ok, False, math.nan, count, ric_min)
+
+
+def spectrum_row(kind, n, rng):
+    """Ascending curvatures of one kind: umbilic, a {1, n-1} split with the single value
+    first or last, or three clusters; members of a cluster differ below its 1e-6
+    relative gap."""
+    base = rng.uniform(0.2, 3.0)
+    if kind == "umbilic":
+        sizes = [n]
+    elif kind == "three":
+        sizes = [1, 1, n - 2] if n > 2 else [1, 1]
+    else:
+        sizes = [1, n - 1] if kind == "single_first" else [n - 1, 1]
+    values = []
+    for size in sizes:
+        values += [base * (1 + 1e-8 * rng.random()) for _ in range(size)]
+        base *= rng.uniform(1.1, 2.0)
+    return np.sort(values)[:n]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5), count=st.integers(1, 30),
+       kinds=st.sets(st.sampled_from(["umbilic", "single_first", "single_last", "three"]),
+                     min_size=1))
+def test_constancy_scan_matches_per_row_clustering(seed, n, count, kinds):
+    rng = np.random.default_rng(seed)
+    kinds = sorted(kinds)
+    kappas = np.array([spectrum_row(kinds[rng.integers(len(kinds))], n, rng)
+                       for _ in range(count)])
+    spectra = types.SimpleNamespace(kappas=kappas, ricci=rng.normal(size=(count, n)))
+    field = horosphere(n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidity, "shape_spectra", lambda *jets: spectra)
+        scan = constancy_scan(field, np.zeros((count, n)))
+    assert repr(scan) == repr(constancy_per_row(spectra, n))
 
 
 class TestGlobalVerdict:
