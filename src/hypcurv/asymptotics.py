@@ -72,21 +72,47 @@ def _set_diameter(pts: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
 
 
-def _label_sublevel(grid: GridFunction, level: float):
-    """Face-adjacency labeling of {h < -level} union excised nodes."""
-    inset = (grid.values < -level) | np.isneginf(grid.values)
+def _check_levels(levels) -> tuple:
+    """Sublevel depths as floats; ParameterError unless finite and strictly increasing."""
+    levels = tuple(float(M) for M in levels)
+    if (not levels or not all(math.isfinite(M) for M in levels)
+            or any(b <= a for a, b in zip(levels, levels[1:]))):
+        raise ParameterError(f"levels must be finite and strictly increasing, got {levels}")
+    return levels
+
+
+def _label_sublevel(grid: GridFunction, level: float, box: tuple):
+    """Face-adjacency labelling of {h < -level} within the index box ``box``.
+
+    ``box`` (a slice per axis) must hold the whole set; the labelling covers the set's
+    own bounding box, which is returned with it as (labels, count, box).  An empty set
+    returns (None, 0, None).  A translated sub-box keeps C order, so the labels are
+    numbered as on the full lattice.  Excised nodes (-inf) lie in every sublevel set.
+    """
+    inset = grid.values[box] < -level
+    crop = []
+    for d in range(grid.ndim):
+        hit = np.flatnonzero(inset.any(axis=tuple(a for a in range(grid.ndim) if a != d)))
+        if hit.size == 0:
+            return None, 0, None
+        crop.append(slice(hit[0], hit[-1] + 1))
+    box = tuple(slice(b.start + c.start, b.start + c.stop) for b, c in zip(box, crop))
     structure = scipy.ndimage.generate_binary_structure(grid.ndim, 1)
-    labels, count = scipy.ndimage.label(inset, structure=structure)
-    return labels, count
+    labels, count = scipy.ndimage.label(inset[tuple(crop)], structure=structure)
+    return labels, count, box
 
 
-def _components_from_labels(grid: GridFunction, labels, count) -> list:
-    """Components of a labelling, from one pass over its labelled nodes.
+def _components_from_labels(grid: GridFunction, labels, count, box) -> list:
+    """Components of a labelling of the index box ``box``, from one pass over its
+    labelled nodes.
 
     Nodes stay in C order within each component; coordinates are gathered per axis.
     """
+    if count == 0:
+        return []
     idx = np.argwhere(labels)
     lab = labels[tuple(idx.T)]
+    idx += [b.start for b in box]
     order = np.argsort(lab, kind="stable")
     idx = idx[order]
     pts = np.stack([axis[idx[:, d]] for d, axis in enumerate(grid.axes())], axis=-1)
@@ -100,58 +126,49 @@ def _components_from_labels(grid: GridFunction, labels, count) -> list:
             for a, b in zip(ends[:-1], ends[1:])]
 
 
-def sublevel_components(field: HeightField, lo, hi, spacing: float, level: float,
-                        grid: GridFunction = None) -> list:
-    """Connected components of {h < -level} on the analysis lattice.
+def sublevel_components(grid: GridFunction, level: float) -> list:
+    """Connected components of {h < -level} on a height lattice (``sample_height_grid``).
 
-    An empty sublevel set returns an empty list.  A pre-sampled height grid may be
-    passed to amortize sampling across levels.
+    An empty sublevel set returns an empty list; a non-finite level raises
+    ParameterError.
     """
-    if grid is None:
-        grid = sample_height_grid(field, lo, hi, spacing)
-    labels, count = _label_sublevel(grid, level)
-    return _components_from_labels(grid, labels, count)
+    (level,) = _check_levels([level])
+    labels, count, box = _label_sublevel(grid, level, tuple(slice(0, d) for d in grid.dims))
+    return _components_from_labels(grid, labels, count, box)
 
 
 def recession_report(field: HeightField, levels, lo, hi, spacing: float) -> RecessionReport:
     """Track sublevel components across increasing levels and count boundary points.
 
-    The components surviving at the deepest level are traced back through the
-    shallower sets (sublevels are nested); a component decays when its final diameter
-    is at most half its first.  Non-decaying survivors flag a fat recession set.
+    The sublevel sets are nested, so each level is labelled only within the bounding
+    box of the previous one.  The components surviving at the deepest level are traced
+    back through the shallower sets; a component decays when its final diameter is at
+    most half its first.  Non-decaying survivors flag a fat recession set.
     """
-    levels = tuple(float(M) for M in levels)
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ParameterError("levels must be strictly increasing")
+    levels = _check_levels(levels)
     grid = sample_height_grid(field, lo, hi, spacing)
-    per_level = []
-    label_maps = []
+    per_level = []  # (components, labels, box) per level
+    box = tuple(slice(0, d) for d in grid.dims)
     for M in levels:
-        labels, count = _label_sublevel(grid, M)
-        comps = _components_from_labels(grid, labels, count)
-        per_level.append(comps)
-        label_maps.append(labels)
+        labels, count, box = _label_sublevel(grid, M, box) if box else (None, 0, None)
+        per_level.append((_components_from_labels(grid, labels, count, box), labels, box))
 
-    counts = tuple(len(c) for c in per_level)
-    max_diams = tuple(max((c.diameter for c in comps), default=0.0) for comps in per_level)
+    counts = tuple(len(comps) for comps, _, _ in per_level)
+    max_diams = tuple(max((c.diameter for c in comps), default=0.0)
+                      for comps, _, _ in per_level)
 
     trajectories = []
     decaying = 0
     fat = False
-    for comp in per_level[-1]:
-        witness = tuple(comp.indices[0])
-        traj = []
-        for k, comps in enumerate(per_level):
-            lab = label_maps[k][witness]
-            if lab == 0:
-                traj.append(math.nan)
-                continue
-            traj.append(comps[lab - 1].diameter)
-        trajectories.append(tuple(traj))
-        finite = [d for d in traj if not math.isnan(d)]
-        if len(finite) >= 2 and finite[-1] <= DECAY_RATIO * finite[0]:
+    for comp in per_level[-1][0]:
+        # the witness node lies in every shallower set, and so in every level's box
+        witness = comp.indices[0]
+        traj = tuple(comps[lab[tuple(witness - [b.start for b in at])] - 1].diameter
+                     for comps, lab, at in per_level)
+        trajectories.append(traj)
+        if len(traj) >= 2 and traj[-1] <= DECAY_RATIO * traj[0]:
             decaying += 1
-        elif len(finite) == 1 and finite[0] <= 2 * spacing:
+        elif len(traj) == 1 and traj[0] <= 2 * spacing:
             decaying += 1  # already at lattice scale on its first appearance
         else:
             fat = True

@@ -507,7 +507,8 @@ class SampledGridField(HeightField):
 
 def _mesh_points(lo, dims, spacing):
     axes = [lo[d] + spacing * np.arange(dims[d]) for d in range(len(dims))]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    # broadcast views: stack makes the one copy
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
 
 
 def _row_dot(a, b):
@@ -515,11 +516,31 @@ def _row_dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _in_ball(m: BallMask, X) -> np.ndarray:
+    d = X - m.center
+    return np.einsum("...i,...i->...", d, d) < m.radius ** 2
+
+
 def _masked_points(field: HeightField, X) -> np.ndarray:
     masked = np.zeros(X.shape[:-1], dtype=bool)
     for m in field.masks:
-        d = X - m.center
-        masked |= np.einsum("...i,...i->...", d, d) < m.radius ** 2
+        masked |= _in_ball(m, X)
+    return masked
+
+
+def _lattice_masked(field: HeightField, X, lo, spacing: float) -> np.ndarray:
+    """``_masked_points`` on the lattice mesh X with node 0 at ``lo``.
+
+    Each ball is tested only on the index box it covers, widened by one node against
+    rounding, by the same expression, so every node gets the same bit.
+    """
+    dims = X.shape[:-1]
+    masked = np.zeros(dims, dtype=bool)
+    for m in field.masks:
+        first = np.clip(np.floor((m.center - m.radius - lo) / spacing) - 1, 0, dims)
+        stop = np.clip(np.ceil((m.center + m.radius - lo) / spacing) + 2, 0, dims)
+        box = tuple(map(slice, first.astype(int), stop.astype(int)))
+        masked[box] |= _in_ball(m, X[box])
     return masked
 
 
@@ -538,6 +559,16 @@ def _lattice_dims(lo, hi, spacing: float) -> tuple:
     return tuple(int(k) + 1 for k in whole)
 
 
+def _lattice_grid(field: HeightField, lo, dims, spacing: float, transform) -> GridFunction:
+    """``transform(f)`` at the nodes of the lattice with node 0 at ``lo``; -inf and a
+    boundary flag where f <= 0 or inside a mask ball."""
+    X = _mesh_points(lo, dims, spacing)
+    vals = field.value_array(X)
+    good = (vals > 0) & ~_lattice_masked(field, X, lo, spacing)
+    return GridFunction(dims, spacing, lo.copy(), np.where(good, transform(vals), -np.inf),
+                        box_face_mask(dims) | ~good)
+
+
 def _sample_values_grid(field: HeightField, box: Box, nodes_per_axis: int) -> GridFunction:
     """Graph values f on a lattice; masked points get -inf and a boundary flag.
 
@@ -545,12 +576,7 @@ def _sample_values_grid(field: HeightField, box: Box, nodes_per_axis: int) -> Gr
     """
     spacing = float((box.hi[0] - box.lo[0]) / (nodes_per_axis - 1))
     dims = _lattice_dims(box.lo, box.hi, spacing)
-    X = _mesh_points(box.lo, dims, spacing)
-    vals = field.value_array(X)
-    good = ~_masked_points(field, X) & (vals > 0)
-    values = np.where(good, vals, -np.inf)
-    mask = box_face_mask(dims) | ~good
-    return GridFunction(dims, spacing, box.lo.copy(), values, mask)
+    return _lattice_grid(field, box.lo, dims, spacing, lambda vals: vals)
 
 
 def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFunction:
@@ -566,10 +592,9 @@ def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFuncti
     dims = _lattice_dims(lo, hi, spacing)
     if any(d < 3 for d in dims):
         raise ParameterError("analysis window too small for the requested spacing")
-    X = _mesh_points(lo, dims, spacing)
-    values = field.height_array(X)
-    mask = box_face_mask(dims) | np.isneginf(values)
-    return GridFunction(dims, spacing, lo.copy(), values, mask)
+    # the expression of height_array, so the heights are the same to the bit
+    return _lattice_grid(field, lo, dims, spacing,
+                         lambda vals: np.log(np.maximum(vals, 1e-300)))
 
 
 # -- construction and descriptors ------------------------------------------------------

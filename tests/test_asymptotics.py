@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from hypcurv.asymptotics import (Component, recession_json, recession_report,
                                  sublevel_components)
 from hypcurv.errors import ParameterError
 from hypcurv.gridfn import GridFunction, box_face_mask
-from hypcurv.heightfield import SampledGridField, make_catalog_surface
+from hypcurv.heightfield import SampledGridField, make_catalog_surface, sample_height_grid
 
 WINDOW = ([-0.5] * 3, [0.5] * 3)
 
@@ -23,25 +24,35 @@ def horosphere(c=1.0):
     return make_catalog_surface("horosphere", {"c": c}, 3)
 
 
+def window_components(field, spacing, level):
+    return sublevel_components(sample_height_grid(field, *WINDOW, spacing), level)
+
+
 class TestSublevelComponents:
     def test_horosphere_empty(self):
-        comps = sublevel_components(horosphere(), *WINDOW, 1.0 / 16, 1.0)
+        comps = window_components(horosphere(), 1.0 / 16, 1.0)
         assert comps == []
 
     @pytest.mark.parametrize("level", [2.0, 4.0])
     def test_cone_single_component_diameter(self, level):
         # sublevel geometry of log|x|: {h < -M} is the ball of radius e^-M
         spacing = 1.0 / 64
-        comps = sublevel_components(cone(), *WINDOW, spacing, level)
+        comps = window_components(cone(), spacing, level)
         assert len(comps) == 1
         exact = 2.0 * math.exp(-level)
         assert comps[0].diameter <= exact + 2 * spacing
         assert comps[0].diameter >= exact - 2 * spacing
 
     def test_component_contains_origin_mask(self):
-        comps = sublevel_components(cone(), *WINDOW, 1.0 / 16, 2.0)
+        comps = window_components(cone(), 1.0 / 16, 2.0)
         center_idx = np.array([8, 8, 8])
         assert any((c.indices == center_idx).all(axis=1).any() for c in comps)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_level_must_be_finite(self, level):
+        grid = sample_height_grid(cone(), *WINDOW, 1.0 / 16)
+        with pytest.raises(ParameterError, match="finite"):
+            sublevel_components(grid, level)
 
 
 class TestRecessionReport:
@@ -85,13 +96,20 @@ class TestRecessionReport:
         assert rep.boundary_points == 2
 
     def test_resolution_monotone(self):
-        coarse = sublevel_components(cone(), *WINDOW, 1.0 / 32, 2.0)
-        fine = sublevel_components(cone(), *WINDOW, 1.0 / 64, 2.0)
+        coarse = window_components(cone(), 1.0 / 32, 2.0)
+        fine = window_components(cone(), 1.0 / 64, 2.0)
         assert fine[0].diameter <= coarse[0].diameter + 2.0 / 32
 
     def test_levels_must_increase(self):
         with pytest.raises(ParameterError, match="strictly increasing"):
             recession_report(cone(), [2, 1], *WINDOW, 1.0 / 16)
+
+    @pytest.mark.parametrize("levels", [[math.nan, 1.0], [1.0, math.nan], [1.0, math.inf],
+                                        [-math.inf, 1.0], []])
+    def test_levels_must_be_finite(self, levels):
+        # NaN fails every order comparison, so only a finiteness check catches it
+        with pytest.raises(ParameterError, match="finite"):
+            recession_report(cone(1.8), levels, *WINDOW, 1.0 / 16)
 
     def test_fat_recession_flag(self):
         # a sampled trough that stays wide at every level: not a decaying point
@@ -116,13 +134,22 @@ class TestRecessionReport:
         assert doc["components"][0]["count"] == 1
 
 
-def components_per_label(grid, labels, count):
-    """Reference: a lattice scan per label, coordinates from the full node mesh and
-    diameters of the ``np.unique`` point sets."""
+def label_full_lattice(grid, level, box):
+    """Reference: face-adjacency labelling of {h < -level} and the excised nodes over
+    the whole lattice."""
+    inset = (grid.values < -level) | np.isneginf(grid.values)
+    labels, count = scipy.ndimage.label(
+        inset, structure=scipy.ndimage.generate_binary_structure(grid.ndim, 1))
+    return labels, count, tuple(slice(0, d) for d in grid.dims)
+
+
+def components_per_label(grid, labels, count, box):
+    """Reference: a scan of the labelled box per label, coordinates from the full node
+    mesh and diameters of the ``np.unique`` point sets."""
     coords = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
     comps = []
     for lab in range(1, count + 1):
-        idx = np.argwhere(labels == lab)
+        idx = np.argwhere(labels == lab) + [b.start for b in box]
         pts = coords[tuple(idx.T)]
         comps.append(Component(idx, pts, asymptotics._set_diameter(np.unique(pts, axis=0))))
     return comps
@@ -140,6 +167,24 @@ def masked_lattice(seed, n, excised):
                         values, mask)
 
 
+def planted_lattice(seed, n):
+    """Heights 1 on a lattice of 6..12 nodes per axis (6..8 at n = 4) with three blobs
+    of random heights in (-3, 0], one per slab of axis 0 with a row of 1s between
+    slabs; each blob is a random box across the other axes, the first lies on the
+    lattice face at axis-0 index 0, and deep levels split a blob or empty it."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(6, 13 if n < 4 else 9, size=n))
+    values = np.ones(dims)
+    cuts = np.linspace(0, dims[0], 4).astype(int)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        start = rng.integers(0, dims[1:])
+        stop = rng.integers(start + 1, np.asarray(dims[1:]) + 1)
+        box = (slice(a, b - 1),) + tuple(map(slice, start, stop))
+        values[box] = -rng.uniform(0, 3, size=values[box].shape)
+    return GridFunction(dims, float(rng.uniform(0.05, 0.5)), rng.uniform(-1, 1, size=n),
+                        values)
+
+
 def same_components(new, ref):
     assert len(new) == len(ref)
     for a, b in zip(new, ref):
@@ -148,24 +193,27 @@ def same_components(new, ref):
         assert a.diameter == b.diameter
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
-       level=st.floats(-1.5, 1.0), excised=st.floats(0.0, 0.3))
-def test_sublevel_components_match_per_label_walk(seed, n, level, excised):
-    grid = masked_lattice(seed, n, excised)
-    labels, count = asymptotics._label_sublevel(grid, level)
-    same_components(sublevel_components(None, None, None, None, level, grid=grid),
-                    components_per_label(grid, labels, count))
+       level=st.floats(-1.5, 4.0), excised=st.floats(0.0, 0.3), planted=st.booleans())
+def test_sublevel_components_match_per_label_walk(seed, n, level, excised, planted):
+    # planted lattices give separate components, sets on the faces and, at levels
+    # of 3 or more, empty sets; masked ones give excised nodes in every set
+    grid = planted_lattice(seed, n) if planted else masked_lattice(seed, n, excised)
+    ref = components_per_label(grid, *label_full_lattice(grid, level, None))
+    same_components(sublevel_components(grid, level), ref)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), excised=st.floats(0.0, 0.3))
-def test_recession_report_matches_per_label_walk(seed, n, excised):
-    grid = masked_lattice(seed, n, excised)
-    levels = [-1.0, -0.3, 0.4, 1.2]
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), excised=st.floats(0.0, 0.3),
+       planted=st.booleans(), deepest=st.sampled_from([1.2, 2.5, 3.5]))
+def test_recession_report_matches_per_label_walk(seed, n, excised, planted, deepest):
+    grid = planted_lattice(seed, n) if planted else masked_lattice(seed, n, excised)
+    levels = [-1.0, -0.3, 0.4, deepest]  # a planted lattice is empty at 3.5
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(asymptotics, "sample_height_grid", lambda *args: grid)
         new = recession_report(cone(), levels, None, None, grid.spacing)
+        mp.setattr(asymptotics, "_label_sublevel", label_full_lattice)
         mp.setattr(asymptotics, "_components_from_labels", components_per_label)
         ref = recession_report(cone(), levels, None, None, grid.spacing)
     assert repr(new) == repr(ref)

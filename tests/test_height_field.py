@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcurv import acceptance
+from hypcurv import acceptance, heightfield
 from hypcurv.errors import DataError, DomainError, ParameterError
-from hypcurv.gridfn import GridFunction, load_grid_function, save_grid_function
-from hypcurv.heightfield import (Box, Jet2, SampledGridField, fd_validate_jet,
+from hypcurv.gridfn import (GridFunction, box_face_mask, load_grid_function,
+                            save_grid_function)
+from hypcurv.heightfield import (BallMask, Box, HeightField, Jet2, SampledGridField,
+                                 fd_validate_jet,
                                  field_from_descriptor, field_to_descriptor,
                                  make_catalog_surface, sample_height_grid)
 
@@ -257,6 +259,51 @@ class TestLatticeContract:
         grid = sample_height_grid(cone(), lo, hi, 0.05)
         assert grid.dims == (21, 16, 13)
         assert np.allclose(grid.origin + grid.spacing * (np.asarray(grid.dims) - 1), hi)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_heights_match_height_array_bitwise(self, n):
+        # the lattice builder tests mask balls on their index boxes only; the point-set
+        # route tests every node, and the two must agree to the bit
+        field = make_catalog_surface("equidistant_cone", {"slope": 1.3, "mask_radius": 0.3}, n)
+        lo, hi = np.full(n, -0.5), np.array([0.5] + [0.4] * (n - 1))
+        grid = sample_height_grid(field, lo, hi, 0.1)
+        mesh = heightfield._mesh_points(lo, grid.dims, 0.1)
+        assert grid.values.tobytes() == field.height_array(mesh).tobytes()
+        assert np.array_equal(grid.boundary_mask,
+                              box_face_mask(grid.dims) | np.isneginf(grid.values))
+        assert np.isneginf(grid.values).sum() > 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4),
+       places=st.lists(st.sampled_from(["node", "face", "outside", "anywhere"]),
+                       min_size=1, max_size=3))
+def test_lattice_mask_box_matches_full_mesh(seed, n, places):
+    # each ball is tested on its index box only; every node must get the bit that the
+    # full-mesh test gives it, also on the sphere and at a window face
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(3, 12 if n < 4 else 7, size=n))
+    spacing = float(rng.uniform(0.05, 0.5))
+    lo = rng.uniform(-1, 1, size=n)
+    hi = lo + spacing * (np.asarray(dims) - 1)
+    X = heightfield._mesh_points(lo, dims, spacing)
+    balls = []
+    for place in places:
+        # under one spacing, a whole number of spacings (nodes on the sphere) or more
+        radius = spacing * rng.choice([rng.uniform(0.05, 1.0), rng.integers(1, 4),
+                                       rng.uniform(1.0, 4.0)])
+        center = X[tuple(rng.integers(0, dims))].copy()
+        axis = rng.integers(n)
+        if place == "face":
+            center[axis] = rng.choice([lo[axis], hi[axis]]) + rng.uniform(-radius, radius)
+        elif place == "outside":
+            center[axis] = hi[axis] + radius + rng.uniform(0, 1)
+        elif place == "anywhere":
+            center = rng.uniform(lo - radius, hi + radius)
+        balls.append(BallMask(center, radius))
+    field = HeightField(n, Box(lo - 10, hi + 10), masks=balls)
+    assert np.array_equal(heightfield._lattice_masked(field, X, lo, spacing),
+                          heightfield._masked_points(field, X))
 
 
 def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
