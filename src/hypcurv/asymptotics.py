@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import ParameterError
 from .gridfn import GridFunction
@@ -63,6 +61,8 @@ def _set_diameter(pts: np.ndarray) -> float:
         return 0.0
     if core.shape[1] == 1:
         return float(spans[keep][0])
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(core)
         verts = pts[hull.vertices]
@@ -89,6 +89,8 @@ def _label_sublevel(grid: GridFunction, level: float, box: tuple):
     returns (None, 0, None).  A translated sub-box keeps C order, so the labels are
     numbered as on the full lattice.  Excised nodes (-inf) lie in every sublevel set.
     """
+    import scipy.ndimage
+
     inset = grid.values[box] < -level
     crop = []
     for d in range(grid.ndim):

@@ -22,12 +22,6 @@ from .heightfield import FD_STEP, field_from_json, field_to_descriptor, sample_h
 from .inequalities import grad_direction_ricci, point_regime_report, scan_field
 from .reportio import RunManifest, dumps, format_float, write_report
 
-#: classify tolerances per profile: (ricci_null, product, variance)
-TOLERANCE_PROFILES = {
-    "strict": (1e-9, 1e-9, 1e-18),
-    "fd": (1e-6, 1e-6, 1e-10),
-}
-
 
 def _parse_tuple(text: str) -> np.ndarray:
     try:
@@ -105,7 +99,8 @@ out_opt = click.option("--out", default=None, type=click.Path(), help="Output di
 seed_opt = click.option("--seed", default=7, type=int, show_default=True,
                         help="Seed for randomized sample points.")
 profile_opt = click.option("--tolerance-profile", default="fd",
-                           type=click.Choice(list(TOLERANCE_PROFILES)), show_default=True,
+                           type=click.Choice(list(rigidity.TOLERANCE_PROFILES)),
+                           show_default=True,
                            help="Tolerances for classification thresholds.")
 
 
@@ -216,7 +211,7 @@ def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
     levels_list = _parse_levels(levels)
     lo, hi, spacing = _window(field, grid_spec)
     rng = np.random.default_rng(seed)
-    ric_tol, product_tol, var_tol = TOLERANCE_PROFILES[tolerance_profile]
+    ric_tol, product_tol, var_tol = rigidity.TOLERANCE_PROFILES[tolerance_profile]
     manifest = RunManifest(
         "classify", inputs={"surface": field_to_descriptor(field)},
         config={"levels": levels_list, "window": [lo.tolist(), hi.tolist()],
@@ -225,11 +220,7 @@ def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
         seed=seed)
     rec = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
     manifest.config["dims"] = list(rec.dims)
-    kwargs = {}
-    if field.kind == "equidistant_cone":
-        kwargs = {"r_min": float(np.min(np.abs(field.domain.hi)) / 4),
-                  "r_max": float(np.min(np.abs(field.domain.hi)))}
-    pts = field.sample_points(samples, rng, **kwargs)
+    pts = field.sample_points(samples, rng)
     scan_res = rigidity.constancy_scan(field, pts)
     nonneg = scan_res.ric_min >= -ric_tol
     verdict = rigidity.classify_global(scan_res, rec.boundary_points, nonneg_ricci=nonneg,

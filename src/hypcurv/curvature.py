@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, ParameterError
 from .heightfield import HeightField, Jet2, _row_dot
@@ -196,6 +195,8 @@ def ricci_from_shape(spec: ShapeSpectrum) -> np.ndarray:
 
 def ricci_eigenvalues(ric: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Ricci operator (the pencil (Ric, g))."""
+    import scipy.linalg
+
     return scipy.linalg.eigh(ric, metric, eigvals_only=True)
 
 

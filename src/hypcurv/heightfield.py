@@ -142,9 +142,6 @@ class HeightField:
         """(f, Df, D2f) at points X of shape (P, n) that passed :meth:`_require`."""
         raise NotImplementedError
 
-    def _value(self, x) -> float:
-        return float(self._jet_array(x[None])[0][0])
-
     # public surface -----------------------------------------------------------------
     def contains(self, x) -> bool:
         """Is x in the box and outside every mask ball?"""
@@ -169,9 +166,6 @@ class HeightField:
             raise DomainError(f"point {X[np.argmax(masked)]} inside an excised ball")
         return X
 
-    def value(self, x) -> float:
-        return self._value(self._require(np.asarray(x, dtype=float)[None])[0])
-
     def jet_array(self, X):
         """Jets at points X of shape (P, n): f (P,), Df (P, n) and D2f (P, n, n).
 
@@ -188,16 +182,6 @@ class HeightField:
         x = np.asarray(x, dtype=float)
         f, df, hess = self._jet_array(self._require(x[None]))
         return Jet2(x, float(f[0]), df[0], hess[0])  # Jet2 makes the checks of jet_array
-
-    def height(self, x) -> float:
-        """h = log f; -inf inside a mask ball (where f degenerates)."""
-        x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x):
-            raise DomainError(f"point {x} outside domain box")
-        if _masked_points(self, x):
-            return -math.inf
-        v = self._value(x)
-        return math.log(v) if v > 0 else -math.inf
 
     def value_array(self, X: np.ndarray) -> np.ndarray:
         """Vectorized f over points X of shape (..., n); every kind supplies its own."""
@@ -359,6 +343,14 @@ class EquidistantCone(HeightField):
         X = np.asarray(X, dtype=float)
         return self.slope * np.sqrt(np.einsum("...i,...i->...", X, X))
 
+    def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
+                      margin: float = 0.0) -> np.ndarray:
+        """:meth:`HeightField.sample_points`, by default within the radius band
+        min|domain.hi| / 4 <= |x| <= min|domain.hi|, clear of the apex."""
+        reach = float(np.min(np.abs(self.domain.hi)))
+        return super().sample_points(count, rng, reach / 4 if r_min is None else r_min,
+                                     reach if r_max is None else r_max, margin)
+
     def params(self):
         return {"slope": self.slope, "mask_radius": self.masks[0].radius}
 
@@ -483,11 +475,8 @@ class SampledGridField(HeightField):
             out = np.einsum("pj...,pkj->p...k", out, weights[:, d])
         return out
 
-    def _value(self, x):
-        return self._interpolate(np.asarray(x, float)[None], 0).item()
-
     def value_array(self, X):
-        """Interpolated f over points X of shape (..., n), the same windows as ``_value``.
+        """Interpolated f over points X of shape (..., n), the windows of ``_jet_array``.
 
         Raises DomainError if the window of any point touches excised nodes.
         """
@@ -679,27 +668,20 @@ def fd_validate_jet(field: HeightField, x, step: float = None) -> JetValidation:
     if step is None:
         step = FD_STEP * max(1.0, float(np.linalg.norm(x)))
     jet = field.jet(x)
-
-    def val(y):
-        if not field.contains(y):
-            raise DomainError(f"finite-difference stencil exits domain at {y}")
-        return field._value(y)
-
-    f0 = val(x)
+    # the stencil: x, then x +- e_i, then x +- e_i +- e_j (i < j) in sign order ++ +- -+ --
     e = np.eye(n) * step
-    grad_fd = np.empty(n)
-    hess_fd = np.empty((n, n))
-    for i in range(n):
-        fp, fm = val(x + e[i]), val(x - e[i])
-        grad_fd[i] = (fp - fm) / (2 * step)
-        hess_fd[i, i] = (fp - 2 * f0 + fm) / step ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            fpp = val(x + e[i] + e[j])
-            fpm = val(x + e[i] - e[j])
-            fmp = val(x - e[i] + e[j])
-            fmm = val(x - e[i] - e[j])
-            hess_fd[i, j] = hess_fd[j, i] = (fpp - fpm - fmp + fmm) / (4 * step ** 2)
+    i, j = np.triu_indices(n, 1)
+    Y = np.concatenate([x[None], x + e, x - e, x + e[i] + e[j], x + e[i] - e[j],
+                        x - e[i] + e[j], x - e[i] - e[j]])
+    inside = field.contains_array(Y)
+    if not inside.all():
+        raise DomainError(
+            f"finite-difference stencil exits domain at {Y[np.argmin(inside)]}")
+    f0, fp, fm, fpp, fpm, fmp, fmm = np.split(field.value_array(Y),
+                                              np.cumsum([1, n, n] + [len(i)] * 3))
+    grad_fd = (fp - fm) / (2 * step)
+    hess_fd = np.diag((fp - 2 * f0 + fm) / step ** 2)
+    hess_fd[i, j] = hess_fd[j, i] = (fpp - fpm - fmp + fmm) / (4 * step ** 2)
     return JetValidation(
         grad_residual=float(np.max(np.abs(jet.grad - grad_fd))),
         hess_residual=float(np.max(np.abs(jet.hess - hess_fd))),

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError, PreconditionError
@@ -328,6 +326,8 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
 
 def _gradient_operator(dims, spacing, cell_mask):
     """Sparse map from node values to stacked per-cell gradient components."""
+    import scipy.sparse
+
     n = len(dims)
     cdims = [d - 1 for d in dims]
     ncells = int(np.prod(cdims))
@@ -357,6 +357,8 @@ def solve_laplace_linear(boundary_data: GridFunction) -> GridFunction:
     Assembles the cell-gradient operator explicitly and solves the normal equations,
     an independent route from the descent minimizer.
     """
+    import scipy.sparse.linalg
+
     gf = boundary_data.copy()
     gf.validate()
     active = gf.active_mask()

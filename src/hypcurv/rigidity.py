@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .curvature import (ShapeSpectrum, _cluster_labels, cluster_kappas, ricci_from_shape,
                         shape_spectra)
@@ -39,6 +38,12 @@ TUBE_PRODUCT_TOL = 1e-6
 CONSTANCY_VAR_TOL = 1e-10
 #: |kappa - 1| accepted by the horosphere verdict
 UMBILIC_ONE_TOL = 1e-8
+#: classify tolerances per profile, (ricci_null, product, variance): "fd" is the
+#: defaults above, loose enough for finite-difference jets; "strict" is for closed forms
+TOLERANCE_PROFILES = {
+    "strict": (1e-9, 1e-9, 1e-18),
+    "fd": (RICCI_NULL_TOL, TUBE_PRODUCT_TOL, CONSTANCY_VAR_TOL),
+}
 
 
 class Verdict(Enum):
@@ -91,6 +96,8 @@ def flat_direction_check(spec: ShapeSpectrum,
     Requires n >= 3 and a pointwise nonnegative Ricci spectrum (floor -ric_tol); an
     empty null space is a valid outcome, not an error.
     """
+    import scipy.linalg
+
     n = spec.kappas.size
     if n < 3:
         raise ParameterError("flat-direction analysis requires n >= 3")

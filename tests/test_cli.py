@@ -4,7 +4,10 @@ import gc
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -13,6 +16,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hypcurv
 from hypcurv import asymptotics
 from hypcurv.cli import main
 from hypcurv.reportio import dumps
@@ -314,6 +318,51 @@ def test_in_process_calls_release_redirected_streams(surfaces, args):
     del out, err
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+#: runs CLI commands (a JSON list of argument lists, argv[2]) in this fresh interpreter
+#: with the package under argv[1]; prints their exit codes and the scipy modules loaded
+COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from hypcurv import cli
+codes = []
+for args in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main.main(args=args, prog_name="hypcurv", standalone_mode=False)
+            codes.append(0)
+        except SystemExit as exc:
+            codes.append(exc.code)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def cold_start(surface, commands, tmp_path):
+    """Run each command, [name, *arguments], on ``surface`` in one fresh interpreter;
+    returns their exit codes and the scipy modules loaded."""
+    args = [[cmd, "--surface", surface, *rest] for cmd, *rest in commands]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypcurv.__file__)))
+    out = subprocess.run([sys.executable, "-c", COLD_START, src, json.dumps(args)],
+                         capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_point_and_solver_commands_load_no_scipy(self, surfaces, tmp_path):
+        box = "0.5,-0.5,-0.5:1.5,0.5,0.5"
+        got = cold_start(surfaces["cone"], [
+            ["scan", "--grid", f"{box}:5"], ["analyze", "--point", "1,0,0"],
+            ["solve", "--grid", f"{box}:9", "--out", str(tmp_path / "solve")],
+            ["probe", "--grid", f"{box}:9"]], tmp_path)
+        assert got == {"codes": [0, 0, 0, 0], "scipy": []}
+
+    def test_classify_loads_ndimage_when_it_labels(self, surfaces, tmp_path):
+        got = cold_start(surfaces["cone"], [["classify", "--samples", "10"]], tmp_path)
+        assert got["codes"] == [0]
+        assert "scipy.ndimage" in got["scipy"]
 
 
 class TestVerify:

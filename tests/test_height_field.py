@@ -42,14 +42,14 @@ class TestCatalogConstruction:
             d = field.tube_distance()
             rng = np.random.default_rng(1)
             for x in field.sample_points(10, rng, r_min=0.3, r_max=1.8):
-                f = field.value(x)
+                f = float(field.value_array(x))
                 assert math.sinh(d) == pytest.approx(np.linalg.norm(x) / f, rel=1e-12)
 
     def test_cone_masks_origin(self):
         field = cone()
         with pytest.raises(DomainError):
             field.jet([1e-4, 0.0, 0.0])
-        assert field.height([1e-4, 0.0, 0.0]) == -math.inf
+        assert field.height_array(np.array([1e-4, 0.0, 0.0])) == -math.inf
 
     @pytest.mark.parametrize("field", [cone(), cap(), make_catalog_surface(
         "equidistant_cone", {"slope": 1.0, "mask_radius": 0.3}, 3)])
@@ -67,7 +67,8 @@ class TestCatalogConstruction:
     def test_sphere_cap_values(self):
         field = cap()
         x = np.array([0.3, 0.0, 0.0])
-        assert field.value(x) == pytest.approx(2.0 - math.sqrt(1.0 - 0.09), rel=1e-15)
+        assert float(field.value_array(x)) == pytest.approx(2.0 - math.sqrt(1.0 - 0.09),
+                                                            rel=1e-15)
 
     def test_sphere_cap_hyperbolic_radius(self):
         # oracle: vertical-geodesic distance between the poles is log((a+b)/(a-b)) = 2r
@@ -192,7 +193,7 @@ class TestSampledGrid:
         # points across the box, its faces and slightly past them (clamped windows)
         X = rng.uniform(0.45, 1.35, size=(200, n))
         got = sampled.value_array(X.reshape(10, 20, n))
-        want = np.array([sampled._value(x) for x in X]).reshape(10, 20)
+        want = np.array([sampled.value_array(x[None])[0] for x in X]).reshape(10, 20)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -331,10 +332,11 @@ def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
        r_min=st.none() | st.floats(0.5, 1.5), width=st.none() | st.floats(0.02, 2.0))
 def test_sample_points_matches_one_at_a_time(seed, n, count, mask_radius, margin, r_min,
                                              width):
-    # the [-2, 2]^n cone with its apex ball; a band ends a width w past r_min (or 1),
-    # so it lies beyond the ball, and at w = 0.02 keeps about 2% of the candidates
-    field = make_catalog_surface("equidistant_cone",
-                                 {"slope": 1.0, "mask_radius": mask_radius}, n)
+    # the [-2, 2]^n box and ball of a cone, without the cone's default radius band; a
+    # band ends a width w past r_min (or 1), so it lies beyond the ball, and at w = 0.02
+    # keeps about 2% of the candidates
+    field = HeightField(n, Box(np.full(n, -2.0), np.full(n, 2.0)),
+                        masks=(BallMask(np.zeros(n), mask_radius),))
     r_max = None if width is None else (r_min or 1.0) + width
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     X = field.sample_points(count, fast, r_min=r_min, r_max=r_max, margin=margin)
@@ -344,6 +346,17 @@ def test_sample_points_matches_one_at_a_time(seed, n, count, mask_radius, margin
 
 
 class TestSampleArguments:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cone_default_band(self, n):
+        # the cone samples min|hi| / 4 <= |x| <= min|hi| unless told otherwise
+        field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, n)
+        X = field.sample_points(50, np.random.default_rng(n))
+        ref = HeightField.sample_points(field, 50, np.random.default_rng(n), r_min=0.5,
+                                        r_max=2.0)
+        assert X.tobytes() == ref.tobytes()
+        whole = field.sample_points(50, np.random.default_rng(n), r_min=0.0, r_max=np.inf)
+        assert np.max(np.linalg.norm(whole, axis=1)) > 2.0
+
     @pytest.mark.parametrize("margin", [2.0, 3.0])
     def test_margin_box_without_room(self, margin):
         # the horosphere's box is [-2, 2]^3: a margin of 2 leaves a point, 3 nothing
