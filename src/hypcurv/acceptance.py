@@ -89,7 +89,7 @@ def criterion_tube_spectrum(seed: int) -> CriterionResult:
     failures = []
     for s in (0.5, 1.0, 2.0, 5.0):
         field = make_catalog_surface("equidistant_cone", {"slope": s}, n)
-        pts = field.sample_points(100, rng, r_min=0.5, r_max=2.0)
+        pts = field.sample_points(100, rng)
         k0_expect = 1.0 / math.sqrt(1.0 + s * s)
         kt_expect = math.sqrt(1.0 + s * s)
         f, df, hess = field.jet_array(pts)
@@ -156,8 +156,7 @@ def criterion_inequality_chain(seed: int) -> CriterionResult:
     nonneg += [make_catalog_surface("geodesic_sphere_cap",
                                     {"center_height": 2.0, "euclidean_radius": 1.0}, n)]
     for field in nonneg:
-        kwargs = {"r_min": 0.5, "r_max": 2.0} if field.kind == "equidistant_cone" else {}
-        rep = regime_reports(*field.jet_array(field.sample_points(50, rng, **kwargs)))
+        rep = regime_reports(*field.jet_array(field.sample_points(50, rng)))
         (A, B), H = rep.factors, rep.spectrum.mean_closed
         _check(failures, np.all(np.abs(A + B - H) <= 1e-12 * np.maximum(1.0, np.abs(H))),
                f"A+B != H on {field.kind}")
@@ -290,7 +289,7 @@ def criterion_main_pipeline(seed: int) -> CriterionResult:
     cone = make_catalog_surface("equidistant_cone", {"slope": 1.0}, n)
     rec = asymptotics.recession_report(cone, [1, 2, 3, 4], *window, spacing)
     _check(failures, rec.boundary_points == 2, f"cone k={rec.boundary_points}")
-    samples = cone.sample_points(100, rng, r_min=0.5, r_max=2.0)
+    samples = cone.sample_points(100, rng)
     scan = rigidity.constancy_scan(cone, samples)
     verdict = rigidity.classify_global(scan, rec.boundary_points, nonneg_ricci=True)
     _check(failures, verdict is rigidity.Verdict.EQUIDISTANT_TUBE,

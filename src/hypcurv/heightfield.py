@@ -345,11 +345,12 @@ class EquidistantCone(HeightField):
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
                       margin: float = 0.0) -> np.ndarray:
-        """:meth:`HeightField.sample_points`, by default within the radius band
+        """:meth:`HeightField.sample_points`; with neither end of the band given, within
         min|domain.hi| / 4 <= |x| <= min|domain.hi|, clear of the apex."""
-        reach = float(np.min(np.abs(self.domain.hi)))
-        return super().sample_points(count, rng, reach / 4 if r_min is None else r_min,
-                                     reach if r_max is None else r_max, margin)
+        if r_min is None and r_max is None:
+            r_max = float(np.min(np.abs(self.domain.hi)))
+            r_min = r_max / 4
+        return super().sample_points(count, rng, r_min, r_max, margin)
 
     def params(self):
         return {"slope": self.slope, "mask_radius": self.masks[0].radius}
@@ -661,7 +662,7 @@ def fd_validate_jet(field: HeightField, x, step: float = None) -> JetValidation:
     """Compare the field's jet against 3-point gradient / 5-point-stencil Hessian differences.
 
     The default step 1e-4 is scaled by max(1, |x|); all stencil points must lie in the
-    field's domain or DomainError is raised.
+    field's domain, with f > 0, or DomainError is raised.
     """
     x = np.asarray(x, dtype=float)
     n = field.n
@@ -674,11 +675,14 @@ def fd_validate_jet(field: HeightField, x, step: float = None) -> JetValidation:
     Y = np.concatenate([x[None], x + e, x - e, x + e[i] + e[j], x + e[i] - e[j],
                         x - e[i] + e[j], x - e[i] - e[j]])
     inside = field.contains_array(Y)
+    if inside.all():
+        # f <= 0 marks a point off the graph's chart, as in height_array
+        values = field.value_array(Y)
+        inside = values > 0
     if not inside.all():
         raise DomainError(
             f"finite-difference stencil exits domain at {Y[np.argmin(inside)]}")
-    f0, fp, fm, fpp, fpm, fmp, fmm = np.split(field.value_array(Y),
-                                              np.cumsum([1, n, n] + [len(i)] * 3))
+    f0, fp, fm, fpp, fpm, fmp, fmm = np.split(values, np.cumsum([1, n, n] + [len(i)] * 3))
     grad_fd = (fp - fm) / (2 * step)
     hess_fd = np.diag((fp - 2 * f0 + fm) / step ** 2)
     hess_fd[i, j] = hess_fd[j, i] = (fpp - fpm - fmp + fmm) / (4 * step ** 2)

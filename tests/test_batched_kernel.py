@@ -93,7 +93,7 @@ CATALOG = [
 def test_batched_rows_match_oracles_on_catalog(n, surface, seed):
     field = make_catalog_surface(surface[0], surface[1], n)
     rng = np.random.default_rng(seed)
-    X = field.sample_points(6, rng, margin=0.01)
+    X = field.sample_points(6, rng, r_min=0.0, r_max=np.inf, margin=0.01)
     if field.kind == "equidistant_cone":
         # just outside the excised apex ball, where f is small and D2f large
         u = rng.normal(size=(3, n))

@@ -67,7 +67,7 @@ class TestFundamentalForms:
     def test_metric_inverse_and_normal_length(self):
         rng = np.random.default_rng(4)
         for field in (cone(0.7), cap(), plane(2.0), horosphere(1.7, 4)):
-            for x in field.sample_points(25, rng, margin=0.01):
+            for x in field.sample_points(25, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet = field.jet(x)
                 forms = shape_spectrum(jet).forms
                 assert np.max(np.abs(forms.metric @ forms.metric_inv - np.eye(field.n))) <= 1e-12
@@ -103,7 +103,7 @@ class TestShapeSpectrum:
     def test_frame_is_g_orthonormal_and_principal(self):
         rng = np.random.default_rng(5)
         for field in (cone(1.3), cap(), plane(0.6)):
-            for x in field.sample_points(20, rng, margin=0.01):
+            for x in field.sample_points(20, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet, forms, spec = spectrum_at(field, x)
                 gram = spec.frame.T @ forms.metric @ spec.frame
                 assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
@@ -180,7 +180,7 @@ class TestRicci:
     def test_commutation_on_catalog(self):
         rng = np.random.default_rng(8)
         for field in (horosphere(), cone(), cap(), plane()):
-            for x in field.sample_points(50, rng, margin=0.01):
+            for x in field.sample_points(50, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet, forms, spec = spectrum_at(field, x)
                 ric = ricci_coordinate(jet, forms)
                 assert commutation_residual(ric, forms.metric, spec.shape) <= 1e-9

@@ -108,7 +108,7 @@ class TestJets:
     def test_hessian_exactly_symmetric(self):
         rng = np.random.default_rng(2)
         for field in (cone(1.3), cap(), make_catalog_surface("tilted_plane", {"slope": 0.7}, 3)):
-            for x in field.sample_points(20, rng, margin=0.01):
+            for x in field.sample_points(20, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet = field.jet(x)
                 assert np.max(np.abs(jet.hess - jet.hess.T)) == 0.0
 
@@ -155,6 +155,13 @@ class TestFiniteDifferenceOracle:
         field = cone()
         with pytest.raises(DomainError):
             fd_validate_jet(field, [1.999, 0.0, 0.0], step=1e-2)
+
+    def test_stencil_off_the_cap_chart(self):
+        # a box past the chart |x| < b: the stencil's x + e_1 is off the graph
+        field = heightfield.GeodesicSphereCap(2.0, 1.0, domain=Box(np.full(3, -1.5),
+                                                                   np.full(3, 1.5)))
+        with pytest.raises(DomainError, match="exits domain"):
+            fd_validate_jet(field, [0.995, 0.0, 0.0], step=1e-2)
 
 
 class TestSampledGrid:
@@ -332,15 +339,16 @@ def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
        r_min=st.none() | st.floats(0.5, 1.5), width=st.none() | st.floats(0.02, 2.0))
 def test_sample_points_matches_one_at_a_time(seed, n, count, mask_radius, margin, r_min,
                                              width):
-    # the [-2, 2]^n box and ball of a cone, without the cone's default radius band; a
-    # band ends a width w past r_min (or 1), so it lies beyond the ball, and at w = 0.02
-    # keeps about 2% of the candidates
-    field = HeightField(n, Box(np.full(n, -2.0), np.full(n, 2.0)),
-                        masks=(BallMask(np.zeros(n), mask_radius),))
+    # the [-2, 2]^n cone with its apex ball; a band ends a width w past r_min (or 1),
+    # so it lies beyond the ball, and at w = 0.02 keeps about 2% of the candidates
+    field = make_catalog_surface("equidistant_cone",
+                                 {"slope": 1.0, "mask_radius": mask_radius}, n)
     r_max = None if width is None else (r_min or 1.0) + width
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
     X = field.sample_points(count, fast, r_min=r_min, r_max=r_max, margin=margin)
-    ref = sample_one_at_a_time(field, count, slow, r_min=r_min, r_max=r_max, margin=margin)
+    # with neither end given, the cone samples its default band 0.5 <= |x| <= 2
+    band = (0.5, 2.0) if r_min is None and r_max is None else (r_min, r_max)
+    ref = sample_one_at_a_time(field, count, slow, *band, margin=margin)
     assert X.tobytes() == ref.tobytes()
     assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -356,6 +364,12 @@ class TestSampleArguments:
         assert X.tobytes() == ref.tobytes()
         whole = field.sample_points(50, np.random.default_rng(n), r_min=0.0, r_max=np.inf)
         assert np.max(np.linalg.norm(whole, axis=1)) > 2.0
+        # one end given: the other stays open, as for any field
+        for r_min, r_max in ((2.1, None), (None, 0.3)):
+            X = field.sample_points(20, np.random.default_rng(n), r_min=r_min, r_max=r_max)
+            ref = HeightField.sample_points(field, 20, np.random.default_rng(n),
+                                            r_min=r_min, r_max=r_max)
+            assert X.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("margin", [2.0, 3.0])
     def test_margin_box_without_room(self, margin):

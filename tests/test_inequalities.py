@@ -68,7 +68,7 @@ class TestAdaptedFrame:
         # a frame that is not orthogonal or not aligned with Df changes the value
         rng = np.random.default_rng(9)
         for field in (cone(0.8), plane(1.4)):
-            for x in field.sample_points(25, rng, margin=0.01):
+            for x in field.sample_points(25, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet = field.jet(x)
                 val = grad_direction_ricci(jet)
                 assert abs(ricci_gradient_adapted(jet) - val) <= 1e-10 * (1.0 + abs(val))
@@ -96,7 +96,7 @@ class TestGradDirectionRicci:
     def test_matches_tensor_contraction_and_adapted_form(self):
         rng = np.random.default_rng(10)
         for field in (cone(1.7), plane(0.9), cap()):
-            for x in field.sample_points(40, rng, margin=0.01):
+            for x in field.sample_points(40, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet = field.jet(x)
                 if jet.grad_norm_sq < 1e-20:
                     continue
@@ -137,7 +137,7 @@ class TestKeyFactors:
     def test_sum_identity_everywhere(self):
         rng = np.random.default_rng(11)
         for field in (cone(0.5), cone(5.0), plane(2.0), horosphere(2.0, 4)):
-            for x in field.sample_points(50, rng, margin=0.01):
+            for x in field.sample_points(50, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 A, B, H = factors_at(field.jet(x))
                 assert abs(A + B - H) <= 1e-12 * max(1.0, abs(H))
 
@@ -201,7 +201,7 @@ class TestDensity:
     def test_matches_direct_expansion(self):
         rng = np.random.default_rng(13)
         for field in (cone(1.4), plane(0.8)):
-            for x in field.sample_points(40, rng, margin=0.01):
+            for x in field.sample_points(40, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet = field.jet(x)
                 density = point_regime_report(jet).n_subharmonic_density
                 direct = n_laplacian_expansion(jet)

@@ -118,7 +118,7 @@ class TestConstancyScan:
     def test_cone_constant_split(self, s):
         field = cone(s)
         rng = np.random.default_rng(17)
-        pts = field.sample_points(100, rng, r_min=0.5, r_max=2.0)
+        pts = field.sample_points(100, rng)
         scan = constancy_scan(field, pts)
         assert scan.split_ok and not scan.umbilic
         assert scan.kappa0_var <= 1e-20
@@ -217,7 +217,7 @@ class TestGlobalVerdict:
     def _cone_scan(self, s=1.0):
         field = cone(s)
         rng = np.random.default_rng(20)
-        return constancy_scan(field, field.sample_points(60, rng, r_min=0.5, r_max=2.0))
+        return constancy_scan(field, field.sample_points(60, rng))
 
     def test_equidistant_tube(self):
         assert classify_global(self._cone_scan(), 2) is Verdict.EQUIDISTANT_TUBE
@@ -259,7 +259,7 @@ class TestGlobalVerdict:
     def test_rigidity_report_pipeline(self):
         field = cone()
         rng = np.random.default_rng(23)
-        pts = field.sample_points(40, rng, r_min=0.5, r_max=2.0)
+        pts = field.sample_points(40, rng)
         scan = constancy_scan(field, pts)
         assert classify_global(scan, 2) is Verdict.EQUIDISTANT_TUBE
         assert max(scan.kappa0_var, scan.kappa_t_var) <= 1e-20
