@@ -1,10 +1,15 @@
-"""`classify` and `boundary` reports against committed golden payloads.
+"""CLI reports against committed golden files.
 
-Each file under ``tests/data/golden`` holds one report without its manifest, as
-``reportio.dumps`` writes it. The files were made by the per-sample and per-label
-implementation that the batched sampling, sublevel and clustering passes replaced;
-the payloads must stay byte for byte the same. Regenerate only for an intended
-change of output: ``python tests/test_golden_reports.py``.
+Each ``tests/data/golden/<case>.json`` holds one `classify` or `boundary` report
+without its manifest, as ``reportio.dumps`` writes it. The files were made by the
+per-sample and per-label implementation that the batched sampling, sublevel and
+clustering passes replaced; the payloads must stay byte for byte the same.
+
+Each ``tests/data/golden/<case>/`` directory holds the whole output of one
+`analyze`, `probe`, `solve` or `scan` run with ``--out``, manifest included: the
+files it writes, the first of which is also what it prints.
+
+Regenerate only for an intended change of output: ``python tests/test_golden_reports.py``.
 """
 
 import json
@@ -47,16 +52,42 @@ CASES = {
     "boundary_horosphere": ("horosphere", ["boundary"]),
     "boundary_cap": ("cap", ["boundary", "--grid", "-0.3,-0.3,-0.3:0.3,0.3,0.3:65"]),
 }
+BOX_9 = ["--grid", "0.5,-0.5,-0.5:1.5,0.5,0.5:9"]
+#: case name -> (surface, CLI arguments after --surface, the files --out writes); the
+#: command prints the first file
+DOCUMENTS = {
+    "analyze_cone": ("cone_unit", ["analyze", "--point", "0.7,0.2,-0.3"], ["analyze.json"]),
+    "probe_cone": ("cone_unit", ["probe", *BOX_9], ["probe.json"]),
+    "solve_cone": ("cone_unit", ["solve", *BOX_9, "--p", "3"],
+                   ["solve.json", "energy_trace.csv", "solution.json"]),
+    # scan spaces each axis of the spec evenly: 0.5, 0.6 and 0.5 here
+    "scan_cone": ("cone_unit", ["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.7,0.5:3"],
+                  ["scan.csv", "scan.manifest.json"]),
+}
 
 
-def run_case(tmp_dir, case) -> dict:
-    """The case's report, parsed."""
-    surface, args = CASES[case]
+def invoke(tmp_dir, surface, args) -> str:
+    """What the command prints for the named surface."""
     path = pathlib.Path(tmp_dir) / f"{surface}.json"
     path.write_text(json.dumps(SURFACES[surface]))
     result = CliRunner().invoke(main, [args[0], "--surface", str(path), *args[1:]])
     assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    return result.output
+
+
+def run_case(tmp_dir, case) -> dict:
+    """The case's report, parsed."""
+    return json.loads(invoke(tmp_dir, *CASES[case]))
+
+
+def run_document(tmp_dir, case) -> dict:
+    """File name -> text of what the case's command writes with ``--out``."""
+    surface, args, files = DOCUMENTS[case]
+    out = pathlib.Path(tmp_dir) / "out"
+    printed = invoke(tmp_dir, surface, [*args, "--out", str(out)])
+    written = {name: (out / name).read_text() for name in files}
+    assert printed == written[files[0]]
+    return written
 
 
 def report_payload(tmp_dir, case) -> str:
@@ -75,6 +106,12 @@ def test_payload_matches_golden(tmp_path, case):
     assert report_payload(tmp_path, case) == (GOLDEN / f"{case}.json").read_text()
 
 
+@pytest.mark.parametrize("case", sorted(DOCUMENTS))
+def test_document_matches_golden(tmp_path, case):
+    for name, text in run_document(tmp_path, case).items():
+        assert text == (GOLDEN / case / name).read_text(), name
+
+
 @pytest.mark.parametrize("case,dims", [("classify_cone4", [17] * 4),
                                        ("boundary_cone_offset", [41] * 3)])
 def test_manifest_records_lattice_dims(tmp_path, case, dims):
@@ -90,3 +127,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
             (GOLDEN / f"{name}.json").write_text(report_payload(tmp, name))
+    for name in sorted(DOCUMENTS):
+        (GOLDEN / name).mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            for file, text in run_document(tmp, name).items():
+                (GOLDEN / name / file).write_text(text)
