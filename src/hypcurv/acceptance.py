@@ -44,17 +44,43 @@ def random_jet(rng, n: int) -> Jet2:
     return Jet2(np.zeros(n), f, grad, 0.5 * (h + h.T))
 
 
-def _check(failures, ok, msg):
-    if not ok:
-        failures.append(msg)
+#: criterion name -> criterion(seed) -> CriterionResult, in suite order
+CRITERIA = {}
+#: spec runtime budget per criterion, seconds
+RUNTIME_BUDGET = {}
 
 
-def criterion_horosphere_identity(seed: int) -> CriterionResult:
+def _criterion(name: str, budget: float):
+    """Register ``body(seed, check)`` as the criterion ``name`` with its runtime budget.
+
+    ``check(ok, msg)`` records msg when ok is false.  The registered criterion times
+    the body and reports the first recorded failure, or else the body's summary.
+    """
+    def register(body):
+        def criterion(seed: int) -> CriterionResult:
+            t0 = time.time()
+            failures = []
+
+            def check(ok, msg):
+                if not ok:
+                    failures.append(msg)
+
+            summary = body(seed, check)
+            return CriterionResult(name, not failures, failures[0] if failures else summary,
+                                   time.time() - t0)
+
+        criterion.__doc__ = body.__doc__
+        CRITERIA[name] = criterion
+        RUNTIME_BUDGET[name] = budget
+        return criterion
+    return register
+
+
+@_criterion("horosphere-identity", 1.0)
+def criterion_horosphere_identity(seed: int, check) -> str:
     """II = g, kappa = 1, H = n, Ric = 0 and zero density on constant graphs."""
-    t0 = time.time()
     tol = 1e-12
     rng = np.random.default_rng(seed)
-    failures = []
     for n in (3, 4):
         for c in (1.0, 2.5):
             field = make_catalog_surface("horosphere", {"c": c}, n)
@@ -62,31 +88,26 @@ def criterion_horosphere_identity(seed: int) -> CriterionResult:
             f, df, hess = field.jet_array(pts)
             rep = regime_reports(f, df, hess)
             spec = rep.spectrum
-            _check(failures, np.max(np.abs(spec.second_form - spec.forms.metric)) <= tol,
-                   f"II != g at n={n} c={c}")
-            _check(failures, np.max(np.abs(spec.kappas - 1.0)) <= tol,
-                   f"kappa != 1 at n={n} c={c}")
-            _check(failures, np.max(np.abs(spec.mean - n)) <= tol,
-                   f"H != n at n={n} c={c}")
+            check(np.max(np.abs(spec.second_form - spec.forms.metric)) <= tol,
+                  f"II != g at n={n} c={c}")
+            check(np.max(np.abs(spec.kappas - 1.0)) <= tol, f"kappa != 1 at n={n} c={c}")
+            check(np.max(np.abs(spec.mean - n)) <= tol, f"H != n at n={n} c={c}")
             for i, x in enumerate(pts):
                 row = spec.point(i)
                 ric = ricci_coordinate(Jet2(x, f[i], df[i], hess[i]), row.forms)
                 ric2 = ricci_from_shape(row)
-                _check(failures, np.max(np.abs(ric)) <= tol, f"Ric != 0 at n={n} c={c}")
-                _check(failures, np.max(np.abs(ric2)) <= tol,
-                       f"shape-route Ric != 0 at n={n} c={c}")
-            _check(failures, np.max(np.abs(rep.n_subharmonic_density)) <= tol,
-                   f"density != 0 at n={n} c={c}")
-    detail = failures[0] if failures else "II=g, kappa=1, H=n, Ric=0, density=0 at 1e-12"
-    return CriterionResult("horosphere-identity", not failures, detail, time.time() - t0)
+                check(np.max(np.abs(ric)) <= tol, f"Ric != 0 at n={n} c={c}")
+                check(np.max(np.abs(ric2)) <= tol, f"shape-route Ric != 0 at n={n} c={c}")
+            check(np.max(np.abs(rep.n_subharmonic_density)) <= tol,
+                  f"density != 0 at n={n} c={c}")
+    return "II=g, kappa=1, H=n, Ric=0, density=0 at 1e-12"
 
 
-def criterion_tube_spectrum(seed: int) -> CriterionResult:
+@_criterion("equidistant-tube-spectrum", 5.0)
+def criterion_tube_spectrum(seed: int, check) -> str:
     """Cone spectrum splits {1,n-1}, reciprocal product, flat direction root match."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     n = 3
-    failures = []
     for s in (0.5, 1.0, 2.0, 5.0):
         field = make_catalog_surface("equidistant_cone", {"slope": s}, n)
         pts = field.sample_points(100, rng)
@@ -96,33 +117,28 @@ def criterion_tube_spectrum(seed: int) -> CriterionResult:
         spec = shape_spectra(f, df, hess)
         for kappas in spec.kappas:
             clusters = cluster_kappas(kappas)
-            _check(failures, len(clusters) == 2 and len(clusters[0]) == 1
-                   and len(clusters[1]) == n - 1, f"bad cluster split at s={s}")
+            check(len(clusters) == 2 and len(clusters[0]) == 1
+                  and len(clusters[1]) == n - 1, f"bad cluster split at s={s}")
         k0s, kts = spec.kappas[:, 0], spec.kappas[:, 1:].ravel()
-        _check(failures, np.max(np.abs(k0s[:, None] * spec.kappas[:, 1:] - 1.0)) <= 1e-10,
-               f"kappa0*kappa_t != 1 at s={s}")
+        check(np.max(np.abs(k0s[:, None] * spec.kappas[:, 1:] - 1.0)) <= 1e-10,
+              f"kappa0*kappa_t != 1 at s={s}")
         for i, x in enumerate(pts):
             jet = Jet2(x, f[i], df[i], hess[i])
-            _check(failures, abs(grad_direction_ricci(jet)) <= 1e-9,
-                   f"gradient-direction Ricci != 0 at s={s}")
+            check(abs(grad_direction_ricci(jet)) <= 1e-9,
+                  f"gradient-direction Ricci != 0 at s={s}")
         roots = (spec.mean - np.sqrt(spec.mean ** 2 - 4 * (n - 1))) / 2
-        _check(failures, np.max(np.abs(k0s - roots)) <= 1e-8,
-               f"kappa0 != smaller root at s={s}")
-        _check(failures, abs(np.mean(k0s) - k0_expect) <= 1e-10, f"kappa0 value at s={s}")
-        _check(failures, abs(np.mean(kts) - kt_expect) <= 1e-10, f"kappa_t value at s={s}")
-        _check(failures, np.var(k0s) <= 1e-18, f"kappa0 variance at s={s}")
-        _check(failures, np.var(kts) <= 1e-18, f"kappa_t variance at s={s}")
-    detail = failures[0] if failures else \
-        "kappa split, product=1 @1e-10, var<=1e-18, grad Ricci=0 @1e-9, root @1e-8"
-    return CriterionResult("equidistant-tube-spectrum", not failures, detail,
-                           time.time() - t0)
+        check(np.max(np.abs(k0s - roots)) <= 1e-8, f"kappa0 != smaller root at s={s}")
+        check(abs(np.mean(k0s) - k0_expect) <= 1e-10, f"kappa0 value at s={s}")
+        check(abs(np.mean(kts) - kt_expect) <= 1e-10, f"kappa_t value at s={s}")
+        check(np.var(k0s) <= 1e-18, f"kappa0 variance at s={s}")
+        check(np.var(kts) <= 1e-18, f"kappa_t variance at s={s}")
+    return "kappa split, product=1 @1e-10, var<=1e-18, grad Ricci=0 @1e-9, root @1e-8"
 
 
-def criterion_two_route_ricci(seed: int) -> CriterionResult:
+@_criterion("two-route-ricci", 10.0)
+def criterion_two_route_ricci(seed: int, check) -> str:
     """Coordinate Ricci equals the shape-operator polynomial on random jets."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
-    failures = []
     worst_dev, worst_comm = 0.0, 0.0
     for n in (3, 4, 5):
         jets = [random_jet(rng, n) for _ in range(1000)]
@@ -137,19 +153,16 @@ def criterion_two_route_ricci(seed: int) -> CriterionResult:
             comm = commutation_residual(r1, spec.forms.metric, spec.shape)
             worst_dev = max(worst_dev, dev)
             worst_comm = max(worst_comm, comm)
-    _check(failures, worst_dev <= 1e-9, f"two-route deviation {worst_dev:.2e}")
-    _check(failures, worst_comm <= 1e-9, f"commutation residual {worst_comm:.2e}")
-    detail = failures[0] if failures else \
-        f"3000 jets: route deviation {worst_dev:.1e}, commutation {worst_comm:.1e}"
-    return CriterionResult("two-route-ricci", not failures, detail, time.time() - t0)
+    check(worst_dev <= 1e-9, f"two-route deviation {worst_dev:.2e}")
+    check(worst_comm <= 1e-9, f"commutation residual {worst_comm:.2e}")
+    return f"3000 jets: route deviation {worst_dev:.1e}, commutation {worst_comm:.1e}"
 
 
-def criterion_inequality_chain(seed: int) -> CriterionResult:
+@_criterion("inequality-chain", 5.0)
+def criterion_inequality_chain(seed: int, check) -> str:
     """A+B=H, AB >= n-1, H >= n, density >= 0 on nonneg-Ricci fields; plane discriminates."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     n = 3
-    failures = []
     nonneg = [make_catalog_surface("horosphere", {"c": 1.0}, n)]
     nonneg += [make_catalog_surface("equidistant_cone", {"slope": s}, n)
                for s in (0.5, 1.0, 2.0, 5.0)]
@@ -158,33 +171,29 @@ def criterion_inequality_chain(seed: int) -> CriterionResult:
     for field in nonneg:
         rep = regime_reports(*field.jet_array(field.sample_points(50, rng)))
         (A, B), H = rep.factors, rep.spectrum.mean_closed
-        _check(failures, np.all(np.abs(A + B - H) <= 1e-12 * np.maximum(1.0, np.abs(H))),
-               f"A+B != H on {field.kind}")
-        _check(failures, np.all(A * B >= n - 1 - 1e-9), f"AB < n-1 on {field.kind}")
-        _check(failures, np.all(H >= n - 1e-9), f"H < n on {field.kind}")
-        _check(failures, np.all(rep.n_subharmonic_density >= -1e-9),
-               f"density < 0 on {field.kind}")
+        check(np.all(np.abs(A + B - H) <= 1e-12 * np.maximum(1.0, np.abs(H))),
+              f"A+B != H on {field.kind}")
+        check(np.all(A * B >= n - 1 - 1e-9), f"AB < n-1 on {field.kind}")
+        check(np.all(H >= n - 1e-9), f"H < n on {field.kind}")
+        check(np.all(rep.n_subharmonic_density >= -1e-9), f"density < 0 on {field.kind}")
     plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, n)
     pts = plane.sample_points(50, rng)
     rep = regime_reports(*plane.jet_array(pts))
     AB, x1 = rep.factors[0] * rep.factors[1], pts[:, 0]
-    _check(failures, np.all(np.abs(AB - 1.0) <= 1e-12), "plane AB != 1")
-    _check(failures, np.all(AB < n - 1), "plane AB not < n-1")
-    _check(failures, np.all(np.abs(rep.n_subharmonic_density + 2.0 / x1 ** 2)
-                            <= 1e-9 / x1 ** 2), "plane density != -2/x1^2")
-    detail = failures[0] if failures else \
-        "A+B=H @1e-12, AB>=n-1, H>=n, density>=0; plane AB=1<2, density=-2/x1^2"
-    return CriterionResult("inequality-chain", not failures, detail, time.time() - t0)
+    check(np.all(np.abs(AB - 1.0) <= 1e-12), "plane AB != 1")
+    check(np.all(AB < n - 1), "plane AB not < n-1")
+    check(np.all(np.abs(rep.n_subharmonic_density + 2.0 / x1 ** 2)
+                 <= 1e-9 / x1 ** 2), "plane density != -2/x1^2")
+    return "A+B=H @1e-12, AB>=n-1, H>=n, density>=0; plane AB=1<2, density=-2/x1^2"
 
 
-def criterion_fd_oracles(seed: int) -> CriterionResult:
+@_criterion("fd-oracles", 30.0)
+def criterion_fd_oracles(seed: int, check) -> str:
     """Codazzi and Gauss residuals converge at order >= 1.9 with terminal <= 1e-4."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     n = 3
     steps = (1e-3, 5e-4)
     floor = 1e-10
-    failures = []
     fields = [
         make_catalog_surface("horosphere", {"c": 1.0}, n),
         make_catalog_surface("equidistant_cone", {"slope": 1.0}, n),
@@ -198,15 +207,12 @@ def criterion_fd_oracles(seed: int) -> CriterionResult:
         coarse, fine = (np.stack(fd_residuals(field, pts, step), axis=1) for step in steps)
         for x, point_coarse, point_fine in zip(pts, coarse, fine):
             for r_coarse, r_fine, tag in zip(point_coarse, point_fine, ("codazzi", "gauss")):
-                _check(failures, r_fine <= 1e-4,
-                       f"{tag} terminal residual {r_fine:.2e} on {field.kind}")
+                check(r_fine <= 1e-4,
+                      f"{tag} terminal residual {r_fine:.2e} on {field.kind}")
                 if r_fine > floor:
                     order = math.log2(r_coarse / r_fine)
-                    _check(failures, order >= 1.9,
-                           f"{tag} order {order:.2f} on {field.kind} at {x}")
-    detail = failures[0] if failures else \
-        "codazzi+gauss: order >= 1.9 under halving, terminal <= 1e-4 (20 pts/surface)"
-    return CriterionResult("fd-oracles", not failures, detail, time.time() - t0)
+                    check(order >= 1.9, f"{tag} order {order:.2f} on {field.kind} at {x}")
+    return "codazzi+gauss: order >= 1.9 under halving, terminal <= 1e-4 (20 pts/surface)"
 
 
 def _annulus_box_heights(fn, lo, hi, spacing):
@@ -216,10 +222,9 @@ def _annulus_box_heights(fn, lo, hi, spacing):
     return GridFunction(dims, spacing, lo, fn(mesh))
 
 
-def criterion_fundamental_solution(seed: int) -> CriterionResult:
+@_criterion("n-harmonic-fundamental-solution", 60.0)
+def criterion_fundamental_solution(seed: int, check) -> str:
     """p=n=3 solve reproduces log|x| at 1e-3; monotone trace; p=2 matches direct solve."""
-    t0 = time.time()
-    failures = []
     spacing = 1.0 / 32
     lo, hi = (0.5, -0.5, -0.5), (1.5, 0.5, 0.5)
     exact = _annulus_box_heights(
@@ -230,9 +235,9 @@ def criterion_fundamental_solution(seed: int) -> CriterionResult:
     cfg = plaplace.SolverConfig(p=3.0, tolerance=1e-13)
     res = plaplace.solve_p_harmonic(start, cfg)
     err = float(np.max(np.abs(res.grid.values - exact.values)))
-    _check(failures, err <= 1e-3, f"max error vs log|x| is {err:.2e}")
+    check(err <= 1e-3, f"max error vs log|x| is {err:.2e}")
     mono = bool(np.all(np.diff(res.energy_trace) <= 0.0))
-    _check(failures, mono, "energy trace not monotone")
+    check(mono, "energy trace not monotone")
 
     # p = 2 reduction against the sparse direct solve; small grid and amplitude keep
     # the energy-resolution floor of the descent far below the 1e-8 tolerance
@@ -248,63 +253,53 @@ def criterion_fundamental_solution(seed: int) -> CriterionResult:
         gf, plaplace.SolverConfig(p=2.0, tolerance=1e-16, max_iterations=100000,
                                   stall_iterations=10))
     dev = float(np.max(np.abs(direct.values - iterative.grid.values)))
-    _check(failures, dev <= 1e-8, f"p=2 oracle deviation {dev:.2e}")
-    detail = failures[0] if failures else \
-        f"33^3 solve err {err:.1e} <= 1e-3, trace monotone, p=2 oracle dev {dev:.1e}"
-    return CriterionResult("n-harmonic-fundamental-solution", not failures, detail,
-                           time.time() - t0)
+    check(dev <= 1e-8, f"p=2 oracle deviation {dev:.2e}")
+    return f"33^3 solve err {err:.1e} <= 1e-3, trace monotone, p=2 oracle dev {dev:.1e}"
 
 
-def criterion_viscosity_probe(seed: int) -> CriterionResult:
+@_criterion("viscosity-probe", 60.0)
+def criterion_viscosity_probe(seed: int, check) -> str:
     """Probe true on horosphere and cone boxes, false on the tilted-plane box."""
-    t0 = time.time()
-    failures = []
     cfg = plaplace.SolverConfig(p=3.0, tolerance=1e-13)
     hs = make_catalog_surface("horosphere", {"c": 1.0}, 3)
     r = plaplace.viscosity_probe(hs, [-0.5] * 3, [0.5] * 3, cfg, spacing=1.0 / 16)
-    _check(failures, r.subharmonic, f"horosphere probe false (margin {r.min_margin:.2e})")
+    check(r.subharmonic, f"horosphere probe false (margin {r.min_margin:.2e})")
     cone = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
     r = plaplace.viscosity_probe(cone, (0.5, -0.5, -0.5), (1.5, 0.5, 0.5), cfg,
                                  spacing=1.0 / 16)
-    _check(failures, r.subharmonic, f"cone probe false (margin {r.min_margin:.2e})")
+    check(r.subharmonic, f"cone probe false (margin {r.min_margin:.2e})")
     plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
     r = plaplace.viscosity_probe(plane, (1.0, -0.5, -0.5), (2.0, 0.5, 0.5), cfg,
                                  spacing=1.0 / 32)
-    _check(failures, not r.subharmonic,
-           f"plane probe true (margin {r.min_margin:.2e} vs tol {r.tolerance:.2e})")
-    detail = failures[0] if failures else \
-        "probe: horosphere true, cone true, tilted plane false at 10*spacing^2"
-    return CriterionResult("viscosity-probe", not failures, detail, time.time() - t0)
+    check(not r.subharmonic,
+          f"plane probe true (margin {r.min_margin:.2e} vs tol {r.tolerance:.2e})")
+    return "probe: horosphere true, cone true, tilted plane false at 10*spacing^2"
 
 
-def criterion_main_pipeline(seed: int) -> CriterionResult:
+@_criterion("main-theorem-pipeline", 30.0)
+def criterion_main_pipeline(seed: int, check) -> str:
     """Cone classifies as the tube with k=2; horosphere k=1; k<=2 everywhere; decay."""
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     n = 3
-    failures = []
     spacing = 1.0 / 64
     window = ([-0.5] * 3, [0.5] * 3)
 
     cone = make_catalog_surface("equidistant_cone", {"slope": 1.0}, n)
     rec = asymptotics.recession_report(cone, [1, 2, 3, 4], *window, spacing)
-    _check(failures, rec.boundary_points == 2, f"cone k={rec.boundary_points}")
+    check(rec.boundary_points == 2, f"cone k={rec.boundary_points}")
     samples = cone.sample_points(100, rng)
     scan = rigidity.constancy_scan(cone, samples)
     verdict = rigidity.classify_global(scan, rec.boundary_points, nonneg_ricci=True)
-    _check(failures, verdict is rigidity.Verdict.EQUIDISTANT_TUBE,
-           f"cone verdict {verdict.value}")
+    check(verdict is rigidity.Verdict.EQUIDISTANT_TUBE, f"cone verdict {verdict.value}")
     for a, b in zip(rec.max_diameters, rec.max_diameters[1:]):
-        _check(failures, b <= a / math.e + 2 * spacing,
-               f"diameter decay {a:.3f}->{b:.3f} too slow")
+        check(b <= a / math.e + 2 * spacing, f"diameter decay {a:.3f}->{b:.3f} too slow")
 
     hs = make_catalog_surface("horosphere", {"c": 1.0}, n)
     rec_h = asymptotics.recession_report(hs, [1, 2, 3, 4], *window, spacing)
-    _check(failures, rec_h.boundary_points == 1, f"horosphere k={rec_h.boundary_points}")
+    check(rec_h.boundary_points == 1, f"horosphere k={rec_h.boundary_points}")
     scan_h = rigidity.constancy_scan(hs, hs.sample_points(50, rng))
     verdict_h = rigidity.classify_global(scan_h, rec_h.boundary_points, nonneg_ricci=True)
-    _check(failures, verdict_h is rigidity.Verdict.HOROSPHERE,
-           f"horosphere verdict {verdict_h.value}")
+    check(verdict_h is rigidity.Verdict.HOROSPHERE, f"horosphere verdict {verdict_h.value}")
 
     fields = [hs, cone]
     fields += [make_catalog_surface("equidistant_cone", {"slope": s}, n)
@@ -319,35 +314,8 @@ def criterion_main_pipeline(seed: int) -> CriterionResult:
     rep = asymptotics.recession_report(cap, [1, 2, 3, 4], lo, hi,
                                        float(hi[0] - lo[0]) / 32)
     ks.append(rep.boundary_points)
-    _check(failures, all(k <= 2 for k in ks), f"some k > 2: {ks}")
-    detail = failures[0] if failures else \
-        f"cone=EquidistantTube k=2, horosphere k=1, all k<=2 ({ks}), decay factor >= e"
-    return CriterionResult("main-theorem-pipeline", not failures, detail,
-                           time.time() - t0)
-
-
-CRITERIA = {
-    "horosphere-identity": criterion_horosphere_identity,
-    "equidistant-tube-spectrum": criterion_tube_spectrum,
-    "two-route-ricci": criterion_two_route_ricci,
-    "inequality-chain": criterion_inequality_chain,
-    "fd-oracles": criterion_fd_oracles,
-    "n-harmonic-fundamental-solution": criterion_fundamental_solution,
-    "viscosity-probe": criterion_viscosity_probe,
-    "main-theorem-pipeline": criterion_main_pipeline,
-}
-
-#: spec runtime budget per criterion, seconds
-RUNTIME_BUDGET = {
-    "horosphere-identity": 1.0,
-    "equidistant-tube-spectrum": 5.0,
-    "two-route-ricci": 10.0,
-    "inequality-chain": 5.0,
-    "fd-oracles": 30.0,
-    "n-harmonic-fundamental-solution": 60.0,
-    "viscosity-probe": 60.0,
-    "main-theorem-pipeline": 30.0,
-}
+    check(all(k <= 2 for k in ks), f"some k > 2: {ks}")
+    return f"cone=EquidistantTube k=2, horosphere k=1, all k<=2 ({ks}), decay factor >= e"
 
 
 def run_suite(names=None, seed: int = 7, echo=print) -> list:

@@ -20,7 +20,7 @@ from .errors import HypcurvError
 from .gridfn import save_grid_function
 from .heightfield import FD_STEP, field_from_json, field_to_descriptor, sample_height_grid
 from .inequalities import grad_direction_ricci, point_regime_report, scan_field
-from .reportio import RunManifest, dumps, format_float, write_report
+from .reportio import RunManifest, dumps, format_float
 
 
 def _parse_tuple(text: str) -> np.ndarray:
@@ -79,18 +79,20 @@ def _load_surface(path: str):
         raise click.UsageError(f"invalid surface descriptor {path}: {exc}")
 
 
-def _emit(payload: dict, manifest: RunManifest, out: str, name: str):
-    doc = {"manifest": manifest.to_dict()}
-    doc.update(payload)
-    text = dumps(doc)
-    # explicit streams throughout: click caches its default stream per sys.stdout
-    # object and so keeps every redirected stdout, with its report, alive in-process
-    click.echo(text, nl=False, file=sys.stdout)
+def _emit(payload: dict, manifest: RunManifest, out: str, name: str) -> str:
+    """The JSON report: the manifest, then the payload; also written to out/name."""
+    text = dumps({"manifest": manifest.to_dict(), **payload})
     if out:
         os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, name)
-        with open(path, "w") as fh:
+        with open(os.path.join(out, name), "w") as fh:
             fh.write(text)
+    return text
+
+
+def _echo(text: str):
+    # an explicit stream: click caches its default stream per sys.stdout object and
+    # so keeps every redirected stdout, with its report, alive in-process
+    click.echo(text, nl=False, file=sys.stdout)
 
 
 surface_opt = click.option("--surface", required=True, type=click.Path(exists=True),
@@ -153,7 +155,7 @@ def analyze(surface, point, step, out):
     }
     if not regime.at_critical_point:
         report["grad_direction_ricci"] = grad_direction_ricci(jet)
-    _emit(report, manifest, out, "analyze.json")
+    _echo(_emit(report, manifest, out, "analyze.json"))
 
 
 @main.command()
@@ -184,13 +186,13 @@ def scan(surface, grid_spec, seed, out):
         cells = [format_float(v) if isinstance(v, float) else str(v) for v in row]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
-    click.echo(text, nl=False, file=sys.stdout)  # see _emit
+    _echo(text)
     if out:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, "scan.csv"), "w") as fh:
             fh.write(text)
         manifest.outputs.append("scan.csv")
-        write_report(os.path.join(out, "scan.manifest.json"), {}, manifest)
+        _emit({}, manifest, out, "scan.manifest.json")
 
 
 @main.command()
@@ -228,7 +230,7 @@ def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
     payload = rigidity.verdict_report(verdict, scan_res, rec.boundary_points)
     payload["nonneg_ricci_on_samples"] = bool(nonneg)
     payload["recession"] = asymptotics.recession_json(rec)
-    _emit(payload, manifest, out, "classify.json")
+    _echo(_emit(payload, manifest, out, "classify.json"))
 
 
 @main.command()
@@ -271,7 +273,7 @@ def solve(surface, grid_spec, p_value, out):
             for i, (e, s) in enumerate(zip(res.energy_trace, steps)):
                 fh.write(f"{i},{format_float(float(e))},{format_float(float(s))}\n")
         manifest.outputs += ["solution.csv", "solution.json", "energy_trace.csv"]
-    _emit(payload, manifest, out, "solve.json")
+    _echo(_emit(payload, manifest, out, "solve.json"))
 
 
 @main.command()
@@ -301,7 +303,7 @@ def probe(surface, grid_spec, p_value, out):
         "stop_reason": result.stop_reason,
         "backtracks": result.backtracks,
     }
-    _emit(payload, manifest, out, "probe.json")
+    _echo(_emit(payload, manifest, out, "probe.json"))
 
 
 @main.command()
@@ -321,7 +323,7 @@ def boundary(surface, levels, grid_spec, out):
                                    "spacing": spacing})
     rep = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
     manifest.config["dims"] = list(rep.dims)
-    _emit(asymptotics.recession_json(rep), manifest, out, "boundary.json")
+    _echo(_emit(asymptotics.recession_json(rep), manifest, out, "boundary.json"))
 
 
 @main.command()
@@ -344,8 +346,7 @@ def verify(suite, seed, out):
                       "elapsed": r.elapsed} for r in results],
     }
     if out:
-        os.makedirs(out, exist_ok=True)
-        write_report(os.path.join(out, "verify.json"), payload, manifest)
+        _emit(payload, manifest, out, "verify.json")
     if not payload["passed"]:
         sys.exit(1)
 

@@ -17,6 +17,7 @@ Jets from closed forms are cross-validated against central differences by
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ __all__ = [
     "Jet2", "Box", "BallMask", "HeightField",
     "Horosphere", "GeodesicSphereCap", "EquidistantCone", "TiltedPlane", "SampledGridField",
     "make_catalog_surface", "field_from_descriptor", "field_from_json", "field_to_descriptor",
-    "fd_validate_jet", "JetValidation", "sample_height_grid", "CATALOG_KINDS",
+    "fd_validate_jet", "JetValidation", "sample_height_grid",
 ]
 
 #: default finite-difference step before the max(1, |x|) scaling
@@ -41,9 +42,6 @@ CONE_MASK_RADIUS = 1e-3
 INTERP_ORDER = 4
 #: points interpolated per batch by ``SampledGridField._interpolate``
 VALUE_CHUNK = 4096
-
-CATALOG_KINDS = ("horosphere", "geodesic_sphere_cap", "equidistant_cone",
-                 "tilted_plane", "sampled_grid")
 
 
 @dataclass(frozen=True)
@@ -104,10 +102,10 @@ class Box:
         if self.lo.shape != self.hi.shape or np.any(self.lo >= self.hi):
             raise ParameterError("box needs lo < hi componentwise")
 
-    def contains(self, x, margin: float = 0.0):
-        """Is each point of x, shape (..., n), in the box shrunk by ``margin``?"""
+    def contains(self, x):
+        """Is each point of x, shape (..., n), in the box?"""
         x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lo + margin) & (x <= self.hi - margin), axis=-1)
+        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -243,7 +241,7 @@ class Horosphere(HeightField):
     kind = "horosphere"
     unbounded = True
 
-    def __init__(self, c: float, n: int, domain: Box = None):
+    def __init__(self, c: float = 1.0, n: int = 3, domain: Box = None):
         if not c > 0:
             raise ParameterError(f"horosphere height must be positive, got c={c}")
         if domain is None:
@@ -434,11 +432,10 @@ class SampledGridField(HeightField):
         self._table = _lagrange_weight_table(order + 1)
 
     @classmethod
-    def from_field(cls, field: HeightField, box: Box, nodes_per_axis: int,
+    def from_field(cls, field: HeightField, lo, hi, spacing: float,
                    order: int = INTERP_ORDER) -> "SampledGridField":
-        """Sample a field's graph values on a lattice covering ``box``."""
-        gf = _sample_values_grid(field, box, nodes_per_axis)
-        return cls(gf, order=order)
+        """Values f on the lattice over [lo, hi] at ``spacing``, as ``sample_height_grid``."""
+        return cls(_lattice_grid(field, lo, hi, spacing, lambda vals: vals), order=order)
 
     def _interpolate(self, pts, deriv: int) -> np.ndarray:
         """Every mixed partial of order <= ``deriv`` per axis at points ``pts`` (P, n).
@@ -549,9 +546,15 @@ def _lattice_dims(lo, hi, spacing: float) -> tuple:
     return tuple(int(k) + 1 for k in whole)
 
 
-def _lattice_grid(field: HeightField, lo, dims, spacing: float, transform) -> GridFunction:
-    """``transform(f)`` at the nodes of the lattice with node 0 at ``lo``; -inf and a
-    boundary flag where f <= 0 or inside a mask ball."""
+def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> GridFunction:
+    """``transform(f)`` on the checked lattice over [lo, hi] (see ``sample_height_grid``);
+    -inf and a boundary flag where f <= 0 or inside a mask ball."""
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    if not (field.domain.contains(lo) and field.domain.contains(hi)):
+        raise DomainError("analysis window exits the field domain")
+    dims = _lattice_dims(lo, hi, spacing)
+    if any(d < 3 for d in dims):
+        raise ParameterError("analysis window too small for the requested spacing")
     X = _mesh_points(lo, dims, spacing)
     vals = field.value_array(X)
     good = (vals > 0) & ~_lattice_masked(field, X, lo, spacing)
@@ -559,57 +562,42 @@ def _lattice_grid(field: HeightField, lo, dims, spacing: float, transform) -> Gr
                         box_face_mask(dims) | ~good)
 
 
-def _sample_values_grid(field: HeightField, box: Box, nodes_per_axis: int) -> GridFunction:
-    """Graph values f on a lattice; masked points get -inf and a boundary flag.
-
-    The spacing comes from axis 0; the other axes must be whole multiples of it.
-    """
-    spacing = float((box.hi[0] - box.lo[0]) / (nodes_per_axis - 1))
-    dims = _lattice_dims(box.lo, box.hi, spacing)
-    return _lattice_grid(field, box.lo, dims, spacing, lambda vals: vals)
-
-
 def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFunction:
-    """Heights h = log f on a lattice over [lo, hi]; -inf at masked nodes.
+    """Heights h = log f on the lattice over [lo, hi] at ``spacing``; -inf at masked nodes.
 
-    The window must sit inside the field's domain box, and each of its extents must
-    be a whole number of spacings (else ParameterError).
+    The window must sit inside the field's domain box (else DomainError), and each of
+    its extents must be a whole number of spacings, at least two (else ParameterError).
     """
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    if not (field.domain.contains(lo) and field.domain.contains(hi)):
-        raise DomainError("analysis window exits the field domain")
-    dims = _lattice_dims(lo, hi, spacing)
-    if any(d < 3 for d in dims):
-        raise ParameterError("analysis window too small for the requested spacing")
     # the expression of height_array, so the heights are the same to the bit
-    return _lattice_grid(field, lo, dims, spacing,
+    return _lattice_grid(field, lo, hi, spacing,
                          lambda vals: np.log(np.maximum(vals, 1e-300)))
 
 
 # -- construction and descriptors ------------------------------------------------------
 
-def make_catalog_surface(kind: str, params: dict, n: int) -> HeightField:
-    """Build a catalog surface from keyword parameters.
+#: the closed-form kinds by name, with the constructor signature whose keywords are the
+#: descriptor keys (taken once: a signature costs more than building the surface)
+_CATALOG = {cls.kind: (cls, inspect.signature(cls))
+            for cls in (Horosphere, GeodesicSphereCap, EquidistantCone, TiltedPlane)}
 
-    Raises ParameterError for an unknown kind or invalid parameters.
+
+def make_catalog_surface(kind: str, params: dict, n: int) -> HeightField:
+    """Build a catalog surface from its constructor's keyword parameters.
+
+    Raises ParameterError for an unknown kind or keyword, a missing one, or bad values.
     """
     params = dict(params)
     domain = params.pop("domain", None)
     if domain is not None and not isinstance(domain, Box):
         domain = Box(np.asarray(domain["lo"], float), np.asarray(domain["hi"], float))
-    if kind == "horosphere":
-        return Horosphere(params.pop("c", 1.0), n, domain=domain)
-    if kind == "geodesic_sphere_cap":
-        return GeodesicSphereCap(params.pop("center_height"), params.pop("euclidean_radius"),
-                                 params.pop("cap", "lower"), n, domain=domain)
-    if kind == "equidistant_cone":
-        return EquidistantCone(params.pop("slope"), n,
-                               mask_radius=params.pop("mask_radius", CONE_MASK_RADIUS),
-                               domain=domain)
-    if kind == "tilted_plane":
-        return TiltedPlane(params.pop("slope"), n, domain=domain)
-    raise ParameterError(f"unknown catalog kind {kind!r}")
+    if kind not in _CATALOG:
+        raise ParameterError(f"unknown catalog kind {kind!r}")
+    cls, signature = _CATALOG[kind]
+    try:
+        signature.bind(n=n, domain=domain, **params)
+    except TypeError as exc:
+        raise ParameterError(f"{kind}: {exc}") from None
+    return cls(n=n, domain=domain, **params)
 
 
 def field_from_descriptor(desc: dict, base_dir: str = ".") -> HeightField:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RunManifest", "dumps", "write_report", "format_float"]
+__all__ = ["RunManifest", "dumps", "format_float"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -82,11 +82,3 @@ class RunManifest:
             "seed": self.seed,
             "version": self.version,
         }
-
-
-def write_report(path, payload: dict, manifest: RunManifest):
-    """Write a JSON report with the manifest embedded under 'manifest'."""
-    doc = {"manifest": manifest.to_dict()}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        fh.write(dumps(doc))

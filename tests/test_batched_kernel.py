@@ -19,7 +19,7 @@ from hypcurv.curvature import (mean_curvature, ricci_coordinate, ricci_eigenvalu
                                shape_spectra, shape_spectrum)
 from hypcurv.errors import DomainError, NumericError, ParameterError
 from hypcurv.gridfn import GridFunction
-from hypcurv.heightfield import (Box, Horosphere, Jet2, SampledGridField,
+from hypcurv.heightfield import (Horosphere, Jet2, SampledGridField,
                                  make_catalog_surface)
 from hypcurv.inequalities import (grad_direction_ricci, n_laplacian_expansion,
                                   regime_reports)
@@ -104,7 +104,7 @@ def test_batched_rows_match_oracles_on_catalog(n, surface, seed):
 def cone_grid(n):
     """Sampled cone on [-0.2, 0.2]^n, spacing 0.025: the apex node (index 8) is excised."""
     field = make_catalog_surface("equidistant_cone", {"slope": 1.3}, n)
-    return SampledGridField.from_field(field, Box(np.full(n, -0.2), np.full(n, 0.2)), 17)
+    return SampledGridField.from_field(field, np.full(n, -0.2), np.full(n, 0.2), 0.025)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -261,7 +261,7 @@ def test_fd_residuals_bitwise_equal_stencil_walk_on_catalog(n, surface, seed, st
 @pytest.mark.parametrize("step", [1e-3, 1e-5])
 def test_fd_residuals_bitwise_equal_stencil_walk_on_sampled_grid(order, step):
     cone = make_catalog_surface("equidistant_cone", {"slope": 1.3}, 3)
-    sampled = SampledGridField.from_field(cone, Box(np.full(3, 0.5), np.full(3, 1.5)), 17,
+    sampled = SampledGridField.from_field(cone, np.full(3, 0.5), np.full(3, 1.5), 1.0 / 16,
                                           order)
     X = sampled.sample_points(4, np.random.default_rng(order), margin=0.01)
     assert_residuals_match_walk(sampled, X, step)

@@ -95,10 +95,13 @@ class TestAnalyze:
 
     def test_bad_surface_schema(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "bogus", "n": 3}')
-        result = runner.invoke(main, ["analyze", "--surface", str(bad),
-                                      "--point", "1,0,0"])
-        assert result.exit_code == 2
+        # an unknown kind, and a key that is no keyword of the kind's constructor
+        for text in ('{"kind": "bogus", "n": 3}',
+                     '{"kind": "horosphere", "n": 3, "c": 1.0, "slope": 2.0}'):
+            bad.write_text(text)
+            result = runner.invoke(main, ["analyze", "--surface", str(bad),
+                                          "--point", "1,0,0"])
+            assert result.exit_code == 2, text
 
 
 class TestScan:

@@ -84,6 +84,8 @@ class TestCatalogConstruction:
         ("horosphere", {"c": 0.0}, 3),
         ("horosphere", {"c": 1.0}, 1),
         ("nonsense", {}, 3),
+        ("horosphere", {"c": 1.0, "slope": 2.0}, 3),
+        ("equidistant_cone", {"mask_radius": 0.1}, 3),
     ])
     def test_invalid_parameters(self, kind, params, n):
         with pytest.raises(ParameterError):
@@ -167,8 +169,8 @@ class TestFiniteDifferenceOracle:
 class TestSampledGrid:
     def test_roundtrip_vs_closed_form(self):
         field = cap()
-        box = Box(-0.16 * np.ones(3), 0.16 * np.ones(3))
-        sampled = SampledGridField.from_field(field, box, nodes_per_axis=33, order=4)
+        sampled = SampledGridField.from_field(field, -0.16 * np.ones(3), 0.16 * np.ones(3),
+                                              0.01, order=4)
         assert sampled.grid.spacing == pytest.approx(0.01)
         axes = sampled.grid.axes()
         rng = np.random.default_rng(3)
@@ -185,8 +187,8 @@ class TestSampledGrid:
 
     def test_masked_window_rejected(self):
         field = cone()
-        box = Box(-0.2 * np.ones(3), 0.2 * np.ones(3))
-        sampled = SampledGridField.from_field(field, box, nodes_per_axis=17, order=4)
+        sampled = SampledGridField.from_field(field, -0.2 * np.ones(3), 0.2 * np.ones(3),
+                                              0.025, order=4)
         with pytest.raises(DomainError):
             sampled.jet([0.01, 0.0, 0.0])  # window touches the excised apex
         with pytest.raises(DomainError):
@@ -194,8 +196,8 @@ class TestSampledGrid:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_value_array_matches_per_node_value(self, n):
-        box = Box(np.full(n, 0.5), np.full(n, 1.3))
-        sampled = SampledGridField.from_field(cone(1.3, n), box, nodes_per_axis=9)
+        sampled = SampledGridField.from_field(cone(1.3, n), np.full(n, 0.5), np.full(n, 1.3),
+                                              0.1)
         rng = np.random.default_rng(n)
         # points across the box, its faces and slightly past them (clamped windows)
         X = rng.uniform(0.45, 1.35, size=(200, n))
@@ -257,10 +259,18 @@ class TestLatticeContract:
         with pytest.raises(ParameterError):
             sample_height_grid(cone(), [1.0, 1.4, 1.4], [2.0, 2.0, 2.0], 1.0 / 16)
         with pytest.raises(ParameterError):
-            SampledGridField.from_field(cone(), Box([0.5, 0.5, 0.5], [1.0, 1.1, 1.0]), 9)
+            SampledGridField.from_field(cone(), [0.5, 0.5, 0.5], [1.0, 1.1, 1.0], 0.0625)
         with pytest.raises(ParameterError):
             acceptance._annulus_box_heights(lambda m: m[0], (0.0, 0.0, 0.0),
                                             (1.0, 1.0, 1.05), 0.1)
+
+    def test_window_outside_domain_rejected(self):
+        # the cone's domain is [-2, 2]^3: both lattices refuse a window past x1 = 2
+        lo, hi = [1.5, -0.5, -0.5], [2.5, 0.5, 0.5]
+        with pytest.raises(DomainError, match="exits the field domain"):
+            sample_height_grid(cone(), lo, hi, 0.25)
+        with pytest.raises(DomainError, match="exits the field domain"):
+            SampledGridField.from_field(cone(), lo, hi, 0.25)
 
     def test_non_cubic_window_ends_on_hi(self):
         lo, hi = np.array([1.0, 1.25, -0.5]), np.array([2.0, 2.0, 0.1])
@@ -312,6 +322,23 @@ def test_lattice_mask_box_matches_full_mesh(seed, n, places):
     field = HeightField(n, Box(lo - 10, hi + 10), masks=balls)
     assert np.array_equal(heightfield._lattice_masked(field, X, lo, spacing),
                           heightfield._masked_points(field, X))
+    # both lattice builders on the same window, over a cap whose domain reaches past
+    # its chart |x| < b, with the same balls: every node holds the point-set value to
+    # the bit, and the off-chart and masked nodes are -inf and flagged as boundary
+    b = rng.uniform(0.2, 4.0)
+    cap = heightfield.GeodesicSphereCap(b + rng.uniform(0.1, 2.0), b,
+                                        rng.choice(["lower", "upper"]), n, field.domain)
+    cap.masks = field.masks
+    heights = sample_height_grid(cap, lo, hi, spacing)
+    values = SampledGridField.from_field(cap, lo, hi, spacing, order=2).grid
+    assert heights.dims == values.dims == tuple(map(int, dims))
+    h = cap.height_array(X)
+    excised = np.isneginf(h)
+    assert excised[np.einsum("...i,...i->...", X, X) >= b * b].all()
+    assert heights.values.tobytes() == h.tobytes()
+    assert values.values.tobytes() == np.where(excised, -np.inf, cap.value_array(X)).tobytes()
+    for grid in (heights, values):
+        assert np.array_equal(grid.boundary_mask, box_face_mask(grid.dims) | excised)
 
 
 def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
@@ -427,8 +454,8 @@ class TestDescriptorsAndIO:
 
     def test_sampled_grid_descriptor(self, tmp_path):
         field = cap()
-        box = Box(-0.2 * np.ones(3), 0.2 * np.ones(3))
-        sampled = SampledGridField.from_field(field, box, nodes_per_axis=17)
+        sampled = SampledGridField.from_field(field, -0.2 * np.ones(3), 0.2 * np.ones(3),
+                                              0.025)
         save_grid_function(sampled.grid, tmp_path / "vals.csv", tmp_path / "hdr.json")
         desc = {"kind": "sampled_grid", "values_csv": "vals.csv",
                 "header_json": "hdr.json", "order": 4}
