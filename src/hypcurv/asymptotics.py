@@ -46,30 +46,43 @@ class RecessionReport:
     dims: tuple                # node counts of the analysis lattice
 
 
-def _set_diameter(pts: np.ndarray) -> float:
-    """Exact max pairwise distance; convex hull first, brute force on small sets."""
-    if pts.shape[0] <= 1:
-        return 0.0
-    if pts.shape[0] <= 512:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
-    # drop degenerate axes so the hull is full-dimensional
-    spans = pts.max(axis=0) - pts.min(axis=0)
-    keep = spans > 0
-    core = pts[:, keep]
-    if core.shape[1] == 0:
-        return 0.0
-    if core.shape[1] == 1:
-        return float(spans[keep][0])
-    from scipy.spatial import ConvexHull, QhullError
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances of the rows of ``a`` and ``b``: the one pair formula, so a
+    diameter holds the bits of an all-pairs einsum."""
+    d = a - b
+    return np.einsum("ij,ij->i", d, d)
 
-    try:
-        hull = ConvexHull(core)
-        verts = pts[hull.vertices]
-    except QhullError:
-        verts = pts
-    diff = verts[:, None, :] - verts[None, :, :]
-    return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+
+def _set_diameter(pts: np.ndarray) -> float:
+    """Exact largest distance between two rows of ``pts``.
+
+    With r the distance to the bounding-box centre and R its maximum, a double sweep
+    (the row farthest from the row of largest r, then the row farthest from that one)
+    gives a pair's squared distance ``best``.  A row with r + R < sqrt(best) is in no
+    farther pair, and the pairs of the other rows are screened with their Gram matrix;
+    both tests leave a margin for rounding.  The pairs that pass are measured with
+    :func:`_sq_dists`, so the result holds the bits of the all-pairs maximum.
+    """
+    if len(pts) <= 1:
+        return 0.0
+    y = pts - 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+    r = np.sqrt(np.einsum("ij,ij->i", y, y))
+    far = pts[np.argmax(_sq_dists(pts, pts[np.argmax(r)]))]
+    best = _sq_dists(pts, far).max()
+    if best == 0:
+        return 0.0  # all rows are equal
+    R = r.max()
+    scale = R + np.abs(pts).max()
+    tol = 256 * np.finfo(float).eps * scale
+    keep = r + R >= math.sqrt(best) - tol
+    pts, y, r2 = pts[keep], y[keep], r[keep] ** 2
+    rows = max(1, (1 << 20) // len(y))  # Gram blocks of about 8 MB
+    for a in range(0, len(y), rows):
+        gram = r2[a:a + rows, None] + r2 - 2 * (y[a:a + rows] @ y.T)
+        i, j = np.nonzero(gram >= best - tol * scale)
+        if i.size:
+            best = max(best, _sq_dists(pts[a + i], pts[j]).max())
+    return float(np.sqrt(best))
 
 
 def _check_levels(levels) -> tuple:
@@ -113,19 +126,31 @@ def _components_from_labels(grid: GridFunction, labels, count, box) -> list:
     if count == 0:
         return []
     idx = np.argwhere(labels)
-    lab = labels[tuple(idx.T)]
-    idx += [b.start for b in box]
+    at = tuple(idx.T)
+    lab = labels[at]
     order = np.argsort(lab, kind="stable")
-    idx = idx[order]
+    ends = _run_ends(labels)[at][order]
+    idx = idx[order] + [b.start for b in box]
     pts = np.stack([axis[idx[:, d]] for d, axis in enumerate(grid.axes())], axis=-1)
-    ends = np.cumsum(np.bincount(lab, minlength=count + 1))
-    # a node between two others of its lattice row lies on their segment, so it is no
-    # extreme point and the diameter needs only the ends of each row of a component
-    first = np.r_[True, np.any(idx[1:, :-1] != idx[:-1, :-1], axis=1)]
-    first[ends[:-1]] = True
-    edge = first | np.r_[first[1:], True]
-    return [Component(idx[a:b], pts[a:b], _set_diameter(pts[a:b][edge[a:b]]))
-            for a, b in zip(ends[:-1], ends[1:])]
+    cut = np.cumsum(np.bincount(lab, minlength=count + 1))
+    return [Component(idx[a:b], pts[a:b], _set_diameter(pts[a:b][ends[a:b]]))
+            for a, b in zip(cut[:-1], cut[1:])]
+
+
+def _run_ends(labels) -> np.ndarray:
+    """Labelled nodes that end a run of their label along every axis.
+
+    Take a node whose two neighbours along some axis lie in its component.  From any
+    node q, the neighbour farther from q along that axis is at least as far as the
+    node, also after rounding, since their coordinates differ on that axis alone and
+    grow with the index.  So the run ends hold a pair at the component's diameter, to
+    the bit.
+    """
+    ends = labels > 0
+    for d in range(labels.ndim):
+        lab, end = np.moveaxis(labels, d, 0), np.moveaxis(ends, d, 0)
+        end[1:-1] &= (lab[1:-1] != lab[:-2]) | (lab[1:-1] != lab[2:])
+    return ends
 
 
 def sublevel_components(grid: GridFunction, level: float) -> list:

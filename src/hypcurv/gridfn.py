@@ -60,13 +60,18 @@ class GridFunction:
             raise ParameterError(f"spacing must be positive, got {self.spacing}")
         if self.origin.shape != (len(self.dims),):
             raise ParameterError("origin dimension does not match dims")
-        faces = box_face_mask(self.dims)
-        if not np.all(self.boundary_mask[faces]):
+        if not all(self.boundary_mask[face].all() for face in _box_faces(self.ndim)):
             raise ParameterError("boundary_mask must cover the topological boundary")
-        bad = np.isneginf(self.values) & ~self.boundary_mask
+        finite = np.isfinite(self.values)
+        if finite.all():
+            return
+        # the diagnostics read the non-finite nodes alone
+        odd = np.logical_not(finite, out=finite)
+        values, masked = self.values[odd], self.boundary_mask[odd]
+        bad = np.isneginf(values) & ~masked
         if np.any(bad):
             raise DataError(f"-inf at {int(bad.sum())} unmasked node(s)")
-        if np.any(np.isnan(self.values)) or np.any(np.isposinf(self.values)):
+        if np.any(np.isnan(values)) or np.any(np.isposinf(values)):
             raise DataError("grid values must be finite or -inf")
 
     # -- geometry helpers ----------------------------------------------------------
@@ -91,15 +96,18 @@ class GridFunction:
                             self.values.copy(), self.boundary_mask.copy())
 
 
+def _box_faces(ndim: int):
+    """Index tuples of the 2 ndim faces of a lattice box."""
+    for axis in range(ndim):
+        for end in (0, -1):
+            yield (slice(None),) * axis + (end,)
+
+
 def box_face_mask(dims) -> np.ndarray:
     """Mask of the nodes on the faces of the lattice box."""
     mask = np.zeros(dims, dtype=bool)
-    for axis in range(len(dims)):
-        idx = [slice(None)] * len(dims)
-        idx[axis] = 0
-        mask[tuple(idx)] = True
-        idx[axis] = -1
-        mask[tuple(idx)] = True
+    for face in _box_faces(len(dims)):
+        mask[face] = True
     return mask
 
 

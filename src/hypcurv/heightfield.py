@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .gridfn import GridFunction, box_face_mask, load_grid_function
+from .gridfn import GridFunction, _box_faces, load_grid_function
 
 __all__ = [
     "Jet2", "Box", "BallMask", "HeightField",
@@ -182,7 +182,8 @@ class HeightField:
         return Jet2(x, float(f[0]), df[0], hess[0])  # Jet2 makes the checks of jet_array
 
     def value_array(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized f over points X of shape (..., n); every kind supplies its own."""
+        """Vectorized f over points X of shape (..., n), as a new array that the caller
+        may overwrite; every kind supplies its own."""
         raise NotImplementedError
 
     def height_array(self, X: np.ndarray) -> np.ndarray:
@@ -299,10 +300,14 @@ class GeodesicSphereCap(HeightField):
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
-        w2 = self.b ** 2 - np.einsum("...i,...i->...", X, X)
-        w = np.sqrt(np.maximum(w2, 0.0))
-        vals = self.a - w if self.cap == "lower" else self.a + w
-        return np.where(w2 > 0, vals, -1.0)
+        # w2 = b^2 - |x|^2, then w = sqrt(max(w2, 0)), then a -/+ w, in one array
+        w = np.asarray(np.einsum("...i,...i->...", X, X))
+        np.subtract(self.b ** 2, w, out=w)
+        off_chart = ~(w > 0)
+        np.sqrt(np.maximum(w, 0.0, out=w), out=w)
+        (np.subtract if self.cap == "lower" else np.add)(self.a, w, out=w)
+        np.copyto(w, -1.0, where=off_chart)
+        return w
 
     def params(self):
         return {"center_height": self.a, "euclidean_radius": self.b, "cap": self.cap}
@@ -339,7 +344,8 @@ class EquidistantCone(HeightField):
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
-        return self.slope * np.sqrt(np.einsum("...i,...i->...", X, X))
+        f = np.asarray(np.einsum("...i,...i->...", X, X))
+        return np.multiply(self.slope, np.sqrt(f, out=f), out=f)[()]
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
                       margin: float = 0.0) -> np.ndarray:
@@ -547,8 +553,11 @@ def _lattice_dims(lo, hi, spacing: float) -> tuple:
 
 
 def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> GridFunction:
-    """``transform(f)`` on the checked lattice over [lo, hi] (see ``sample_height_grid``);
-    -inf and a boundary flag where f <= 0 or inside a mask ball."""
+    """f on the checked lattice over [lo, hi] (see ``sample_height_grid``), mapped in
+    place by ``transform``; -inf and a boundary flag where f <= 0 or inside a mask ball.
+
+    The values and the flags are written into the arrays that the grid keeps.
+    """
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     if not (field.domain.contains(lo) and field.domain.contains(hi)):
         raise DomainError("analysis window exits the field domain")
@@ -557,9 +566,14 @@ def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> Grid
         raise ParameterError("analysis window too small for the requested spacing")
     X = _mesh_points(lo, dims, spacing)
     vals = field.value_array(X)
-    good = (vals > 0) & ~_lattice_masked(field, X, lo, spacing)
-    return GridFunction(dims, spacing, lo.copy(), np.where(good, transform(vals), -np.inf),
-                        box_face_mask(dims) | ~good)
+    bad = vals > 0
+    np.logical_not(bad, out=bad)
+    bad |= _lattice_masked(field, X, lo, spacing)
+    transform(vals)
+    np.copyto(vals, -np.inf, where=bad)
+    for face in _box_faces(len(dims)):
+        bad[face] = True
+    return GridFunction(dims, spacing, lo.copy(), vals, bad)
 
 
 def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFunction:
@@ -570,7 +584,7 @@ def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFuncti
     """
     # the expression of height_array, so the heights are the same to the bit
     return _lattice_grid(field, lo, hi, spacing,
-                         lambda vals: np.log(np.maximum(vals, 1e-300)))
+                         lambda vals: np.log(np.maximum(vals, 1e-300, out=vals), out=vals))
 
 
 # -- construction and descriptors ------------------------------------------------------
@@ -607,6 +621,9 @@ def field_from_descriptor(desc: dict, base_dir: str = ".") -> HeightField:
     kind = desc["kind"]
     if kind == "sampled_grid":
         import os
+        unknown = sorted(set(desc) - {"kind", "values_csv", "header_json", "order"})
+        if unknown:
+            raise ParameterError(f"sampled_grid: unexpected key(s) {unknown}")
         order = int(desc.get("order", INTERP_ORDER))
         grid = load_grid_function(os.path.join(base_dir, desc["values_csv"]),
                                   os.path.join(base_dir, desc["header_json"]))

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import hypcurv
 from hypcurv import asymptotics
 from hypcurv.cli import main
+from hypcurv.gridfn import GridFunction, save_grid_function
 from hypcurv.reportio import dumps
 
 
@@ -95,9 +96,14 @@ class TestAnalyze:
 
     def test_bad_surface_schema(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
-        # an unknown kind, and a key that is no keyword of the kind's constructor
+        grid = GridFunction((7, 7, 7), 0.5, np.full(3, -1.0), np.ones((7, 7, 7)))
+        save_grid_function(grid, tmp_path / "g.csv", tmp_path / "g.json")
+        # an unknown kind, a key that is no keyword of the kind's constructor, and a
+        # misspelt key of a sampled grid whose files load
         for text in ('{"kind": "bogus", "n": 3}',
-                     '{"kind": "horosphere", "n": 3, "c": 1.0, "slope": 2.0}'):
+                     '{"kind": "horosphere", "n": 3, "c": 1.0, "slope": 2.0}',
+                     '{"kind": "sampled_grid", "values_csv": "g.csv", '
+                     '"header_json": "g.json", "ordr": 2}'):
             bad.write_text(text)
             result = runner.invoke(main, ["analyze", "--surface", str(bad),
                                           "--point", "1,0,0"])
@@ -366,6 +372,17 @@ class TestColdStart:
         got = cold_start(surfaces["cone"], [["classify", "--samples", "10"]], tmp_path)
         assert got["codes"] == [0]
         assert "scipy.ndimage" in got["scipy"]
+
+    def test_classify_measures_diameters_without_scipy_spatial(self, tmp_path):
+        # the level-1 component of this cone on this window has 31463 nodes, 2402
+        # lattice-row ends and 1112 nodes that end a run along every axis
+        cone = tmp_path / "cone12.json"
+        cone.write_text(json.dumps({"kind": "equidistant_cone", "n": 3, "slope": 1.2}))
+        got = cold_start(str(cone), [["classify", "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:65",
+                                      "--samples", "10"]], tmp_path)
+        assert got["codes"] == [0]
+        assert "scipy.ndimage" in got["scipy"]
+        assert [m for m in got["scipy"] if m.startswith("scipy.spatial")] == []
 
 
 class TestVerify:

@@ -510,3 +510,32 @@ class TestGridFunctionInvariants:
         mask = np.zeros((3, 3, 3), dtype=bool)
         with pytest.raises(ParameterError):
             GridFunction((3, 3, 3), 1.0, np.zeros(3), np.zeros((3, 3, 3)), mask)
+
+    @pytest.mark.parametrize("dims", [(3,), (3, 4), (3, 4, 5), (3, 4, 3, 3)])
+    def test_every_face_node_must_be_masked(self, dims):
+        faces = box_face_mask(dims)
+        for node in map(tuple, np.argwhere(faces)):
+            mask = faces.copy()
+            mask[node] = False
+            with pytest.raises(ParameterError, match="^boundary_mask must cover the "
+                                                     "topological boundary$"):
+                GridFunction(dims, 1.0, np.zeros(len(dims)), np.zeros(dims), mask)
+
+    def test_unmasked_neg_inf_counted_before_nan(self):
+        vals, mask = np.zeros((5, 5, 5)), box_face_mask((5, 5, 5))
+        vals[1, 1, 1] = vals[2, 3, 1] = vals[3, 3, 3] = vals[0, 2, 2] = -np.inf
+        mask[3, 3, 3] = True
+        vals[0, 0, 1] = np.nan
+        with pytest.raises(DataError, match=r"^-inf at 2 unmasked node\(s\)$"):
+            GridFunction((5, 5, 5), 1.0, np.zeros(3), vals, mask)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nan_and_inf_rejected_at_boundary_nodes(self, value):
+        vals, mask = np.zeros((4, 4, 4)), box_face_mask((4, 4, 4))
+        vals[0, 2, 1] = value
+        vals[1, 1, 2] = -np.inf  # masked, so allowed
+        mask[1, 1, 2] = True
+        with pytest.raises(DataError, match="^grid values must be finite or -inf$"):
+            GridFunction((4, 4, 4), 1.0, np.zeros(3), vals, mask)
+        vals[0, 2, 1] = 0.0
+        GridFunction((4, 4, 4), 1.0, np.zeros(3), vals, mask)
