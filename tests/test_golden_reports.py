@@ -6,8 +6,8 @@ per-sample and per-label implementation that the batched sampling, sublevel and
 clustering passes replaced; the payloads must stay byte for byte the same.
 
 Each ``tests/data/golden/<case>/`` directory holds the whole output of one
-`analyze`, `probe`, `solve` or `scan` run with ``--out``, manifest included: the
-files it writes, the first of which is also what it prints.
+`analyze`, `probe`, `solve`, `scan`, `classify` or `boundary` run with ``--out``,
+manifest included: the files it writes, the first of which is also what it prints.
 
 Regenerate only for an intended change of output: ``python tests/test_golden_reports.py``.
 """
@@ -63,6 +63,13 @@ DOCUMENTS = {
     # scan spaces each axis of the spec evenly: 0.5, 0.6 and 0.5 here
     "scan_cone": ("cone_unit", ["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.7,0.5:3"],
                   ["scan.csv", "scan.manifest.json"]),
+    "classify_cone_out": ("cone_unit", ["classify", "--levels", "0.5,1,2",
+                                        "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:17",
+                                        "--samples", "20", "--seed", "3"],
+                          ["classify.json"]),
+    "boundary_cone_out": ("cone_unit", ["boundary", "--levels", "0.5,1,2,3",
+                                        "--grid", "-0.2,-0.6,-0.4:0.8,0.4,0.6:21"],
+                          ["boundary.json"]),
 }
 
 
