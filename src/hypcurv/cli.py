@@ -8,6 +8,7 @@ and exits 1.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 
@@ -28,15 +29,6 @@ def _parse_tuple(text: str) -> np.ndarray:
         return np.array([float(t) for t in text.split(",")])
     except ValueError as exc:
         raise click.UsageError(f"cannot parse tuple {text!r}: {exc}")
-
-
-def _parse_levels(text: str) -> list:
-    """Sublevel depths 'M1,..,Mk', finite and strictly increasing."""
-    levels = _parse_tuple(text)
-    if not np.all(np.isfinite(levels)) or np.any(np.diff(levels) <= 0):
-        raise click.UsageError(f"levels must be finite and strictly increasing, "
-                               f"got {text!r}")
-    return levels.tolist()
 
 
 def _parse_grid(text: str, n: int):
@@ -72,20 +64,28 @@ def _window(field, grid_spec):
     return lo, hi, float((hi[0] - lo[0]) / (nodes - 1))
 
 
-def _load_surface(path: str):
-    try:
-        return field_from_json(path)
-    except (HypcurvError, KeyError, ValueError, OSError) as exc:
-        raise click.UsageError(f"invalid surface descriptor {path}: {exc}")
+def _recession(field, manifest, levels, grid_spec, **config):
+    """The recession report on the ``--grid`` window; its config goes in the manifest."""
+    lo, hi, spacing = _window(field, grid_spec)
+    manifest.config.update(levels=levels, window=[lo.tolist(), hi.tolist()],
+                           spacing=spacing, **config)
+    rec = asymptotics.recession_report(field, levels, lo, hi, spacing)
+    manifest.config["dims"] = list(rec.dims)
+    return rec
+
+
+def _write(out: str, name: str, text: str):
+    """Write ``text`` to out/name, making the directory if needed."""
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(text)
 
 
 def _emit(payload: dict, manifest: RunManifest, out: str, name: str) -> str:
     """The JSON report: the manifest, then the payload; also written to out/name."""
     text = dumps({"manifest": manifest.to_dict(), **payload})
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, name), "w") as fh:
-            fh.write(text)
+        _write(out, name, text)
     return text
 
 
@@ -95,15 +95,34 @@ def _echo(text: str):
     click.echo(text, nl=False, file=sys.stdout)
 
 
+class _Checked(click.ParamType):
+    """Option text read by ``parse``; its ValueError (ParameterError too) exits 2."""
+
+    def __init__(self, name: str, parse):
+        self.name, self.parse = name, parse
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
 surface_opt = click.option("--surface", required=True, type=click.Path(exists=True),
                            help="Surface descriptor JSON.")
 out_opt = click.option("--out", default=None, type=click.Path(), help="Output directory.")
-seed_opt = click.option("--seed", default=7, type=int, show_default=True,
+seed_opt = click.option("--seed", default=7, type=click.IntRange(min=0), show_default=True,
                         help="Seed for randomized sample points.")
-profile_opt = click.option("--tolerance-profile", default="fd",
-                           type=click.Choice(list(rigidity.TOLERANCE_PROFILES)),
-                           show_default=True,
-                           help="Tolerances for classification thresholds.")
+p_opt = click.option("--p", default=None,
+                     type=_Checked("p", lambda t: plaplace.SolverConfig(p=float(t)).p),
+                     help="Dirichlet exponent, finite and >= 2 (default: the dimension n).")
+levels_opt = click.option(
+    "--levels", default="1,2,3,4", show_default=True,
+    type=_Checked("levels", lambda t: asymptotics._check_levels(_parse_tuple(t))),
+    help="Sublevel depths for the recession analysis, finite and strictly increasing.")
+window_opt = click.option("--grid", "grid_spec", default=None,
+                          help="Analysis window 'lo:hi:nodes' (default: a cube of side "
+                               "min(hi - lo)/4 centred on the domain, 65 nodes).")
 
 
 class _Main(click.Group):
@@ -122,19 +141,43 @@ def main():
     """Numerical lab for graph hypersurfaces in the hyperbolic upper half-space."""
 
 
-@main.command()
-@surface_opt
+def _command(report: str | None = None):
+    """Register a command with ``--surface``, the body's own options and ``--out``.
+
+    It loads the descriptor (exit 2 if invalid) and calls ``body(field, manifest, out,
+    **options)``, which fills the manifest's config and outputs and returns the payload.
+    The report is printed and written to out/<command>.json, or, for a body that prints
+    its own output, only written to out/``report``."""
+    def decorate(body):
+        @functools.wraps(body, updated=())
+        def run(surface, out, **options):
+            try:
+                field = field_from_json(surface)
+            except (HypcurvError, KeyError, ValueError, OSError) as exc:
+                raise click.UsageError(f"invalid surface descriptor {surface}: {exc}")
+            manifest = RunManifest(body.__name__, {"surface": field_to_descriptor(field)})
+            payload = body(field, manifest, out, **options)
+            if report is None:
+                _echo(_emit(payload, manifest, out, f"{body.__name__}.json"))
+            elif out:
+                _emit(payload, manifest, out, report)
+
+        # click lists the options in the reverse order of __click_params__
+        out_opt(run)
+        run.__click_params__ += getattr(body, "__click_params__", [])
+        return main.command()(surface_opt(run))
+    return decorate
+
+
+@_command()
 @click.option("--point", required=True, help="Evaluation point, comma separated.")
 @click.option("--step", default=None, type=float, help="FD step for residuals.")
-@out_opt
-def analyze(surface, point, step, out):
+def analyze(field, manifest, out, point, step):
     """Curvature and inequality report at one point."""
-    field = _load_surface(surface)
     x = _parse_tuple(point)
     if step is None:
         step = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    manifest = RunManifest("analyze", inputs={"surface": field_to_descriptor(field)},
-                           config={"point": x.tolist(), "step": step})
+    manifest.config.update(point=x.tolist(), step=step)
     jet = field.jet(x)
     regime = point_regime_report(jet)
     spec = regime.spectrum
@@ -155,175 +198,107 @@ def analyze(surface, point, step, out):
     }
     if not regime.at_critical_point:
         report["grad_direction_ricci"] = grad_direction_ricci(jet)
-    _echo(_emit(report, manifest, out, "analyze.json"))
+    return report
 
 
-@main.command()
-@surface_opt
+@_command(report="scan.manifest.json")
 @click.option("--grid", "grid_spec", required=True, help="Scan grid 'lo:hi:nodes'.")
-@seed_opt
-@out_opt
-def scan(surface, grid_spec, seed, out):
+def scan(field, manifest, out, grid_spec):
     """CSV scan of curvature quantities over a point grid."""
-    field = _load_surface(surface)
     lo, hi, nodes = _parse_grid(grid_spec, field.n)
     axes = [np.linspace(lo[d], hi[d], nodes) for d in range(field.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, field.n)
     inside = field.contains_array(pts)
     pts = pts[inside]
-    manifest = RunManifest("scan", inputs={"surface": field_to_descriptor(field)},
-                           config={"grid": grid_spec, "scanned_points": len(pts),
-                                   "dropped_points": int(np.count_nonzero(~inside))},
-                           seed=seed)
+    manifest.config.update(grid=grid_spec, scanned_points=len(pts),
+                           dropped_points=int(np.count_nonzero(~inside)))
     rows = scan_field(field, pts)
     n = field.n
-    header = ([f"x{i+1}" for i in range(n)] + ["f", "H"]
-              + [f"kappa{i+1}" for i in range(n)]
-              + ["min_ric_eig", "A", "B", "AB_minus_nm1", "density", "regime"])
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [format_float(v) if isinstance(v, float) else str(v) for v in row]
-        lines.append(",".join(cells))
+    header = [*(f"x{i+1}" for i in range(n)), "f", "H", *(f"kappa{i+1}" for i in range(n)),
+              "min_ric_eig", "A", "B", "AB_minus_nm1", "density", "regime"]
+    lines = [",".join(header)] + [
+        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+        for row in rows]
     text = "\n".join(lines) + "\n"
     _echo(text)
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "scan.csv"), "w") as fh:
-            fh.write(text)
+        _write(out, "scan.csv", text)
         manifest.outputs.append("scan.csv")
-        _emit({}, manifest, out, "scan.manifest.json")
+    return {}
 
 
-@main.command()
-@surface_opt
-@click.option("--levels", default="1,2,3,4", show_default=True,
-              help="Sublevel depths for the recession analysis.")
-@click.option("--grid", "grid_spec", default=None,
-              help="Analysis window 'lo:hi:nodes' (default: a cube of side min(hi - lo)/4 "
-                   "centred on the domain, 65 nodes).")
+@_command()
+@levels_opt
+@window_opt
 @click.option("--samples", default=100, type=click.IntRange(min=1), show_default=True,
               help="Curvature sample count.")
 @seed_opt
-@profile_opt
-@out_opt
-def classify(surface, levels, grid_spec, samples, seed, tolerance_profile, out):
+@click.option("--tolerance-profile", default="fd",
+              type=click.Choice(list(rigidity.TOLERANCE_PROFILES)), show_default=True,
+              help="Tolerances for classification thresholds.")
+def classify(field, manifest, out, levels, grid_spec, samples, seed, tolerance_profile):
     """Global verdict: rigidity constancy scan + recession-set count."""
-    field = _load_surface(surface)
-    levels_list = _parse_levels(levels)
-    lo, hi, spacing = _window(field, grid_spec)
-    rng = np.random.default_rng(seed)
     ric_tol, product_tol, var_tol = rigidity.TOLERANCE_PROFILES[tolerance_profile]
-    manifest = RunManifest(
-        "classify", inputs={"surface": field_to_descriptor(field)},
-        config={"levels": levels_list, "window": [lo.tolist(), hi.tolist()],
-                "spacing": spacing, "samples": samples,
-                "tolerance_profile": tolerance_profile},
-        seed=seed)
-    rec = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
-    manifest.config["dims"] = list(rec.dims)
-    pts = field.sample_points(samples, rng)
+    manifest.seed = seed
+    rec = _recession(field, manifest, levels, grid_spec, samples=samples,
+                     tolerance_profile=tolerance_profile)
+    pts = field.sample_points(samples, np.random.default_rng(seed))
     scan_res = rigidity.constancy_scan(field, pts)
     nonneg = scan_res.ric_min >= -ric_tol
     verdict = rigidity.classify_global(scan_res, rec.boundary_points, nonneg_ricci=nonneg,
                                        product_tol=product_tol, var_tol=var_tol)
-    payload = rigidity.verdict_report(verdict, scan_res, rec.boundary_points)
-    payload["nonneg_ricci_on_samples"] = bool(nonneg)
-    payload["recession"] = asymptotics.recession_json(rec)
-    _echo(_emit(payload, manifest, out, "classify.json"))
+    return {**rigidity.verdict_report(verdict, scan_res, rec.boundary_points),
+            "nonneg_ricci_on_samples": bool(nonneg),
+            "recession": asymptotics.recession_json(rec)}
 
 
-@main.command()
-@surface_opt
+@_command()
 @click.option("--grid", "grid_spec", required=True, help="Solve grid 'lo:hi:nodes'.")
-@click.option("--p", "p_value", default=None, type=float,
-              help="Dirichlet exponent (default: the dimension n).")
-@out_opt
-def solve(surface, grid_spec, p_value, out):
+@p_opt
+def solve(field, manifest, out, grid_spec, p):
     """p-harmonic Dirichlet solve with boundary data h = log f.
 
     With --out, writes the solution grid and energy_trace.csv, whose step column is
     the accepted length along the preconditioned descent direction.
     """
-    field = _load_surface(surface)
     lo, hi, spacing = _window(field, grid_spec)
-    p = float(p_value) if p_value is not None else float(field.n)
-    if p < 2:
-        raise click.UsageError(f"p must be >= 2, got {p}")
-    manifest = RunManifest("solve", inputs={"surface": field_to_descriptor(field)},
-                           config={"grid": grid_spec, "p": p})
-    grid = sample_height_grid(field, lo, hi, spacing)
-    grid = plaplace.tighten_boundary(grid)
+    p = float(field.n) if p is None else p
+    manifest.config.update(grid=grid_spec, p=p)
+    grid = plaplace.tighten_boundary(sample_height_grid(field, lo, hi, spacing))
     res = plaplace.solve_p_harmonic(grid, plaplace.SolverConfig(p=p))
-    payload = {
-        "converged": res.converged,
-        "iterations": res.iterations,
-        "stop_reason": res.stop_reason,
-        "grad_norm": res.grad_norm,
-        "final_energy": float(res.energy_trace[-1]),
-        "backtracks": res.backtracks,
-    }
     if out:
-        os.makedirs(out, exist_ok=True)
+        _write(out, "energy_trace.csv", "iteration,energy,step\n" + "".join(
+            f"{i},{format_float(float(e))},{format_float(float(s))}\n"
+            for i, (e, s) in enumerate(zip(res.energy_trace, [0.0, *res.step_trace]))))
         save_grid_function(res.grid, os.path.join(out, "solution.csv"),
                            os.path.join(out, "solution.json"))
-        with open(os.path.join(out, "energy_trace.csv"), "w") as fh:
-            fh.write("iteration,energy,step\n")
-            steps = [0.0] + list(res.step_trace)
-            for i, (e, s) in enumerate(zip(res.energy_trace, steps)):
-                fh.write(f"{i},{format_float(float(e))},{format_float(float(s))}\n")
         manifest.outputs += ["solution.csv", "solution.json", "energy_trace.csv"]
-    _echo(_emit(payload, manifest, out, "solve.json"))
+    return {"converged": res.converged, "iterations": res.iterations,
+            "stop_reason": res.stop_reason, "grad_norm": res.grad_norm,
+            "final_energy": float(res.energy_trace[-1]), "backtracks": res.backtracks}
 
 
-@main.command()
-@surface_opt
+@_command()
 @click.option("--grid", "grid_spec", required=True, help="Probe box 'lo:hi:nodes'.")
-@click.option("--p", "p_value", default=None, type=float,
-              help="Dirichlet exponent (default: the dimension n).")
-@out_opt
-def probe(surface, grid_spec, p_value, out):
+@p_opt
+def probe(field, manifest, out, grid_spec, p):
     """Viscosity comparison probe on one box: is h = log f p-subharmonic there?"""
-    field = _load_surface(surface)
     lo, hi, spacing = _window(field, grid_spec)
-    p = float(p_value) if p_value is not None else float(field.n)
-    if p < 2:
-        raise click.UsageError(f"p must be >= 2, got {p}")
-    manifest = RunManifest("probe", inputs={"surface": field_to_descriptor(field)},
-                           config={"grid": grid_spec, "p": p})
+    p = float(field.n) if p is None else p
+    manifest.config.update(grid=grid_spec, p=p)
     result = plaplace.viscosity_probe(field, lo, hi, plaplace.SolverConfig(p=p),
                                       spacing=spacing)
-    payload = {
-        "subharmonic": result.subharmonic,
-        "min_margin": result.min_margin,
-        "tolerance": result.tolerance,
-        "excised_nodes": result.excised_nodes,
-        "spacing": result.spacing,
-        "iterations": result.iterations,
-        "stop_reason": result.stop_reason,
-        "backtracks": result.backtracks,
-    }
-    _echo(_emit(payload, manifest, out, "probe.json"))
+    return {key: getattr(result, key) for key in (
+        "subharmonic", "min_margin", "tolerance", "excised_nodes", "spacing",
+        "iterations", "stop_reason", "backtracks")}
 
 
-@main.command()
-@surface_opt
-@click.option("--levels", default="1,2,3,4", show_default=True)
-@click.option("--grid", "grid_spec", default=None,
-              help="Window 'lo:hi:nodes' (default: as for classify).")
-@out_opt
-def boundary(surface, levels, grid_spec, out):
+@_command()
+@levels_opt
+@window_opt
+def boundary(field, manifest, out, levels, grid_spec):
     """Recession-set report: sublevel components and boundary-point count."""
-    field = _load_surface(surface)
-    levels_list = _parse_levels(levels)
-    lo, hi, spacing = _window(field, grid_spec)
-    manifest = RunManifest("boundary", inputs={"surface": field_to_descriptor(field)},
-                           config={"levels": levels_list,
-                                   "window": [lo.tolist(), hi.tolist()],
-                                   "spacing": spacing})
-    rep = asymptotics.recession_report(field, levels_list, lo, hi, spacing)
-    manifest.config["dims"] = list(rep.dims)
-    _echo(_emit(asymptotics.recession_json(rep), manifest, out, "boundary.json"))
+    return asymptotics.recession_json(_recession(field, manifest, levels, grid_spec))
 
 
 @main.command()
@@ -345,8 +320,7 @@ def verify(suite, seed, out):
         "criteria": [{"name": r.name, "passed": r.passed, "detail": r.detail,
                       "elapsed": r.elapsed} for r in results],
     }
-    if out:
-        _emit(payload, manifest, out, "verify.json")
+    _emit(payload, manifest, out, "verify.json")
     if not payload["passed"]:
         sys.exit(1)
 

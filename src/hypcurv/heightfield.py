@@ -63,10 +63,6 @@ class Jet2:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def grad_norm_sq(self) -> float:
-        return float(self.grad @ self.grad)
-
     def stacked(self):
         """(f, Df, D2f) with a leading point axis of length 1, as ``jet_array`` returns."""
         return np.array([self.f], dtype=float), self.grad[None], self.hess[None]

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError, PreconditionError
-from .gridfn import GridFunction, box_face_mask
+from .gridfn import GridFunction
 from .heightfield import HeightField, sample_height_grid
 
 __all__ = [
@@ -58,8 +58,8 @@ class SolverConfig:
     stall_iterations: int = 5      # consecutive stalled iterations before stopping
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ParameterError(f"solver requires p >= 2, got p={self.p}")
+        if not (math.isfinite(self.p) and self.p >= 2):
+            raise ParameterError(f"solver requires a finite p >= 2, got p={self.p}")
         if not self.epsilon > 0:
             raise ParameterError("regularization epsilon must be positive")
         if not self.tolerance > 0:
@@ -170,7 +170,6 @@ def tighten_boundary(gf: GridFunction) -> GridFunction:
     incomplete = np.pad(~_complete_cells(active), 1)
     bad = sliding_window_view(incomplete, (2,) * n).any(axis=tuple(range(n, 2 * n)))
     out.boundary_mask |= active & bad
-    out.boundary_mask |= box_face_mask(out.dims)
     out.validate()
     return out
 

@@ -272,6 +272,42 @@ def test_nonpositive_samples_usage_error(runner, surfaces, samples):
     assert "--samples" in result.output
 
 
+@pytest.mark.parametrize("command", ["solve", "probe"])
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "1.5"])
+def test_p_outside_solver_range_usage_error(runner, surfaces, command, p):
+    result = runner.invoke(main, [command, "--surface", surfaces["cone"],
+                                  "--grid", "0.5,-0.5,-0.5:1.5,0.5,0.5:9", "--p", p])
+    assert result.exit_code == 2
+    assert "finite p >= 2" in result.output
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_negative_seed_usage_error(runner, surfaces, command):
+    surface = ["--surface", surfaces["cone"]] if command == "classify" else []
+    result = runner.invoke(main, [command, *surface, "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+
+
+#: each command's options, in the order its --help lists them
+OPTIONS = {
+    "analyze": ["--surface", "--point", "--step", "--out"],
+    "scan": ["--surface", "--grid", "--out"],
+    "classify": ["--surface", "--levels", "--grid", "--samples", "--seed",
+                 "--tolerance-profile", "--out"],
+    "solve": ["--surface", "--grid", "--p", "--out"],
+    "probe": ["--surface", "--grid", "--p", "--out"],
+    "boundary": ["--surface", "--levels", "--grid", "--out"],
+    "verify": ["--suite", "--seed", "--out"],
+}
+
+
+def test_command_option_names_in_order():
+    got = {name: [opt for param in cmd.params for opt in param.opts]
+           for name, cmd in main.commands.items()}
+    assert got == OPTIONS
+
+
 @pytest.fixture()
 def excised_grid(tmp_path):
     """A 7^3 sampled horosphere whose centre node is excised (-inf)."""
@@ -391,6 +427,21 @@ class TestVerify:
                                       "--seed", "7"])
         assert result.exit_code == 0
         assert "[PASS] horosphere-identity" in result.output
+
+    def test_out_writes_report(self, runner, tmp_path):
+        out = tmp_path / "verify"
+        result = runner.invoke(main, ["verify", "--suite", "horosphere-identity",
+                                      "--seed", "7", "--out", str(out)])
+        assert result.exit_code == 0
+        doc = json.loads((out / "verify.json").read_text())
+        assert list(doc) == ["manifest", "passed", "criteria"]
+        assert doc["manifest"]["command"] == "verify"
+        assert doc["manifest"]["config"] == {"suite": "horosphere-identity"}
+        assert doc["manifest"]["seed"] == 7
+        assert doc["passed"] is True
+        [criterion] = doc["criteria"]
+        assert list(criterion) == ["name", "passed", "detail", "elapsed"]
+        assert criterion["name"] == "horosphere-identity" and criterion["passed"] is True
 
     def test_unknown_criterion(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "not-a-criterion"])

@@ -67,6 +67,12 @@ class TestConfig:
         with pytest.raises(ParameterError):
             SolverConfig(p=1.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_rejected(self, p):
+        # a NaN fails every comparison, so a bare ``p < 2`` check lets it through
+        with pytest.raises(ParameterError, match="finite p >= 2"):
+            SolverConfig(p=p)
+
     def test_epsilon_positive(self):
         with pytest.raises(ParameterError):
             SolverConfig(p=3.0, epsilon=0.0)
