@@ -162,7 +162,7 @@ def _command(report: str | None = None):
             elif out:
                 _emit(payload, manifest, out, report)
 
-        # click lists the options in the reverse order of __click_params__
+        # click lists options in the reverse order of __click_params__ (not copied by wraps)
         out_opt(run)
         run.__click_params__ += getattr(body, "__click_params__", [])
         return main.command()(surface_opt(run))
