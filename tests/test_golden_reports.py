@@ -59,7 +59,7 @@ DOCUMENTS = {
     "analyze_cone": ("cone_unit", ["analyze", "--point", "0.7,0.2,-0.3"], ["analyze.json"]),
     "probe_cone": ("cone_unit", ["probe", *BOX_9], ["probe.json"]),
     "solve_cone": ("cone_unit", ["solve", *BOX_9, "--p", "3"],
-                   ["solve.json", "energy_trace.csv", "solution.json"]),
+                   ["solve.json", "energy_trace.csv", "solution.json", "solution.csv"]),
     # scan spaces each axis of the spec evenly: 0.5, 0.6 and 0.5 here
     "scan_cone": ("cone_unit", ["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.7,0.5:3"],
                   ["scan.csv", "scan.manifest.json"]),
