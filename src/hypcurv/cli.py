@@ -21,14 +21,17 @@ from .errors import HypcurvError
 from .gridfn import save_grid_function
 from .heightfield import FD_STEP, field_from_json, field_to_descriptor, sample_height_grid
 from .inequalities import grad_direction_ricci, point_regime_report, scan_field
-from .reportio import RunManifest, dumps, format_float
+from .reportio import RunManifest, csv_rows, dumps
 
 
 def _parse_tuple(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",")])
+        values = np.array([float(t) for t in text.split(",")])
     except ValueError as exc:
         raise click.UsageError(f"cannot parse tuple {text!r}: {exc}")
+    if not np.isfinite(values).all():
+        raise click.UsageError(f"tuple {text!r} holds a non-finite value")
+    return values
 
 
 def _parse_grid(text: str, n: int):
@@ -216,10 +219,7 @@ def scan(field, manifest, out, grid_spec):
     n = field.n
     header = [*(f"x{i+1}" for i in range(n)), "f", "H", *(f"kappa{i+1}" for i in range(n)),
               "min_ric_eig", "A", "B", "AB_minus_nm1", "density", "regime"]
-    lines = [",".join(header)] + [
-        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
-        for row in rows]
-    text = "\n".join(lines) + "\n"
+    text = ",".join(header) + "\n" + csv_rows(rows)
     _echo(text)
     if out:
         _write(out, "scan.csv", text)
@@ -267,9 +267,9 @@ def solve(field, manifest, out, grid_spec, p):
     grid = plaplace.tighten_boundary(sample_height_grid(field, lo, hi, spacing))
     res = plaplace.solve_p_harmonic(grid, plaplace.SolverConfig(p=p))
     if out:
-        _write(out, "energy_trace.csv", "iteration,energy,step\n" + "".join(
-            f"{i},{format_float(float(e))},{format_float(float(s))}\n"
-            for i, (e, s) in enumerate(zip(res.energy_trace, [0.0, *res.step_trace]))))
+        trace = zip(res.energy_trace.tolist(), [0.0, *res.step_trace.tolist()])
+        _write(out, "energy_trace.csv", "iteration,energy,step\n" + csv_rows(
+            [(i, e, s) for i, (e, s) in enumerate(trace)]))
         save_grid_function(res.grid, os.path.join(out, "solution.csv"),
                            os.path.join(out, "solution.json"))
         manifest.outputs += ["solution.csv", "solution.json", "energy_trace.csv"]

@@ -123,12 +123,10 @@ def save_grid_function(gf: GridFunction, csv_path, header_path):
     with open(header_path, "w") as fh:
         json.dump(header, fh, indent=2)
         fh.write("\n")
-    flat = gf.values.ravel(order="C")
-    bnd = gf.boundary_mask.ravel(order="C").astype(int)
+    nodes = zip(gf.values.ravel().tolist(), gf.boundary_mask.ravel().tolist())
     with open(csv_path, "w") as fh:
         fh.write("value,boundary\n")
-        for v, b in zip(flat, bnd):
-            fh.write(f"{float(v)!r},{int(b)}\n")
+        fh.writelines(map("%r,%d\n".__mod__, nodes))
 
 
 def load_grid_function(csv_path, header_path) -> GridFunction:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParameterError, PreconditionError
 from .gridfn import GridFunction
@@ -90,10 +89,18 @@ def _pair_adjoint(y, stride, sign):
     return out
 
 
+def _corner_fold(mask, op):
+    """``op`` over the 2^n corner shifts of ``mask``: entry i folds mask[i + {0,1}^n]."""
+    out = None
+    for corner in itertools.product((0, 1), repeat=mask.ndim):
+        view = mask[tuple(slice(c, d - 1 + c) for c, d in zip(corner, mask.shape))]
+        out = view.copy() if out is None else op(out, view, out=out)
+    return out
+
+
 def _complete_cells(active):
     """Cells, indexed by their lowest corner, whose 2^n corners are all active."""
-    n = active.ndim
-    return sliding_window_view(active, (2,) * n).all(axis=tuple(range(n, 2 * n)))
+    return _corner_fold(active, np.logical_and)
 
 
 def _cell_weights(active):
@@ -165,10 +172,8 @@ def tighten_boundary(gf: GridFunction) -> GridFunction:
     """
     out = gf.copy()
     active = out.active_mask()
-    n = out.ndim
-    # node i touches the cells i - {0,1}^n: a corner window of the padded cell mask
-    incomplete = np.pad(~_complete_cells(active), 1)
-    bad = sliding_window_view(incomplete, (2,) * n).any(axis=tuple(range(n, 2 * n)))
+    # node i touches the cells i - {0,1}^n: the corner shifts of the padded cell mask
+    bad = _corner_fold(np.pad(~_complete_cells(active), 1), np.logical_or)
     out.boundary_mask |= active & bad
     out.validate()
     return out

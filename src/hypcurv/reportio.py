@@ -1,8 +1,9 @@
-"""Deterministic report serialization: JSON with 17-significant-digit floats.
+"""Deterministic report serialization: JSON and CSV with 17-significant-digit floats.
 
 The standard json encoder does not expose float formatting, so reports go through a
-small recursive writer.  Output is bitwise-stable for a fixed manifest and build,
-and every report embeds the manifest that produced it.
+small recursive writer, and CSV tables through a row writer that spells floats the
+same way.  Output is bitwise-stable for a fixed manifest and build, and every report
+embeds the manifest that produced it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RunManifest", "dumps", "format_float"]
+__all__ = ["RunManifest", "csv_rows", "dumps", "format_float"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -26,6 +27,34 @@ def format_float(x: float) -> str:
     text = f"{x:.17g}"
     # a JSON reader takes "-0" for the integer 0 and drops the sign
     return "-0.0" if text == "-0" else text
+
+
+#: text that ``%.17g`` writes only for NaN, the infinities and -0.0, which
+#: format_float spells otherwise
+_ODD = ("nan", "inf", "-0,", "-0\n")
+
+
+def _csv_line(row) -> str:
+    return ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
+def csv_rows(rows) -> str:
+    """CSV lines of ``rows``, each float spelt by :func:`format_float`, any other value
+    by ``str``.
+
+    Every row has the column types of the first, so one C-level ``%`` formats a row.
+    Its ``%.17g`` is format_float's own routine; only the rare line where it wrote
+    ``nan``, ``inf`` or a bare ``-0`` is written again value by value.
+    """
+    if not rows:
+        return ""
+    spec = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+    lines = [spec % tuple(row) for row in rows]
+    text = "".join(lines)
+    if any(odd in text for odd in _ODD):
+        text = "".join(_csv_line(row) if any(odd in line for odd in _ODD) else line
+                       for row, line in zip(rows, lines))
+    return text
 
 
 def _encode(obj, indent: int, level: int) -> str:

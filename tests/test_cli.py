@@ -20,7 +20,7 @@ import hypcurv
 from hypcurv import asymptotics
 from hypcurv.cli import main
 from hypcurv.gridfn import GridFunction, save_grid_function
-from hypcurv.reportio import dumps
+from hypcurv.reportio import csv_rows, dumps, format_float
 
 
 @pytest.fixture()
@@ -281,6 +281,17 @@ def test_p_outside_solver_range_usage_error(runner, surfaces, command, p):
     assert "finite p >= 2" in result.output
 
 
+@pytest.mark.parametrize("args", [["scan", "--grid", "0.5,-0.5,nan:1.5,0.5,0.5:3"],
+                                  ["classify", "--grid", "-0.5,-0.5,-0.5:0.5,inf,0.5:17"],
+                                  ["probe", "--grid", "0.5,-0.5,-0.5:1.5,0.5,inf:9"],
+                                  ["analyze", "--point", "nan,0,0"]])
+def test_non_finite_number_usage_error(runner, surfaces, args):
+    result = runner.invoke(main, [args[0], "--surface", surfaces["cone"], *args[1:]])
+    assert result.exit_code == 2
+    assert "non-finite" in result.output
+    assert "x1," not in result.output
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_negative_seed_usage_error(runner, surfaces, command):
     surface = ["--surface", surfaces["cone"]] if command == "classify" else []
@@ -459,6 +470,12 @@ class TestVerify:
         assert "[FAIL]" in result.output
 
 
+#: values that %.17g and format_float spell apart, or at the ends of the double range
+ODD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+              2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 1e-300, 1e300, 1e16, 1e17, 0.1]
+
+
 class TestReportIO:
     def test_float_17_digits(self):
         text = dumps({"x": 1.0 / 3.0})
@@ -486,6 +503,25 @@ class TestReportIO:
     @example({"z": -0.0})
     def test_json_round_trip(self, obj):
         assert_round_trip(json.loads(dumps(obj)), obj)
+
+    def test_csv_rows_empty(self):
+        assert csv_rows([]) == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(st.tuples(
+        st.integers(), st.lists(st.floats() | st.sampled_from(ODD_FLOATS), min_size=k,
+                                max_size=k),
+        st.sampled_from(["NotConvex", "Horoconvex", "nan", "inf", "-0", "x-0"])),
+        min_size=1, max_size=8)))
+    @example([(0, [-0.0, 0.0, math.nan], "NonnegRicci")])
+    def test_csv_rows_spell_floats_as_format_float(self, rows):
+        rows = [[i, *floats, text] for i, floats, text in rows]
+        want = "".join(f"{row[0]},{','.join(map(format_float, row[1:-1]))},{row[-1]}\n"
+                       for row in rows)
+        assert csv_rows(rows) == want
+        floats_only = [row[1:-1] for row in rows]
+        assert csv_rows(floats_only) == "".join(
+            ",".join(map(format_float, row)) + "\n" for row in floats_only)
 
 
 def assert_round_trip(got, sent):

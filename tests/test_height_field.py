@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -472,6 +473,25 @@ class TestDescriptorsAndIO:
         save_grid_function(gf, tmp_path / "g.csv", tmp_path / "g.json")
         back = load_grid_function(tmp_path / "g.csv", tmp_path / "g.json")
         assert np.isneginf(back.values[0, 0, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(3, 5), min_size=1, max_size=3).flatmap(lambda dims: st.tuples(
+        st.just(tuple(dims)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf),
+                 min_size=math.prod(dims), max_size=math.prod(dims)),
+        st.lists(st.booleans(), min_size=math.prod(dims), max_size=math.prod(dims)))))
+    def test_grid_io_round_trip_bitwise(self, grid):
+        dims, values, fixed = grid
+        values = np.array(values).reshape(dims)
+        mask = box_face_mask(dims) | np.array(fixed).reshape(dims) | np.isneginf(values)
+        gf = GridFunction(dims, 0.1, np.zeros(len(dims)), values, mask)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv, header = f"{tmp}/g.csv", f"{tmp}/g.json"
+            save_grid_function(gf, csv, header)
+            back = load_grid_function(csv, header)
+        assert back.dims == gf.dims
+        assert back.values.tobytes() == gf.values.tobytes()
+        assert np.array_equal(back.boundary_mask, gf.boundary_mask)
 
     def test_grid_io_malformed_cell(self, tmp_path):
         gf = GridFunction((3, 3, 3), 1.0, np.zeros(3), np.zeros((3, 3, 3)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hypcurv.errors import DataError, ParameterError, PreconditionError
 from hypcurv.gridfn import GridFunction, box_face_mask
@@ -378,6 +379,23 @@ class TestViscosityProbe:
 
 
 class TestTightenBoundary:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_masks_match_window_oracle(self, n):
+        # oracle: windows of 2^n corners, reduced along the window axes
+        rng = np.random.default_rng(n)
+        axes = tuple(range(n, 2 * n))
+        for density in (0.5, 0.8, 0.95, 1.0):
+            dims = tuple(int(d) for d in rng.integers(3, 9, size=n))
+            active = rng.random(dims) < density
+            cells = sliding_window_view(active, (2,) * n).all(axis=axes)
+            assert np.array_equal(_complete_cells(active), cells)
+            gf = GridFunction(dims, 0.1, np.zeros(n),
+                              np.where(active, rng.normal(size=dims), -np.inf),
+                              box_face_mask(dims) | ~active)
+            touched = sliding_window_view(np.pad(~cells, 1), (2,) * n).any(axis=axes)
+            assert np.array_equal(tighten_boundary(gf).boundary_mask,
+                                  gf.boundary_mask | (active & touched))
+
     def test_excised_ring_becomes_boundary(self):
         field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
         grid = sample_height_grid(field, [-0.5] * 3, [0.5] * 3, 1.0 / 8)
