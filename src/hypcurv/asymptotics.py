@@ -4,7 +4,8 @@ Deep sublevel sets {h < -M} of the height h = log f localize the finite part of 
 recession set: each surviving component whose diameter keeps shrinking as M grows is
 counted as one asymptotic boundary point, and an unbounded graph domain contributes
 the projection point p_0 on top.  Components use face adjacency on the analysis
-lattice and diameters are Euclidean in the horosphere coordinates.
+lattice and diameters are Euclidean in the horosphere coordinates.  The labelling is
+numpy's alone: no scipy module is loaded on this path.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ DECAY_RATIO = 0.5
 class Component:
     """One face-connected component of a sublevel set."""
 
-    indices: np.ndarray   # node multi-indices, shape (N, n)
-    coords: np.ndarray    # node coordinates, shape (N, n)
+    first: np.ndarray     # multi-index of its first node in C order, shape (n,)
+    size: int             # node count
     diameter: float
 
 
@@ -94,6 +95,52 @@ def _check_levels(levels) -> tuple:
     return levels
 
 
+def _label_faces(mask: np.ndarray):
+    """Face-adjacency labels of a boolean array, numbered from 1 by each component's
+    first node in C order (as ``scipy.ndimage.label`` numbers them), and their count.
+
+    The set splits into runs along the last axis, numbered in C order.  Two runs in
+    face-adjacent rows touch if and only if their overlap is not empty, and the overlap
+    begins at the start of one of them; so each run start is linked to the runs of its
+    two neighbours along every other axis.  The links are merged by min-label hooking
+    with pointer jumping, which leaves every run pointing at the least run of its
+    component, the one that holds the component's first node.
+    """
+    flat = np.ravel(mask)
+    rows = mask.shape[-1]
+    starts, ends = flat.copy(), flat.copy()
+    starts[1:] &= ~flat[:-1]
+    starts[::rows] = flat[::rows]
+    ends[:-1] &= ~flat[1:]
+    ends[rows - 1::rows] = flat[rows - 1::rows]
+    first, last = np.flatnonzero(starts), np.flatnonzero(ends)
+    u, v = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    stride = rows
+    for d in range(mask.ndim - 2, -1, -1):
+        at = first // stride % mask.shape[d]
+        for step, inside in ((-stride, at > 0), (stride, at < mask.shape[d] - 1)):
+            q = first[inside] + step
+            hit = flat[q]
+            u.append(np.flatnonzero(inside)[hit])
+            v.append(np.searchsorted(first, q[hit], side="right") - 1)
+        stride *= mask.shape[d]
+    u, v = np.concatenate(u), np.concatenate(v)
+    parent = np.arange(len(first))
+    while True:
+        pu, pv = parent[u], parent[v]
+        moved = pu != pv
+        if not moved.any():
+            break
+        u, v, pu, pv = u[moved], v[moved], pu[moved], pv[moved]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    number = np.cumsum(parent == np.arange(len(first)), dtype=np.int32)
+    labels = np.zeros(flat.shape, np.int32)
+    labels[flat] = np.repeat(number[parent], last - first + 1)
+    return labels.reshape(mask.shape), int(number[-1]) if len(number) else 0
+
+
 def _label_sublevel(grid: GridFunction, level: float, box: tuple):
     """Face-adjacency labelling of {h < -level} within the index box ``box``.
 
@@ -102,8 +149,6 @@ def _label_sublevel(grid: GridFunction, level: float, box: tuple):
     returns (None, 0, None).  A translated sub-box keeps C order, so the labels are
     numbered as on the full lattice.  Excised nodes (-inf) lie in every sublevel set.
     """
-    import scipy.ndimage
-
     inset = grid.values[box] < -level
     crop = []
     for d in range(grid.ndim):
@@ -112,29 +157,30 @@ def _label_sublevel(grid: GridFunction, level: float, box: tuple):
             return None, 0, None
         crop.append(slice(hit[0], hit[-1] + 1))
     box = tuple(slice(b.start + c.start, b.start + c.stop) for b, c in zip(box, crop))
-    structure = scipy.ndimage.generate_binary_structure(grid.ndim, 1)
-    labels, count = scipy.ndimage.label(inset[tuple(crop)], structure=structure)
+    labels, count = _label_faces(inset[tuple(crop)])
     return labels, count, box
 
 
 def _components_from_labels(grid: GridFunction, labels, count, box) -> list:
-    """Components of a labelling of the index box ``box``, from one pass over its
-    labelled nodes.
+    """Components of a labelling of the index box ``box``, from its run ends.
 
-    Nodes stay in C order within each component; coordinates are gathered per axis.
+    A component's first node in C order has no neighbour of its own before it along
+    any axis, so it ends a run along every axis: it is the first of the component's
+    run ends, which keep C order within each component.  Node counts come from one
+    ``bincount``; coordinates are gathered per axis for the run ends only.
     """
     if count == 0:
         return []
-    idx = np.argwhere(labels)
-    at = tuple(idx.T)
-    lab = labels[at]
+    ends = _run_ends(labels)
+    idx = np.argwhere(ends)
+    lab = labels[ends]
     order = np.argsort(lab, kind="stable")
-    ends = _run_ends(labels)[at][order]
     idx = idx[order] + [b.start for b in box]
     pts = np.stack([axis[idx[:, d]] for d, axis in enumerate(grid.axes())], axis=-1)
     cut = np.cumsum(np.bincount(lab, minlength=count + 1))
-    return [Component(idx[a:b], pts[a:b], _set_diameter(pts[a:b][ends[a:b]]))
-            for a, b in zip(cut[:-1], cut[1:])]
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    return [Component(idx[a], int(size), _set_diameter(pts[a:b]))
+            for a, b, size in zip(cut[:-1], cut[1:], sizes[1:])]
 
 
 def _run_ends(labels) -> np.ndarray:
@@ -189,7 +235,7 @@ def recession_report(field: HeightField, levels, lo, hi, spacing: float) -> Rece
     fat = False
     for comp in per_level[-1][0]:
         # the witness node lies in every shallower set, and so in every level's box
-        witness = comp.indices[0]
+        witness = comp.first
         traj = tuple(comps[lab[tuple(witness - [b.start for b in at])] - 1].diameter
                      for comps, lab, at in per_level)
         trajectories.append(traj)

@@ -42,6 +42,8 @@ CONE_MASK_RADIUS = 1e-3
 INTERP_ORDER = 4
 #: points interpolated per batch by ``SampledGridField._interpolate``
 VALUE_CHUNK = 4096
+#: most nodes of an analysis lattice (256^3; one float array of them is 134 MB)
+MAX_LATTICE_NODES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,11 @@ class HeightField:
         may overwrite; every kind supplies its own."""
         raise NotImplementedError
 
+    def _lattice_values(self, axes) -> np.ndarray:
+        """:meth:`value_array` at every node of the lattice with per-axis coordinates
+        ``axes``, as a new array; kinds whose f is separable skip the node mesh."""
+        return self.value_array(_mesh(axes))
+
     def height_array(self, X: np.ndarray) -> np.ndarray:
         """Vectorized h = log f with -inf at masked points; no domain-box check."""
         X = np.asarray(X, dtype=float)
@@ -253,6 +260,9 @@ class Horosphere(HeightField):
         X = np.asarray(X, dtype=float)
         return np.full(X.shape[:-1], self.c)
 
+    def _lattice_values(self, axes):
+        return np.full(tuple(map(len, axes)), self.c)
+
     def params(self):
         return {"c": self.c}
 
@@ -296,8 +306,14 @@ class GeodesicSphereCap(HeightField):
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
-        # w2 = b^2 - |x|^2, then w = sqrt(max(w2, 0)), then a -/+ w, in one array
-        w = np.asarray(np.einsum("...i,...i->...", X, X))
+        return self._from_sq_norm(np.asarray(np.einsum("...i,...i->...", X, X)))
+
+    def _lattice_values(self, axes):
+        return self._from_sq_norm(_lattice_sq_norm(axes))
+
+    def _from_sq_norm(self, w):
+        """f from |x|^2, in the array ``w``: w2 = b^2 - |x|^2, then w = sqrt(max(w2, 0)),
+        then a -/+ w; -1 off the chart."""
         np.subtract(self.b ** 2, w, out=w)
         off_chart = ~(w > 0)
         np.sqrt(np.maximum(w, 0.0, out=w), out=w)
@@ -340,8 +356,14 @@ class EquidistantCone(HeightField):
 
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
-        f = np.asarray(np.einsum("...i,...i->...", X, X))
-        return np.multiply(self.slope, np.sqrt(f, out=f), out=f)[()]
+        return self._from_sq_norm(np.asarray(np.einsum("...i,...i->...", X, X)))[()]
+
+    def _lattice_values(self, axes):
+        return self._from_sq_norm(_lattice_sq_norm(axes))
+
+    def _from_sq_norm(self, f):
+        """s|x| from |x|^2, in the array ``f``."""
+        return np.multiply(self.slope, np.sqrt(f, out=f), out=f)
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
                       margin: float = 0.0) -> np.ndarray:
@@ -383,6 +405,10 @@ class TiltedPlane(HeightField):
     def value_array(self, X):
         X = np.asarray(X, dtype=float)
         return self.slope * X[..., 0]
+
+    def _lattice_values(self, axes):
+        row = self.slope * axes[0].reshape((-1,) + (1,) * (len(axes) - 1))
+        return np.broadcast_to(row, tuple(map(len, axes))).copy()
 
     def params(self):
         return {"slope": self.slope}
@@ -494,10 +520,49 @@ class SampledGridField(HeightField):
                 "spacing": self.grid.spacing, "origin": self.grid.origin.tolist()}
 
 
-def _mesh_points(lo, dims, spacing):
-    axes = [lo[d] + spacing * np.arange(dims[d]) for d in range(len(dims))]
+def _lattice_axes(lo, dims, spacing):
+    """Per-axis node coordinates of the lattice with node 0 at ``lo``, as
+    ``GridFunction.axes`` gives them."""
+    return [lo[d] + spacing * np.arange(dims[d]) for d in range(len(dims))]
+
+
+def _mesh(axes):
     # broadcast views: stack makes the one copy
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
+
+
+def _mesh_points(lo, dims, spacing):
+    """Coordinates of every lattice node, shape dims + (n,)."""
+    return _mesh(_lattice_axes(lo, dims, spacing))
+
+
+#: the most axes for which :func:`_lattice_sq_norm` rounds as the einsum does
+_SEPARABLE_MAX_N = 7
+
+
+def _lattice_sq_norm(axes) -> np.ndarray:
+    """|x|^2 at every lattice node, as a new array, from the per-axis squares.
+
+    ``np.einsum("...i,...i->...")`` over the node mesh adds the squares in two
+    accumulators, the even axes in order and the odd axes in order, and then adds the
+    two; the sum here keeps that order, so every node holds the einsum's bits (a
+    property test pins this against the einsum).  Past ``_SEPARABLE_MAX_N`` axes the
+    einsum rounds otherwise, so it runs on the mesh.
+    """
+    n = len(axes)
+    if n > _SEPARABLE_MAX_N:
+        X = _mesh(axes)
+        return np.einsum("...i,...i->...", X, X)
+    sq = [np.square(a).reshape((-1,) + (1,) * (n - 1 - d)) for d, a in enumerate(axes)]
+    if n == 1:
+        return sq[0]
+    even, odd = sq[0], sq[1]
+    for d in range(2, n):
+        if d % 2:
+            odd = odd + sq[d]
+        else:
+            even = even + sq[d]
+    return even + odd
 
 
 def _row_dot(a, b):
@@ -517,19 +582,21 @@ def _masked_points(field: HeightField, X) -> np.ndarray:
     return masked
 
 
-def _lattice_masked(field: HeightField, X, lo, spacing: float) -> np.ndarray:
-    """``_masked_points`` on the lattice mesh X with node 0 at ``lo``.
+def _lattice_masked(field: HeightField, axes, lo, spacing: float) -> np.ndarray:
+    """``_masked_points`` at the nodes of the lattice with node 0 at ``lo`` and per-axis
+    coordinates ``axes``.
 
     Each ball is tested only on the index box it covers, widened by one node against
-    rounding, by the same expression, so every node gets the same bit.
+    rounding, on the mesh of that box alone and by the same expression, so every node
+    gets the same bit.
     """
-    dims = X.shape[:-1]
+    dims = tuple(map(len, axes))
     masked = np.zeros(dims, dtype=bool)
     for m in field.masks:
         first = np.clip(np.floor((m.center - m.radius - lo) / spacing) - 1, 0, dims)
         stop = np.clip(np.ceil((m.center + m.radius - lo) / spacing) + 2, 0, dims)
         box = tuple(map(slice, first.astype(int), stop.astype(int)))
-        masked[box] |= _in_ball(m, X[box])
+        masked[box] |= _in_ball(m, _mesh([a[b] for a, b in zip(axes, box)]))
     return masked
 
 
@@ -552,6 +619,9 @@ def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> Grid
     """f on the checked lattice over [lo, hi] (see ``sample_height_grid``), mapped in
     place by ``transform``; -inf and a boundary flag where f <= 0 or inside a mask ball.
 
+    A lattice of more than ``MAX_LATTICE_NODES`` nodes raises ParameterError before any
+    node array is allocated.
+
     The values and the flags are written into the arrays that the grid keeps.
     """
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
@@ -560,11 +630,15 @@ def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> Grid
     dims = _lattice_dims(lo, hi, spacing)
     if any(d < 3 for d in dims):
         raise ParameterError("analysis window too small for the requested spacing")
-    X = _mesh_points(lo, dims, spacing)
-    vals = field.value_array(X)
+    nodes = math.prod(dims)
+    if nodes > MAX_LATTICE_NODES:
+        raise ParameterError(f"lattice of {nodes} nodes {dims} exceeds the budget of "
+                             f"{MAX_LATTICE_NODES} nodes")
+    axes = _lattice_axes(lo, dims, spacing)
+    vals = field._lattice_values(axes)
     bad = vals > 0
     np.logical_not(bad, out=bad)
-    bad |= _lattice_masked(field, X, lo, spacing)
+    bad |= _lattice_masked(field, axes, lo, spacing)
     transform(vals)
     np.copyto(vals, -np.inf, where=bad)
     for face in _box_faces(len(dims)):
@@ -576,7 +650,8 @@ def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFuncti
     """Heights h = log f on the lattice over [lo, hi] at ``spacing``; -inf at masked nodes.
 
     The window must sit inside the field's domain box (else DomainError), and each of
-    its extents must be a whole number of spacings, at least two (else ParameterError).
+    its extents must be a whole number of spacings, at least two, with at most
+    ``MAX_LATTICE_NODES`` nodes in all (else ParameterError).
     """
     # the expression of height_array, so the heights are the same to the bit
     return _lattice_grid(field, lo, hi, spacing,

@@ -189,4 +189,11 @@ def scan_field(field: HeightField, points) -> list:
     A, B = rep.factors
     cols = np.column_stack([X, f, rep.mean, rep.spectrum.kappas, rep.min_ricci_eig, A, B,
                             A * B - (field.n - 1), rep.n_subharmonic_density])
-    return [row + [regime.value] for row, regime in zip(cols.tolist(), rep.regime)]
+    # each regime's name is read once, not through the Enum property on every row
+    names = np.empty(len(X), dtype=object)
+    for regime in Regime:
+        names[rep.regime == regime] = regime.value
+    rows = cols.tolist()
+    for row, name in zip(rows, names.tolist()):
+        row.append(name)
+    return rows

@@ -44,9 +44,18 @@ class TestSublevelComponents:
         assert comps[0].diameter >= exact - 2 * spacing
 
     def test_component_contains_origin_mask(self):
-        comps = window_components(cone(), 1.0 / 16, 2.0)
-        center_idx = np.array([8, 8, 8])
-        assert any((c.indices == center_idx).all(axis=1).any() for c in comps)
+        # {h < -2} is the excised apex node (8, 8, 8) and the nodes of the ball of
+        # radius e^-2 (2.17 spacings) around it: the 33 nodes at most 2 spacings away
+        spacing = 1.0 / 16
+        grid = sample_height_grid(cone(), *WINDOW, spacing)
+        assert np.isneginf(grid.values[8, 8, 8])
+        (comp,) = sublevel_components(grid, 2.0)
+        ball = np.argwhere(grid.values < -2.0)
+        assert ball.tolist() == np.argwhere(
+            np.sum((np.indices(grid.dims) - 8) ** 2, axis=0) <= 4).tolist()
+        assert comp.first.tolist() == ball[0].tolist() == [6, 8, 8]
+        assert comp.size == len(ball) == 33
+        assert comp.diameter == 4 * spacing
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_level_must_be_finite(self, level):
@@ -134,12 +143,51 @@ class TestRecessionReport:
         assert doc["components"][0]["count"] == 1
 
 
+def scipy_label(mask):
+    """Reference: ``scipy.ndimage.label`` with the face structure."""
+    return scipy.ndimage.label(
+        mask, structure=scipy.ndimage.generate_binary_structure(mask.ndim, 1))
+
+
+@st.composite
+def label_masks(draw):
+    """Boolean arrays in n = 1..4 with axes of length 1 and up: random masks of any
+    density, sublevel sets of a smooth random height, empty and full masks, each
+    possibly a cropped sub-box (a strided view) of the drawn array."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "smooth", "empty", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = tuple(rng.integers(1, {1: 60, 2: 24, 3: 12, 4: 7}[n] + 1, size=n))
+    if kind == "random":
+        mask = rng.random(dims) < rng.uniform(0, 1)
+    elif kind == "smooth":
+        # a few random plane waves; the level is a random quantile of the heights
+        x = np.stack(np.meshgrid(*[np.arange(d) / 4.0 for d in dims], indexing="ij"), -1)
+        h = sum(np.cos(x @ rng.normal(size=n) + rng.uniform(0, 2 * np.pi))
+                for _ in range(3))
+        mask = h < np.quantile(h, rng.uniform(0.05, 0.95))
+    else:
+        mask = np.full(dims, kind == "full")
+    if draw(st.booleans()):
+        start = rng.integers(0, dims)
+        mask = mask[tuple(slice(a, rng.integers(a + 1, d + 1)) for a, d in zip(start, dims))]
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=label_masks())
+def test_label_faces_equals_scipy_bitwise(mask):
+    labels, count = asymptotics._label_faces(mask)
+    ref, ref_count = scipy_label(mask)
+    assert labels.dtype == ref.dtype and labels.shape == ref.shape
+    assert labels.tobytes() == ref.tobytes()
+    assert type(count) is int and count == ref_count
+
+
 def label_full_lattice(grid, level, box):
     """Reference: face-adjacency labelling of {h < -level} and the excised nodes over
     the whole lattice."""
-    inset = (grid.values < -level) | np.isneginf(grid.values)
-    labels, count = scipy.ndimage.label(
-        inset, structure=scipy.ndimage.generate_binary_structure(grid.ndim, 1))
+    labels, count = scipy_label((grid.values < -level) | np.isneginf(grid.values))
     return labels, count, tuple(slice(0, d) for d in grid.dims)
 
 
@@ -161,7 +209,7 @@ def components_per_label(grid, labels, count, box):
     for lab in range(1, count + 1):
         idx = np.argwhere(labels == lab) + [b.start for b in box]
         pts = coords[tuple(idx.T)]
-        comps.append(Component(idx, pts, all_pairs_diameter(pts)))
+        comps.append(Component(idx[0], len(idx), all_pairs_diameter(pts)))
     return comps
 
 
@@ -198,8 +246,8 @@ def planted_lattice(seed, n):
 def same_components(new, ref):
     assert len(new) == len(ref)
     for a, b in zip(new, ref):
-        assert a.indices.tolist() == b.indices.tolist()
-        assert a.coords.tobytes() == b.coords.tobytes()
+        assert a.first.tolist() == b.first.tolist()
+        assert type(a.size) is int and a.size == b.size
         assert a.diameter == b.diameter
 
 

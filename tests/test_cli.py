@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypcurv
-from hypcurv import asymptotics
+from hypcurv import asymptotics, heightfield
 from hypcurv.cli import main
 from hypcurv.gridfn import GridFunction, save_grid_function
 from hypcurv.reportio import csv_rows, dumps, format_float
@@ -355,6 +355,19 @@ def test_library_error_exits_1_with_error_json(runner, surfaces, excised_grid, a
     assert json.loads(result.stderr)["error"]
 
 
+@pytest.mark.parametrize("args", [["boundary", "--levels", "1,2"], ["classify"], ["solve"],
+                                  ["probe"]], ids=lambda args: args[0])
+def test_lattice_over_node_budget_exits_1_with_error_json(runner, surfaces, args):
+    # 10^15 nodes: refused by the node budget before any node array is allocated
+    result = runner.invoke(main, [args[0], "--surface", surfaces["cone"], *args[1:],
+                                  "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:100000"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "error": f"lattice of {10 ** 15} nodes (100000, 100000, 100000) exceeds the "
+                 f"budget of {heightfield.MAX_LATTICE_NODES} nodes"}
+
+
 @pytest.mark.parametrize("args", [
     ["analyze", "--point", "1,0,0"], ["scan", "--grid", "0.5,-0.2,-0.2:1.5,0.2,0.2:3"],
     ["analyze", "--point", "9,0,0"], ["verify", "--suite", "horosphere-identity"]],
@@ -415,10 +428,10 @@ class TestColdStart:
             ["probe", "--grid", f"{box}:9"]], tmp_path)
         assert got == {"codes": [0, 0, 0, 0], "scipy": []}
 
-    def test_classify_loads_ndimage_when_it_labels(self, surfaces, tmp_path):
-        got = cold_start(surfaces["cone"], [["classify", "--samples", "10"]], tmp_path)
-        assert got["codes"] == [0]
-        assert "scipy.ndimage" in got["scipy"]
+    def test_classify_and_boundary_load_no_scipy(self, surfaces, tmp_path):
+        got = cold_start(surfaces["cone"], [["classify", "--samples", "10"],
+                                            ["boundary", "--levels", "1,2"]], tmp_path)
+        assert got == {"codes": [0, 0], "scipy": []}
 
     def test_classify_measures_diameters_without_scipy_spatial(self, tmp_path):
         # the level-1 component of this cone on this window has 31463 nodes, 2402
@@ -428,7 +441,7 @@ class TestColdStart:
         got = cold_start(str(cone), [["classify", "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:65",
                                       "--samples", "10"]], tmp_path)
         assert got["codes"] == [0]
-        assert "scipy.ndimage" in got["scipy"]
+        assert got["scipy"] == []
         assert [m for m in got["scipy"] if m.startswith("scipy.spatial")] == []
 
 

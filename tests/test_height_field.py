@@ -321,7 +321,8 @@ def test_lattice_mask_box_matches_full_mesh(seed, n, places):
             center = rng.uniform(lo - radius, hi + radius)
         balls.append(BallMask(center, radius))
     field = HeightField(n, Box(lo - 10, hi + 10), masks=balls)
-    assert np.array_equal(heightfield._lattice_masked(field, X, lo, spacing),
+    axes = heightfield._lattice_axes(lo, dims, spacing)
+    assert np.array_equal(heightfield._lattice_masked(field, axes, lo, spacing),
                           heightfield._masked_points(field, X))
     # both lattice builders on the same window, over a cap whose domain reaches past
     # its chart |x| < b, with the same balls: every node holds the point-set value to
@@ -340,6 +341,29 @@ def test_lattice_mask_box_matches_full_mesh(seed, n, places):
     assert values.values.tobytes() == np.where(excised, -np.inf, cap.value_array(X)).tobytes()
     for grid in (heights, values):
         assert np.array_equal(grid.boundary_mask, box_face_mask(grid.dims) | excised)
+    # each kind's lattice values, without the mesh, hold the bits of value_array on it
+    for kind in (cap, heightfield.Horosphere(rng.uniform(0.1, 3), n),
+                 heightfield.EquidistantCone(rng.uniform(0.1, 3), n),
+                 heightfield.TiltedPlane(rng.uniform(0.1, 3), n)):
+        got = kind._lattice_values(axes)
+        assert got.shape == tuple(map(int, dims)) and got.flags.writeable
+        assert got.tobytes() == kind.value_array(X).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9))
+def test_lattice_sq_norm_equals_mesh_einsum_bitwise(seed, n):
+    # per-axis squares summed in the einsum's order, on lattices with axes of length
+    # 1 and up, either sign and spacings over four decades; past _SEPARABLE_MAX_N = 7
+    # axes the einsum runs on the mesh
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(1, {1: 40, 2: 20, 3: 12, 4: 7, 5: 5}.get(n, 3) + 1, size=n))
+    spacing = float(10.0 ** rng.uniform(-3, 1))
+    lo = rng.uniform(-2, 2, size=n) * 10.0 ** rng.uniform(-2, 1)
+    X = heightfield._mesh_points(lo, dims, spacing)
+    got = heightfield._lattice_sq_norm(heightfield._lattice_axes(lo, dims, spacing))
+    assert got.shape == dims
+    assert got.tobytes() == np.einsum("...i,...i->...", X, X).tobytes()
 
 
 def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
