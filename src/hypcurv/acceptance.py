@@ -232,7 +232,7 @@ def criterion_fundamental_solution(seed: int, check) -> str:
     start = exact.copy()
     start.values[start.interior_mask()] = float(
         np.mean(start.values[start.boundary_mask]))
-    cfg = plaplace.SolverConfig(p=3.0, tolerance=1e-13)
+    cfg = plaplace.SolverConfig(p=3.0)
     res = plaplace.solve_p_harmonic(start, cfg)
     err = float(np.max(np.abs(res.grid.values - exact.values)))
     check(err <= 1e-3, f"max error vs log|x| is {err:.2e}")
@@ -250,8 +250,7 @@ def criterion_fundamental_solution(seed: int, check) -> str:
     gf.values[gf.interior_mask()] = 0.0
     direct = plaplace.solve_laplace_linear(gf)
     iterative = plaplace.solve_p_harmonic(
-        gf, plaplace.SolverConfig(p=2.0, tolerance=1e-16, max_iterations=100000,
-                                  stall_iterations=10))
+        gf, plaplace.SolverConfig(p=2.0, tolerance=1e-16, max_iterations=100000))
     dev = float(np.max(np.abs(direct.values - iterative.grid.values)))
     check(dev <= 1e-8, f"p=2 oracle deviation {dev:.2e}")
     return f"33^3 solve err {err:.1e} <= 1e-3, trace monotone, p=2 oracle dev {dev:.1e}"
@@ -260,7 +259,7 @@ def criterion_fundamental_solution(seed: int, check) -> str:
 @_criterion("viscosity-probe", 60.0)
 def criterion_viscosity_probe(seed: int, check) -> str:
     """Probe true on horosphere and cone boxes, false on the tilted-plane box."""
-    cfg = plaplace.SolverConfig(p=3.0, tolerance=1e-13)
+    cfg = plaplace.SolverConfig(p=3.0)
     hs = make_catalog_surface("horosphere", {"c": 1.0}, 3)
     r = plaplace.viscosity_probe(hs, [-0.5] * 3, [0.5] * 3, cfg, spacing=1.0 / 16)
     check(r.subharmonic, f"horosphere probe false (margin {r.min_margin:.2e})")

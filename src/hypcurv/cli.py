@@ -19,7 +19,8 @@ from . import acceptance, asymptotics, plaplace, rigidity
 from .curvature import fd_residuals
 from .errors import HypcurvError
 from .gridfn import save_grid_function
-from .heightfield import FD_STEP, field_from_json, field_to_descriptor, sample_height_grid
+from .heightfield import (FD_STEP, check_node_budget, field_from_json, field_to_descriptor,
+                          sample_height_grid)
 from .inequalities import grad_direction_ricci, point_regime_report, scan_field
 from .reportio import RunManifest, csv_rows, dumps
 
@@ -209,6 +210,7 @@ def analyze(field, manifest, out, point, step):
 def scan(field, manifest, out, grid_spec):
     """CSV scan of curvature quantities over a point grid."""
     lo, hi, nodes = _parse_grid(grid_spec, field.n)
+    check_node_budget((nodes,) * field.n)
     axes = [np.linspace(lo[d], hi[d], nodes) for d in range(field.n)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, field.n)
     inside = field.contains_array(pts)
@@ -290,7 +292,7 @@ def probe(field, manifest, out, grid_spec, p):
                                       spacing=spacing)
     return {key: getattr(result, key) for key in (
         "subharmonic", "min_margin", "tolerance", "excised_nodes", "spacing",
-        "iterations", "stop_reason", "backtracks")}
+        "iterations", "stop_reason", "grad_norm", "backtracks")}
 
 
 @_command()

@@ -615,6 +615,14 @@ def _lattice_dims(lo, hi, spacing: float) -> tuple:
     return tuple(int(k) + 1 for k in whole)
 
 
+def check_node_budget(dims) -> None:
+    """ParameterError if a lattice of ``dims`` holds over ``MAX_LATTICE_NODES`` nodes."""
+    nodes = math.prod(dims)
+    if nodes > MAX_LATTICE_NODES:
+        raise ParameterError(f"lattice of {nodes} nodes {tuple(dims)} exceeds the budget "
+                             f"of {MAX_LATTICE_NODES} nodes")
+
+
 def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> GridFunction:
     """f on the checked lattice over [lo, hi] (see ``sample_height_grid``), mapped in
     place by ``transform``; -inf and a boundary flag where f <= 0 or inside a mask ball.
@@ -630,10 +638,7 @@ def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> Grid
     dims = _lattice_dims(lo, hi, spacing)
     if any(d < 3 for d in dims):
         raise ParameterError("analysis window too small for the requested spacing")
-    nodes = math.prod(dims)
-    if nodes > MAX_LATTICE_NODES:
-        raise ParameterError(f"lattice of {nodes} nodes {dims} exceeds the budget of "
-                             f"{MAX_LATTICE_NODES} nodes")
+    check_node_budget(dims)
     axes = _lattice_axes(lo, dims, spacing)
     vals = field._lattice_values(axes)
     bad = vals > 0

@@ -12,7 +12,8 @@ nodes is found by preconditioned descent: each direction applies the exact inver
 the p = 2 operator on the lattice box, computed with per-axis sine transforms, so the
 iteration count does not grow with the lattice; a backtracking (Armijo) line search,
 whose rejected trials evaluate the energy alone, keeps the recorded energy trace
-monotonically non-increasing.  For p = 2 the stationarity condition is linear, and
+monotonically non-increasing, and the descent stops once a trial step predicts a
+decrease within rounding of the energy.  For p = 2 the stationarity condition is linear, and
 :func:`solve_laplace_linear`, a direct sparse solve of the independently assembled
 system, is the oracle for the descent.
 
@@ -45,16 +46,21 @@ PROBE_SPACING = 1.0 / 16
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Optimizer settings for the p-Dirichlet minimization."""
+    """Optimizer settings for the p-Dirichlet minimization.
+
+    ``tolerance`` is the least relative decrease a trial step must still predict: the
+    descent stops (``"stalled"``) once ``t g.z <= tolerance |E|``, where two energies
+    that close differ by about their own rounding and the Armijo test could no longer
+    tell a better iterate from a worse one.
+    """
 
     p: float
     epsilon: float = 1e-8
     max_iterations: int = 20000
-    tolerance: float = 1e-13       # relative energy decrease considered stalled
+    tolerance: float = 1e-13       # least relative decrease a trial step must predict
     armijo: float = 1e-4           # sufficient-decrease parameter
     backtrack: float = 0.5         # step halving factor
     max_backtracks: int = 60
-    stall_iterations: int = 5      # consecutive stalled iterations before stopping
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p >= 2):
@@ -250,17 +256,19 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     iteration count does not grow with the lattice.  A trial step costs one energy
     evaluation (:func:`_energy`); the gradient is built from its retained cell
     components only once the step is accepted (:func:`_energy_gradient`), so a solve
-    makes ``iterations + 1`` gradient builds and ``len(energy_trace) + backtracks``
-    energy evaluations.
+    that stops ``"stalled"`` or at ``"max_iterations"`` makes ``iterations + 1``
+    gradient builds and ``len(energy_trace) + backtracks`` energy evaluations.
 
     Interior entries of ``boundary_data`` are the starting point (a warm start with
-    the height samples themselves, in the probe's case).  Termination: the relative
-    energy decrease stays below ``config.tolerance`` for ``config.stall_iterations``
-    consecutive accepted steps (``"stalled"``), the gradient vanishes
-    (``"zero_gradient"``), no step passes the Armijo test after
-    ``config.max_backtracks`` halvings (``"line_search_exhausted"``, taken as the
-    numerical optimum), or ``config.max_iterations`` is reached (``"max_iterations"``,
-    the result is then flagged non-converged).
+    the height samples themselves, in the probe's case).  Termination: before each line
+    search, the trial step predicts a decrease ``t g.z`` of at most
+    ``config.tolerance * |E|`` (``"stalled"``; ``iterations`` counts the accepted
+    steps) or the gradient vanishes (``"zero_gradient"``); no step passes the Armijo
+    test after ``config.max_backtracks`` halvings (``"line_search_exhausted"``, taken
+    as the numerical optimum); or ``config.max_iterations`` steps were accepted
+    (``"max_iterations"``, the result is then flagged non-converged).  The last
+    iteration of a ``"zero_gradient"`` or ``"line_search_exhausted"`` stop accepts no
+    step but is counted.
     """
     gf = boundary_data.copy()
     gf.validate()
@@ -285,7 +293,7 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
     trace, steps = [energy], []
     converged, stop_reason = False, "max_iterations"
-    stalled = iterations = backtracks = 0
+    iterations = backtracks = 0
     t = 1.0
     s = grad_prev = gz_prev = None
     for iterations in range(1, config.max_iterations + 1):
@@ -298,6 +306,10 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
             # Barzilai-Borwein trial step in the P-metric, backtracked to guarantee decrease
             sy = float(np.sum(s * (grad - grad_prev)))
             t = t * t * gz_prev / sy if sy > 0 else t * 2.0
+        if t * gz <= config.tolerance * abs(energy):
+            # the trial step predicts a decrease below the energy's own resolution
+            converged, stop_reason, iterations = True, "stalled", iterations - 1
+            break
         for _ in range(config.max_backtracks):
             cand = vals - t * z
             e_new, state = _energy(cand, h, p, eps, weights)
@@ -309,16 +321,10 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
             converged, stop_reason = True, "line_search_exhausted"
             break
         s, grad_prev, gz_prev = cand - vals, grad, gz
-        vals = cand
-        rel_drop = (energy - e_new) / max(abs(e_new), 1e-300)
-        energy = e_new
+        vals, energy = cand, e_new
         grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
         trace.append(energy)
         steps.append(t)
-        stalled = stalled + 1 if rel_drop < config.tolerance else 0
-        if stalled >= config.stall_iterations:
-            converged, stop_reason = True, "stalled"
-            break
 
     out = gf.copy()
     out.values = np.where(active, vals, gf.values)
@@ -415,7 +421,11 @@ def comparison_check(u: GridFunction, v: GridFunction, tol: float = 1e-8) -> Com
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Viscosity-comparison probe outcome on one box."""
+    """Viscosity-comparison probe outcome on one box.
+
+    ``iterations``, ``stop_reason``, ``grad_norm`` and ``backtracks`` are those of the
+    p-harmonic solve (:class:`PHarmonicResult`).
+    """
 
     subharmonic: bool
     min_margin: float
@@ -424,6 +434,7 @@ class ProbeResult:
     spacing: float
     iterations: int
     stop_reason: str
+    grad_norm: float
     backtracks: int
 
     def __bool__(self):
@@ -446,4 +457,4 @@ def viscosity_probe(field: HeightField, lo, hi, config: SolverConfig,
     margin = (float(np.min(result.grid.values[interior] - h_grid.values[interior]))
               if np.any(interior) else 0.0)
     return ProbeResult(margin >= -tol, margin, tol, excised, spacing, result.iterations,
-                       result.stop_reason, result.backtracks)
+                       result.stop_reason, result.grad_norm, result.backtracks)

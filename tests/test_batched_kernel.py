@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypcurv import curvature
@@ -47,9 +47,10 @@ def assert_rows_match_oracles(X, f, df, hess):
         H = mean_curvature(jet)
         assert close(rep.mean[i], H) and close(A[i] + B[i], H), i
         if np.any(df[i] != 0.0):
-            # Ricci in the g-unit gradient direction, read from the frame and kappas
-            q = 1.0 + df[i] @ df[i]
-            v = f[i] / math.sqrt((q - 1.0) * q) * df[i]
+            # Ricci in the g-unit gradient direction, read from the frame and kappas;
+            # |Df|^2 is taken directly, since (1 + |Df|^2) - 1 loses |Df|^-2 of its bits
+            d2 = df[i] @ df[i]
+            v = f[i] / math.sqrt(d2 * (1.0 + d2)) * df[i]
             c = spec.frame[i].T @ forms.metric @ v
             kappas = spec.kappas[i]
             ric_v = np.sum((-(n - 1) + kappas * rep.mean[i] - kappas ** 2) * c ** 2)
@@ -67,6 +68,9 @@ def assert_rows_match_oracles(X, f, df, hess):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.booleans())
+# n = 2 draws with a near-critical row, where 1 + |Df|^2 - 1 would cancel
+@example(n=2, seed=518, critical=False)
+@example(n=2, seed=782, critical=False)
 def test_batched_rows_match_oracles_on_random_jets(n, seed, critical):
     rng = np.random.default_rng(seed)
     count = 6

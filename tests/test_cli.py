@@ -356,9 +356,10 @@ def test_library_error_exits_1_with_error_json(runner, surfaces, excised_grid, a
 
 
 @pytest.mark.parametrize("args", [["boundary", "--levels", "1,2"], ["classify"], ["solve"],
-                                  ["probe"]], ids=lambda args: args[0])
+                                  ["probe"], ["scan"]], ids=lambda args: args[0])
 def test_lattice_over_node_budget_exits_1_with_error_json(runner, surfaces, args):
-    # 10^15 nodes: refused by the node budget before any node array is allocated
+    # 10^15 nodes: refused by the node budget before any node array is allocated, also
+    # for the point grid that scan builds itself
     result = runner.invoke(main, [args[0], "--surface", surfaces["cone"], *args[1:],
                                   "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:100000"])
     assert result.exit_code == 1
