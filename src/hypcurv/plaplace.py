@@ -7,13 +7,17 @@ The energy of a grid function u is the cell sum
 where Du_cell averages the forward differences along each axis over the cell: its
 component a is the difference along axis a of the sums along the other axes, so one
 separable sum/difference stencil and its transpose give the energy and its gradient.
-Cells with an excised (-inf) corner contribute nothing.  The minimizer over interior
-nodes is found by preconditioned descent: each direction applies the exact inverse of
-the p = 2 operator on the lattice box, computed with per-axis sine transforms, so the
+Each sum or difference of neighbouring slices is one ufunc call over the flat node
+values and ``stride`` entries shorter than its input, so the cell components cover
+just the nodes that can be a cell's lowest corner, with no zeroed tail.  Cells with an
+excised (-inf) corner contribute nothing.  The minimizer over interior nodes is found
+by preconditioned descent: each direction applies the exact inverse of the p = 2
+operator on the lattice box, a sine transform applied as one matmul per axis, so the
 iteration count does not grow with the lattice; a backtracking (Armijo) line search,
 whose rejected trials evaluate the energy alone, keeps the recorded energy trace
-monotonically non-increasing, and the descent stops once a trial step predicts a
-decrease within rounding of the energy.  For p = 2 the stationarity condition is linear, and
+monotonically non-increasing.  The descent stops once a trial step predicts a
+decrease within rounding of the energy, or once a step passes the Armijo test with
+the energy unchanged.  For p = 2 the stationarity condition is linear, and
 :func:`solve_laplace_linear`, a direct sparse solve of the independently assembled
 system, is the oracle for the descent.
 
@@ -74,24 +78,25 @@ class SolverConfig:
 # -- cell-based energy ------------------------------------------------------------------
 
 def _pair(x, stride, sign):
-    """``x[i + stride] + sign * x[i]`` over flat node values, 0 in the last ``stride``.
+    """``x[i + stride] + sign * x[i]`` over flat node values, ``stride`` entries shorter.
 
     With the stride of one axis: the sum (S, ``sign=1``) or difference (D, ``sign=-1``)
-    of neighbouring slices; where no cell sits, finite junk that zero weights remove.
+    of neighbouring slices.  Entry i stays with node i, so after the n pairs of a cell
+    gradient component entry i holds the cell whose lowest corner is node i (where no
+    cell sits, finite junk that zero weights remove).
     """
-    out = np.empty_like(x)
-    (np.add if sign > 0 else np.subtract)(x[stride:], x[:-stride], out=out[:-stride])
-    out[-stride:] = 0.0
-    return out
+    return (np.add if sign > 0 else np.subtract)(x[stride:], x[:-stride])
 
 
 def _pair_adjoint(y, stride, sign):
-    """Transpose of :func:`_pair`: first slice, ``lo +- hi`` inside, last slice."""
-    out = np.empty_like(y)
+    """Transpose of :func:`_pair`, ``stride`` entries longer: first slice, ``lo +- hi``
+    inside, last slice.  Needs ``y.size >= stride``, which every lattice of at least 3
+    nodes per axis gives."""
+    m = y.size
+    out = np.empty(m + stride)
     np.multiply(y[:stride], sign, out=out[:stride])
-    (np.add if sign > 0 else np.subtract)(y[:-2 * stride], y[stride:-stride],
-                                          out=out[stride:-stride])
-    out[-stride:] = y[-2 * stride:-stride]
+    (np.add if sign > 0 else np.subtract)(y[:-stride], y[stride:], out=out[stride:m])
+    out[m:] = y[m - stride:]
     return out
 
 
@@ -109,9 +114,17 @@ def _complete_cells(active):
     return _corner_fold(active, np.logical_and)
 
 
+def _strides(shape):
+    """Flat-index strides of the axes of a C-ordered lattice, in nodes."""
+    return [math.prod(shape[a + 1:]) for a in range(len(shape))]
+
+
 def _cell_weights(active):
-    """1 at the lowest corner of each complete cell and 0 elsewhere, over flat nodes."""
-    return np.pad(_complete_cells(active), [(0, 1)] * active.ndim).ravel().astype(float)
+    """1 at the lowest corner of each complete cell and 0 elsewhere, over the first
+    ``N - sum(strides)`` flat nodes: those that can be a cell's lowest corner."""
+    corners = active.size - sum(_strides(active.shape))
+    cells = np.pad(_complete_cells(active), [(0, 1)] * active.ndim).ravel()
+    return cells[:corners].astype(float)
 
 
 def _energy(values, spacing, p, eps, weights):
@@ -119,11 +132,13 @@ def _energy(values, spacing, p, eps, weights):
 
     Each cell sits at its lowest corner, so cell gradient component a is
     ``D_a prod_{b != a} S_b u / (2^(n-1) h)`` over the flat values; it shares the sums
-    along the axes before a with the later components.  The density is ``w * wp``, with
-    ``w = |Du|^2 + eps^2`` and ``wp = weights * w^(p/2 - 1)``, 0 off complete cells.
+    along the axes before a with the later components.  Each pair drops ``stride``
+    trailing entries, so every component covers the ``N - sum(strides)`` possible
+    lowest corners.  The density is ``w * wp``, with ``w = |Du|^2 + eps^2`` and
+    ``wp = weights * w^(p/2 - 1)``, 0 off complete cells.
     """
     n = values.ndim
-    strides = [math.prod(values.shape[a + 1:]) for a in range(n)]
+    strides = _strides(values.shape)
     comps, sums = [], values.ravel()
     for a in range(n):
         c = _pair(sums, strides[a], -1)
@@ -190,7 +205,8 @@ class PHarmonicResult:
     """Solver output: the final grid, the full (monotone) energy trace and why it stopped.
 
     ``step_trace`` holds the accepted step length of each iteration; it scales the
-    preconditioned direction, not the raw gradient.  ``stop_reason`` is one of
+    preconditioned direction, not the raw gradient.  ``iterations`` counts the accepted
+    steps, ``len(step_trace)``, whatever the stop reason.  ``stop_reason`` is one of
     ``"stalled"``, ``"zero_gradient"``, ``"line_search_exhausted"`` or
     ``"max_iterations"``; only the last leaves ``converged`` false.  ``grad_norm`` is
     the Euclidean norm of the energy gradient over the interior nodes at the result.
@@ -217,9 +233,12 @@ def _box_preconditioner(dims, spacing, p):
     matrix ``S``.  The eigenvalues of ``M``, ``(1 + cos theta_k)/2``, vanish towards
     the checkerboard (hourglass) mode, which the inverse therefore captures exactly.
     Returns ``apply(g)`` mapping an array of the interior shape ``dims - 2`` to
-    ``S (S g / (p h^n Lambda))``, transformed axis by axis.
+    ``S (S g / (p h^n Lambda))``, transformed axis by axis.  ``S`` is symmetric, so
+    each axis is one matmul on a reshaped view, ``S @ x`` over ``(before, m, after)``
+    or ``x @ S`` over ``(before, m)`` for the last axis, and no transposed copy is made.
     """
     n = len(dims)
+    shape = tuple(d - 2 for d in dims)
     transforms, eig_l, eig_m = [], [], []
     for d in dims:
         m = d - 2
@@ -233,11 +252,12 @@ def _box_preconditioner(dims, spacing, p):
     lam = sum(eig_l[a] * math.prod(eig_m[b] for b in range(n) if b != a) for a in range(n))
     scale = p * spacing ** n * lam
 
+    blocks = [(math.prod(shape[:a]), shape[a], math.prod(shape[a + 1:])) for a in range(n)]
+
     def transform(x):
-        # contracting the leading axis moves it last, so n passes restore the order
-        for S in transforms:
-            x = np.tensordot(x, S, axes=(0, 0))
-        return x
+        for S, block in zip(transforms[:-1], blocks):
+            x = S @ x.reshape(block)
+        return (x.reshape(-1, shape[-1]) @ transforms[-1]).reshape(shape)
 
     return lambda g: transform(transform(g) / scale)
 
@@ -256,19 +276,21 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     iteration count does not grow with the lattice.  A trial step costs one energy
     evaluation (:func:`_energy`); the gradient is built from its retained cell
     components only once the step is accepted (:func:`_energy_gradient`), so a solve
-    that stops ``"stalled"`` or at ``"max_iterations"`` makes ``iterations + 1``
-    gradient builds and ``len(energy_trace) + backtracks`` energy evaluations.
+    makes ``iterations + 1`` gradient builds and ``len(energy_trace) + backtracks``
+    energy evaluations, one more when its last trial passed the Armijo test but was
+    not accepted.  ``iterations == len(step_trace)`` for every stop reason.
 
     Interior entries of ``boundary_data`` are the starting point (a warm start with
     the height samples themselves, in the probe's case).  Termination: before each line
     search, the trial step predicts a decrease ``t g.z`` of at most
-    ``config.tolerance * |E|`` (``"stalled"``; ``iterations`` counts the accepted
-    steps) or the gradient vanishes (``"zero_gradient"``); no step passes the Armijo
-    test after ``config.max_backtracks`` halvings (``"line_search_exhausted"``, taken
-    as the numerical optimum); or ``config.max_iterations`` steps were accepted
-    (``"max_iterations"``, the result is then flagged non-converged).  The last
-    iteration of a ``"zero_gradient"`` or ``"line_search_exhausted"`` stop accepts no
-    step but is counted.
+    ``config.tolerance * |E|`` (``"stalled"``) or the gradient vanishes
+    (``"zero_gradient"``); a step passes the Armijo test with the energy unchanged
+    (``"stalled"``, the step is not accepted: it passed on rounding alone, as happens
+    where the minimum energy is about 0 and ``tolerance |E|`` lies below every step's
+    rounding); no step passes the Armijo test after ``config.max_backtracks`` halvings
+    (``"line_search_exhausted"``, taken as the numerical optimum); or
+    ``config.max_iterations`` steps were accepted (``"max_iterations"``, the result is
+    then flagged non-converged).
     """
     gf = boundary_data.copy()
     gf.validate()
@@ -283,32 +305,38 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     h, p, eps = gf.spacing, config.p, config.epsilon
     precondition = _box_preconditioner(gf.dims, h, p)
     inner = tuple(slice(1, -1) for _ in gf.dims)
+    # zeroes the direction where a node inside the box is held (excised or tightened)
+    keep = None if np.all(interior[inner]) else interior[inner]
 
     def direction(g):
         z = np.zeros_like(g)
-        z[inner] = precondition(g[inner])
-        return np.where(interior, z, 0.0)
+        zi = precondition(g[inner])
+        if keep is not None:
+            zi *= keep
+        z[inner] = zi
+        return z
 
     energy, state = _energy(vals, h, p, eps, weights)
     grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
+    del state  # the cell components are dead once the gradient is built: free them
     trace, steps = [energy], []
     converged, stop_reason = False, "max_iterations"
-    iterations = backtracks = 0
+    backtracks = 0
     t = 1.0
     s = grad_prev = gz_prev = None
-    for iterations in range(1, config.max_iterations + 1):
+    for _ in range(config.max_iterations):
         z = direction(grad)
-        gz = float(np.sum(grad * z))
+        gz = float(np.vdot(grad, z))
         if gz == 0.0:
             converged, stop_reason = True, "zero_gradient"
             break
         if s is not None:
             # Barzilai-Borwein trial step in the P-metric, backtracked to guarantee decrease
-            sy = float(np.sum(s * (grad - grad_prev)))
+            sy = float(np.vdot(s, grad - grad_prev))
             t = t * t * gz_prev / sy if sy > 0 else t * 2.0
         if t * gz <= config.tolerance * abs(energy):
             # the trial step predicts a decrease below the energy's own resolution
-            converged, stop_reason, iterations = True, "stalled", iterations - 1
+            converged, stop_reason = True, "stalled"
             break
         for _ in range(config.max_backtracks):
             cand = vals - t * z
@@ -320,15 +348,20 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
         else:
             converged, stop_reason = True, "line_search_exhausted"
             break
+        if e_new == energy:
+            # the step passed the Armijo test on rounding alone: it lowers nothing
+            converged, stop_reason = True, "stalled"
+            break
         s, grad_prev, gz_prev = cand - vals, grad, gz
         vals, energy = cand, e_new
         grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
+        del state
         trace.append(energy)
         steps.append(t)
 
     out = gf.copy()
     out.values = np.where(active, vals, gf.values)
-    return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, iterations,
+    return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, len(steps),
                            stop_reason, float(np.sqrt(np.sum(grad * grad))), backtracks)
 
 

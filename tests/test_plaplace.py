@@ -11,7 +11,7 @@ from hypcurv.heightfield import make_catalog_surface, sample_height_grid
 from hypcurv import plaplace
 from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _cell_weights,
                               _complete_cells, _energy, _energy_gradient,
-                              _gradient_operator, comparison_check,
+                              _gradient_operator, _pair, _pair_adjoint, comparison_check,
                               p_dirichlet_energy, solve_laplace_linear, solve_p_harmonic,
                               tighten_boundary, viscosity_probe)
 
@@ -51,6 +51,14 @@ def box_heights(fn, lo, hi, spacing):
     axes = [a + spacing * np.arange(d) for a, d in zip(lo, dims)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return GridFunction(dims, spacing, np.asarray(lo, float), fn(mesh))
+
+
+def constant_boundary_grid():
+    """2 on the faces of the 9^3 unit lattice and 0 inside: the minimum energy is eps^p."""
+    mesh, h = unit_grid()
+    vals = np.full(mesh[0].shape, 2.0)
+    vals[1:-1, 1:-1, 1:-1] = 0.0
+    return grid_from(vals, h)
 
 
 def cold_log_norm(nodes, shift=0.0):
@@ -98,9 +106,24 @@ class TestEnergy:
         exact = 4.0 * math.pi * math.log(4.0)
         assert abs(energy - exact) / exact <= 0.02
 
+    @pytest.mark.parametrize("shape", [(9,), (5, 3), (3, 7, 5), (4, 3, 5, 6)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_pair_adjoint_is_transpose(self, shape, sign):
+        # <P x, y> = <x, P^T y> for the stride of every axis; P drops ``stride`` entries
+        rng = np.random.default_rng(len(shape))
+        size = math.prod(shape)
+        for a in range(len(shape)):
+            stride = math.prod(shape[a + 1:])
+            x, y = rng.normal(size=size), rng.normal(size=size - stride)
+            assert _pair(x, stride, sign).shape == y.shape
+            assert _pair_adjoint(y, stride, sign).shape == x.shape
+            assert np.vdot(_pair(x, stride, sign), y) == pytest.approx(
+                np.vdot(x, _pair_adjoint(y, stride, sign)), rel=1e-12)
+
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
     @pytest.mark.parametrize("dims,excise", [((6, 5), False), ((5, 6, 7), False),
-                                             ((4, 5, 3, 6), False), ((6, 7, 5), True)])
+                                             ((4, 5, 3, 6), False), ((6, 7, 5), True),
+                                             ((9,), False), ((3, 7, 5), False)])
     def test_kernel_matches_sparse_operator(self, dims, excise, p):
         # oracle: E = h^n sum_cells mask (|Au|^2 + eps^2)^(p/2) and
         # grad E = p h^n A^T (mask w^(p/2-1) Au), A assembled by _gradient_operator
@@ -141,11 +164,14 @@ class TestEnergy:
 
 class TestSolver:
     def test_constant_boundary(self):
-        mesh, h = unit_grid()
-        vals = np.full(mesh[0].shape, 2.0)
-        vals[1:-1, 1:-1, 1:-1] = 0.0
-        res = solve_p_harmonic(grid_from(vals, h), SolverConfig(p=3.0))
+        res = solve_p_harmonic(constant_boundary_grid(), SolverConfig(p=3.0))
         assert res.converged
+        assert np.max(np.abs(res.grid.values - 2.0)) <= 1e-10
+        # the minimum energy is about 0, so tolerance |E| falls below every step's
+        # rounding; the descent stops once a step passes the Armijo test with the
+        # energy unchanged
+        res = solve_p_harmonic(constant_boundary_grid(), SolverConfig(p=3.0, tolerance=1e-15))
+        assert res.stop_reason == "stalled" and res.iterations < 100
         assert np.max(np.abs(res.grid.values - 2.0)) <= 1e-10
 
     def test_affine_boundary(self):
@@ -231,7 +257,26 @@ class TestSolver:
         assert res.step_trace.size == 0
         assert res.backtracks == 1
 
-    @pytest.mark.parametrize("dims", [(5, 7, 6), (6, 9), (5, 6, 7, 4)])
+    def test_iterations_count_accepted_steps(self):
+        # every stop reason reports the accepted steps, len(step_trace), and the
+        # energy trace holds one more entry, the start
+        mesh, h = unit_grid()
+        vals = np.sin(4 * mesh[0]) + mesh[1] ** 2
+        vals[1:-1, 1:-1, 1:-1] = 0.0
+        wavy, flat = grid_from(vals, h), grid_from(np.full(mesh[0].shape, 1.5), h)
+        cases = [
+            (wavy, SolverConfig(p=3.0), "stalled"),
+            (constant_boundary_grid(), SolverConfig(p=3.0, tolerance=1e-15), "stalled"),
+            (flat, SolverConfig(p=3.0), "zero_gradient"),
+            (wavy, SolverConfig(p=2.0, armijo=0.9, max_backtracks=1), "line_search_exhausted"),
+            (wavy, SolverConfig(p=3.0, max_iterations=3), "max_iterations"),
+        ]
+        for grid, config, stop_reason in cases:
+            res = solve_p_harmonic(grid, config)
+            assert res.stop_reason == stop_reason
+            assert res.iterations == len(res.step_trace) == len(res.energy_trace) - 1
+
+    @pytest.mark.parametrize("dims", [(5, 7, 6), (6, 9), (5, 6, 7, 4), (9,), (3, 7, 5)])
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_box_preconditioner_matches_sparse_solve(self, dims, p):
         # oracle: the same operator assembled from _gradient_operator and solved directly
