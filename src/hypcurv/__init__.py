@@ -19,8 +19,8 @@ from .heightfield import (Box, HeightField, Jet2, SampledGridField, fd_validate_
                           make_catalog_surface, sample_height_grid)
 from .inequalities import (Regime, RegimeReport, convexity_classify, grad_direction_ricci,
                            point_regime_report)
-from .plaplace import (SolverConfig, comparison_check, p_dirichlet_energy,
-                       solve_laplace_linear, solve_p_harmonic, viscosity_probe)
+from .plaplace import (SolverConfig, p_dirichlet_energy, solve_laplace_linear,
+                       solve_p_harmonic, viscosity_probe)
 from .rigidity import (ConstancyScan, Verdict, classify_global, constancy_scan,
                        flat_direction_check)
 

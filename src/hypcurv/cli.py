@@ -277,7 +277,8 @@ def solve(field, manifest, out, grid_spec, p):
         manifest.outputs += ["solution.csv", "solution.json", "energy_trace.csv"]
     return {"converged": res.converged, "iterations": res.iterations,
             "stop_reason": res.stop_reason, "grad_norm": res.grad_norm,
-            "final_energy": float(res.energy_trace[-1]), "backtracks": res.backtracks}
+            "final_energy": float(res.energy_trace[-1]), "backtracks": res.backtracks,
+            "held_nodes": res.held_nodes}
 
 
 @_command()
@@ -292,7 +293,7 @@ def probe(field, manifest, out, grid_spec, p):
                                       spacing=spacing)
     return {key: getattr(result, key) for key in (
         "subharmonic", "min_margin", "tolerance", "excised_nodes", "spacing",
-        "iterations", "stop_reason", "grad_norm", "backtracks")}
+        "iterations", "stop_reason", "grad_norm", "backtracks", "held_nodes")}
 
 
 @_command()

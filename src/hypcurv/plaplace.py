@@ -12,10 +12,14 @@ values and ``stride`` entries shorter than its input, so the cell components cov
 just the nodes that can be a cell's lowest corner, with no zeroed tail.  Cells with an
 excised (-inf) corner contribute nothing.  The minimizer over interior nodes is found
 by preconditioned descent: each direction applies the exact inverse of the p = 2
-operator on the lattice box, a sine transform applied as one matmul per axis, so the
-iteration count does not grow with the lattice; a backtracking (Armijo) line search,
-whose rejected trials evaluate the energy alone, keeps the recorded energy trace
-monotonically non-increasing.  The descent stops once a trial step predicts a
+operator on the lattice box, a sine transform applied as one matmul per axis.  Where
+the box holds up to ``MAX_HELD_NODES`` nodes inside it (excised or tightened into the
+boundary, as around a cone apex), a capacitance matrix corrects that inverse to the
+exact inverse of the free-node block, so the iteration count does not grow with the
+lattice; above the cap the direction is a principal block of the box inverse, weaker
+where many nodes are held.  A backtracking (Armijo) line search, whose rejected trials
+evaluate the energy alone, keeps the recorded energy trace monotonically
+non-increasing.  The descent stops once a trial step predicts a
 decrease within rounding of the energy, or once a step passes the Armijo test with
 the energy unchanged.  For p = 2 the stationarity condition is linear, and
 :func:`solve_laplace_linear`, a direct sparse solve of the independently assembled
@@ -34,18 +38,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError, PreconditionError
+from .errors import DataError, ParameterError
 from .gridfn import GridFunction
 from .heightfield import HeightField, sample_height_grid
 
 __all__ = [
-    "SolverConfig", "PHarmonicResult", "ComparisonReport", "ProbeResult",
+    "SolverConfig", "PHarmonicResult", "ProbeResult",
     "p_dirichlet_energy", "solve_p_harmonic", "solve_laplace_linear",
-    "comparison_check", "viscosity_probe", "tighten_boundary",
+    "viscosity_probe", "tighten_boundary",
 ]
 
 #: default grid spacing for the viscosity probe
 PROBE_SPACING = 1.0 / 16
+
+#: most nodes held inside the box (a cone apex holds 27) for which the descent direction
+#: inverts the free-node block exactly through a k x k capacitance matrix
+MAX_HELD_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,9 @@ class PHarmonicResult:
     ``"max_iterations"``; only the last leaves ``converged`` false.  ``grad_norm`` is
     the Euclidean norm of the energy gradient over the interior nodes at the result.
     ``backtracks`` counts the rejected Armijo trials; each costs one energy evaluation.
+    ``held_nodes`` counts the nodes off the box faces that the solve held fixed; the
+    direction inverted the free-node block exactly when it is at most
+    ``MAX_HELD_NODES``.
     """
 
     grid: GridFunction
@@ -221,6 +232,7 @@ class PHarmonicResult:
     stop_reason: str
     grad_norm: float
     backtracks: int
+    held_nodes: int
 
 
 def _box_preconditioner(dims, spacing, p):
@@ -233,9 +245,10 @@ def _box_preconditioner(dims, spacing, p):
     matrix ``S``.  The eigenvalues of ``M``, ``(1 + cos theta_k)/2``, vanish towards
     the checkerboard (hourglass) mode, which the inverse therefore captures exactly.
     Returns ``apply(g)`` mapping an array of the interior shape ``dims - 2`` to
-    ``S (S g / (p h^n Lambda))``, transformed axis by axis.  ``S`` is symmetric, so
-    each axis is one matmul on a reshaped view, ``S @ x`` over ``(before, m, after)``
-    or ``x @ S`` over ``(before, m)`` for the last axis, and no transposed copy is made.
+    ``S (S g / (p h^n Lambda))``, transformed axis by axis, beside the per-axis ``S``
+    and the eigenvalue grid ``p h^n Lambda``.  ``S`` is symmetric, so each axis is one
+    matmul on a reshaped view, ``S @ x`` over ``(before, m, after)`` or ``x @ S`` over
+    ``(before, m)`` for the last axis, and no transposed copy is made.
     """
     n = len(dims)
     shape = tuple(d - 2 for d in dims)
@@ -259,21 +272,86 @@ def _box_preconditioner(dims, spacing, p):
             x = S @ x.reshape(block)
         return (x.reshape(-1, shape[-1]) @ transforms[-1]).reshape(shape)
 
-    return lambda g: transform(transform(g) / scale)
+    return (lambda g: transform(transform(g) / scale)), transforms, scale
+
+
+def _capacitance_inverse(held, transforms, scale):
+    """Inverse of the capacitance matrix ``C = E^T P^-1 E`` of the k held nodes.
+
+    ``held`` is the k x n array of their indices in the interior shape, ``E`` their
+    k unit columns, and ``transforms`` and ``scale`` the DST matrices and eigenvalue
+    grid of :func:`_box_preconditioner`.  ``P^-1 = F diag(1/scale) F^T`` with row i of
+    ``F`` the outer product of the rows ``S_a[i_a, :]``, so C is a sum over the
+    first-axis frequencies x of ``outer(S_0[h_0, x], S_0[h_0, x])`` times
+    ``(G / scale[x]) G^T``, where G (k x interior/m_0) holds the products of the other
+    axes' rows: no node-sized array per held node is formed.
+    """
+    k = len(held)
+    G = np.ones((k, 1))
+    for S, idx in zip(transforms[1:], held.T[1:]):
+        G = (G[:, :, None] * S[idx][:, None, :]).reshape(k, -1)
+    first = transforms[0][held[:, 0]]
+    C = np.zeros((k, k))
+    for x, s in enumerate(scale.reshape(first.shape[1], -1)):
+        C += np.outer(first[:, x], first[:, x]) * ((G / s) @ G.T)
+    return np.linalg.inv(C)
+
+
+def _free_node_inverse(interior, spacing, p):
+    """The descent direction ``g -> z`` of the p = 2 operator on the free nodes, and k.
+
+    ``P`` is the p = 2 operator on the box interior (:func:`_box_preconditioner`) and
+    k the number of nodes inside the box that ``interior`` holds fixed.  With none, z
+    is ``P^-1 g``.  With ``0 < k <= MAX_HELD_NODES``, z inverts the free-node block
+    ``P_FF`` exactly by the capacitance matrix method (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971; Proskurowski & Widlund, Math. Comp. 30, 1976):
+    ``z0 = P^-1 g``, ``lam = C^-1 z0[held]``, ``z = z0 - P^-1 E lam``, which is zero at
+    the held nodes, so a direction costs one more box transform pair and the solve
+    stores only ``C^-1``.  Above the cap z is ``P^-1 g`` zeroed at the held nodes, a
+    principal block of ``P^-1``.  Every principal block of the inverse of an SPD matrix
+    is SPD, so either way ``g.z > 0`` for a nonzero g on the free nodes.  z is zero
+    off the free nodes.
+    """
+    precondition, transforms, scale = _box_preconditioner(interior.shape, spacing, p)
+    inner = tuple(slice(1, -1) for _ in interior.shape)
+    free = interior[inner]
+    held = np.argwhere(~free)
+    keep = free if len(held) else None
+    if 0 < len(held) <= MAX_HELD_NODES:
+        c_inv, at_held = _capacitance_inverse(held, transforms, scale), tuple(held.T)
+    else:
+        c_inv = None
+
+    def direction(g):
+        z = np.zeros_like(g)
+        zi = precondition(g[inner])
+        if c_inv is not None:
+            lam = np.zeros_like(zi)
+            lam[at_held] = c_inv @ zi[at_held]
+            zi -= precondition(lam)
+        if keep is not None:
+            zi *= keep
+        z[inner] = zi
+        return z
+
+    return direction, len(held)
 
 
 def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarmonicResult:
     """Minimize the regularized p-Dirichlet energy over the interior nodes.
 
     Preconditioned descent (Huang, Li & Liu 2007): the search direction is
-    ``z = P^-1 g``, ``P = p h^n A_I^T A_I`` the p=2 operator on the box interior
-    (:func:`_box_preconditioner`), zeroed off the interior mask.  Every principal
-    block of the inverse of an SPD matrix is SPD, so ``g.z > 0`` also where nodes are
-    excised or tightened into the boundary.  The step is a Barzilai-Borwein length in
-    the P-metric, ``t = t_prev^2 (g_prev.z_prev) / (s.y)``, backtracked until the
-    Armijo test ``E(u - t z) <= E(u) - armijo t g.z`` holds, so the energy trace is
-    monotone.  Because the direction inverts the p=2 operator exactly on a box, the
-    iteration count does not grow with the lattice.  A trial step costs one energy
+    ``z = P_FF^-1 g``, ``P = p h^n A_I^T A_I`` the p=2 operator on the box interior
+    (:func:`_box_preconditioner`) and F its free (interior-mask) nodes; with more than
+    ``MAX_HELD_NODES`` nodes inside the box excised or tightened into the boundary, a
+    principal block of ``P^-1`` stands in for ``P_FF^-1`` (:func:`_free_node_inverse`).
+    The step is a Barzilai-Borwein length in the P-metric,
+    ``t = t_prev^2 (g_prev.z_prev) / (s.y)``, backtracked until the Armijo test
+    ``E(u - t z) <= E(u) - armijo t g.z`` holds, so the energy trace is monotone.
+    ``tighten_boundary`` holds every corner of every incomplete cell, so on a tightened
+    lattice ``P_FF`` is the p=2 operator itself: a p=2 solve ends after one step, and
+    the iteration count does not grow with the lattice; above the cap it does.  The
+    apex of a cone holds 27 nodes.  A trial step costs one energy
     evaluation (:func:`_energy`); the gradient is built from its retained cell
     components only once the step is accepted (:func:`_energy_gradient`), so a solve
     makes ``iterations + 1`` gradient builds and ``len(energy_trace) + backtracks``
@@ -303,19 +381,7 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     vals = np.where(active, gf.values, 0.0)
     weights = _cell_weights(active)
     h, p, eps = gf.spacing, config.p, config.epsilon
-    precondition = _box_preconditioner(gf.dims, h, p)
-    inner = tuple(slice(1, -1) for _ in gf.dims)
-    # zeroes the direction where a node inside the box is held (excised or tightened)
-    keep = None if np.all(interior[inner]) else interior[inner]
-
-    def direction(g):
-        z = np.zeros_like(g)
-        zi = precondition(g[inner])
-        if keep is not None:
-            zi *= keep
-        z[inner] = zi
-        return z
-
+    direction, held = _free_node_inverse(interior, h, p)
     energy, state = _energy(vals, h, p, eps, weights)
     grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
     del state  # the cell components are dead once the gradient is built: free them
@@ -362,7 +428,8 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     out = gf.copy()
     out.values = np.where(active, vals, gf.values)
     return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, len(steps),
-                           stop_reason, float(np.sqrt(np.sum(grad * grad))), backtracks)
+                           stop_reason, float(np.sqrt(np.sum(grad * grad))), backtracks,
+                           held)
 
 
 # -- independent p = 2 oracle -----------------------------------------------------------
@@ -422,42 +489,12 @@ def solve_laplace_linear(boundary_data: GridFunction) -> GridFunction:
     return out
 
 
-# -- comparison principle ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Domination check v >= u at tolerance."""
-
-    min_difference: float
-    violations: np.ndarray   # node indices where v - u < -tol
-    ok: bool
-
-
-def comparison_check(u: GridFunction, v: GridFunction, tol: float = 1e-8) -> ComparisonReport:
-    """Check v >= u given boundary domination v|bd >= u|bd.
-
-    The boundary-domination precondition mirrors the continuum hypothesis; violating
-    it is harness misuse and raises PreconditionError.
-    """
-    if u.dims != v.dims or u.spacing != v.spacing or not np.allclose(u.origin, v.origin):
-        raise PreconditionError("comparison requires identical grids")
-    both = u.active_mask() & v.active_mask()
-    bd = u.boundary_mask & both
-    if np.any(v.values[bd] < u.values[bd] - 1e-12):
-        worst = float(np.min((v.values - u.values)[bd]))
-        raise PreconditionError(f"boundary of v does not dominate u (min gap {worst:.3e})")
-    diff = np.where(both, v.values - u.values, np.inf)
-    min_diff = float(np.min(diff))
-    viol = np.argwhere(diff < -tol)
-    return ComparisonReport(min_diff, viol, viol.size == 0)
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     """Viscosity-comparison probe outcome on one box.
 
-    ``iterations``, ``stop_reason``, ``grad_norm`` and ``backtracks`` are those of the
-    p-harmonic solve (:class:`PHarmonicResult`).
+    ``iterations``, ``stop_reason``, ``grad_norm``, ``backtracks`` and ``held_nodes``
+    are those of the p-harmonic solve (:class:`PHarmonicResult`).
     """
 
     subharmonic: bool
@@ -469,6 +506,7 @@ class ProbeResult:
     stop_reason: str
     grad_norm: float
     backtracks: int
+    held_nodes: int
 
     def __bool__(self):
         return self.subharmonic
@@ -490,4 +528,5 @@ def viscosity_probe(field: HeightField, lo, hi, config: SolverConfig,
     margin = (float(np.min(result.grid.values[interior] - h_grid.values[interior]))
               if np.any(interior) else 0.0)
     return ProbeResult(margin >= -tol, margin, tol, excised, spacing, result.iterations,
-                       result.stop_reason, result.grad_norm, result.backtracks)
+                       result.stop_reason, result.grad_norm, result.backtracks,
+                       result.held_nodes)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,9 +12,37 @@ from hypcurv.heightfield import make_catalog_surface, sample_height_grid
 from hypcurv import plaplace
 from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _cell_weights,
                               _complete_cells, _energy, _energy_gradient,
-                              _gradient_operator, _pair, _pair_adjoint, comparison_check,
+                              _free_node_inverse, _gradient_operator, _pair, _pair_adjoint,
                               p_dirichlet_energy, solve_laplace_linear, solve_p_harmonic,
                               tighten_boundary, viscosity_probe)
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Domination check v >= u at tolerance."""
+
+    min_difference: float
+    violations: np.ndarray   # node indices where v - u < -tol
+    ok: bool
+
+
+def comparison_check(u: GridFunction, v: GridFunction, tol: float = 1e-8) -> ComparisonReport:
+    """Check v >= u given boundary domination v|bd >= u|bd.
+
+    The boundary-domination precondition mirrors the continuum hypothesis; violating
+    it is harness misuse and raises PreconditionError.
+    """
+    if u.dims != v.dims or u.spacing != v.spacing or not np.allclose(u.origin, v.origin):
+        raise PreconditionError("comparison requires identical grids")
+    both = u.active_mask() & v.active_mask()
+    bd = u.boundary_mask & both
+    if np.any(v.values[bd] < u.values[bd] - 1e-12):
+        worst = float(np.min((v.values - u.values)[bd]))
+        raise PreconditionError(f"boundary of v does not dominate u (min gap {worst:.3e})")
+    diff = np.where(both, v.values - u.values, np.inf)
+    min_diff = float(np.min(diff))
+    viol = np.argwhere(diff < -tol)
+    return ComparisonReport(min_diff, viol, viol.size == 0)
 
 
 def annulus_grid(fn, r_inner: float, r_outer: float, spacing: float, n: int = 3) -> GridFunction:
@@ -288,7 +317,7 @@ class TestSolver:
         K = (p * h ** len(dims) * (AI.T @ AI)).tocsc()
         g = np.random.default_rng(len(dims)).normal(size=[d - 2 for d in dims])
         want = scipy.sparse.linalg.spsolve(K, g.ravel()).reshape(g.shape)
-        got = _box_preconditioner(dims, h, p)(g)
+        got = _box_preconditioner(dims, h, p)[0](g)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_shift_invariance(self):
@@ -318,14 +347,59 @@ class TestSolver:
         assert calls["energy"] - 1 == len(res.energy_trace) - 1 + res.backtracks
 
     def test_p2_matches_direct_solve_with_excision(self):
+        # the apex box holds 27 nodes, so the direction inverts the p=2 operator on the
+        # free nodes exactly and the unit step lands on the minimizer
         field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
         grid = tighten_boundary(sample_height_grid(field, [-0.5] * 3, [0.5] * 3, 1.0 / 16))
         assert not np.all(grid.active_mask())
         direct = solve_laplace_linear(grid)
-        res = solve_p_harmonic(grid, SolverConfig(p=2.0, tolerance=1e-16))
+        res = solve_p_harmonic(grid, SolverConfig(p=2.0))
         active = grid.active_mask()
-        assert res.converged
+        assert res.converged and res.held_nodes == 27 and res.iterations <= 2
         assert np.max(np.abs(direct.values[active] - res.grid.values[active])) <= 1e-8
+
+    @pytest.mark.parametrize("dims,held", [((7, 7, 7), 12), ((5, 9, 7), 9), ((9, 8), 5)])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_direction_inverts_free_node_block(self, dims, held, p):
+        # oracle: P_FF = p h^n A_F^T A_F assembled from _gradient_operator over every
+        # cell of the box, F the interior nodes left after holding ``held`` scattered ones
+        h = 0.11
+        rng = np.random.default_rng(sum(dims) + held)
+        interior = ~box_face_mask(dims)
+        inside = np.flatnonzero(interior)
+        interior.ravel()[rng.choice(inside, size=held, replace=False)] = False
+        A = _gradient_operator(dims, h, np.ones([d - 1 for d in dims], dtype=bool))
+        AF = A[:, interior.ravel()]
+        K = (p * h ** len(dims) * (AF.T @ AF)).toarray()
+        g = np.where(interior, rng.normal(size=dims), 0.0)
+        direction, k = _free_node_inverse(interior, h, p)
+        assert k == held
+        z = direction(g)
+        want = np.linalg.solve(K, g[interior])
+        assert np.all(z[~interior] == 0.0)
+        assert np.max(np.abs(z[interior] - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_apex_iterations_do_not_grow(self):
+        # the principal-block direction took 143 iterations on this box
+        field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+        res = viscosity_probe(field, [-0.5] * 3, [0.5] * 3, SolverConfig(p=3.0),
+                              spacing=1.0 / 32)
+        assert res.held_nodes == 27 and res.iterations <= 40
+        assert res.subharmonic
+
+    def test_block_direction_above_cap(self, monkeypatch):
+        # with no capacitance correction the direction is a principal block of the box
+        # inverse; the descent still converges to the same minimizer, more slowly
+        field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+        grid = tighten_boundary(sample_height_grid(field, [-0.5] * 3, [0.5] * 3, 1.0 / 8))
+        exact = solve_p_harmonic(grid, SolverConfig(p=3.0))
+        monkeypatch.setattr(plaplace, "MAX_HELD_NODES", 0)
+        block = solve_p_harmonic(grid, SolverConfig(p=3.0))
+        assert block.converged and block.stop_reason == "stalled"
+        assert block.held_nodes == exact.held_nodes == 27
+        assert block.iterations > exact.iterations
+        active = grid.active_mask()
+        assert np.max(np.abs(block.grid.values[active] - exact.grid.values[active])) <= 1e-6
 
 
 class TestComparison:
