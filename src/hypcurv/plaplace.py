@@ -19,9 +19,9 @@ exact inverse of the free-node block, so the iteration count does not grow with 
 lattice; above the cap the direction is a principal block of the box inverse, weaker
 where many nodes are held.  A backtracking (Armijo) line search, whose rejected trials
 evaluate the energy alone, keeps the recorded energy trace monotonically
-non-increasing.  The descent stops once a trial step predicts a
-decrease within rounding of the energy, or once a step passes the Armijo test with
-the energy unchanged.  For p = 2 the stationarity condition is linear, and
+non-increasing.  The descent stops once a trial step predicts a decrease within
+rounding of the energy, or once a step passes the Armijo test with the energy
+unchanged.  For p = 2 the stationarity condition is linear, and
 :func:`solve_laplace_linear`, a direct sparse solve of the independently assembled
 system, is the oracle for the descent.
 
@@ -350,8 +350,8 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     ``E(u - t z) <= E(u) - armijo t g.z`` holds, so the energy trace is monotone.
     ``tighten_boundary`` holds every corner of every incomplete cell, so on a tightened
     lattice ``P_FF`` is the p=2 operator itself: a p=2 solve ends after one step, and
-    the iteration count does not grow with the lattice; above the cap it does.  The
-    apex of a cone holds 27 nodes.  A trial step costs one energy
+    the iteration count does not grow with the lattice (a cone's apex holds 27 nodes);
+    above the cap it does.  A trial step costs one energy
     evaluation (:func:`_energy`); the gradient is built from its retained cell
     components only once the step is accepted (:func:`_energy_gradient`), so a solve
     makes ``iterations + 1`` gradient builds and ``len(energy_trace) + backtracks``

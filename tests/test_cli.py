@@ -209,6 +209,14 @@ class TestSolveAndProbe:
         assert 1 <= doc["iterations"] <= 60
         assert isinstance(doc["backtracks"], int) and doc["backtracks"] >= 0
 
+    def test_probe_reports_held_nodes_at_apex(self, runner, surfaces):
+        # the excised apex and the 26 nodes tightened around it
+        result = runner.invoke(main, [
+            "probe", "--surface", surfaces["cone"], "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:9"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert (doc["excised_nodes"], doc["held_nodes"], doc["subharmonic"]) == (1, 27, True)
+
     def test_probe_non_commensurate_grid_rejected(self, runner, surfaces):
         # the y and z extents, 0.6, are not whole multiples of the spacing 1/16
         result = runner.invoke(main, [
