@@ -8,20 +8,17 @@ provides a p-Dirichlet solver with a viscosity-comparison probe.
 
 from .asymptotics import RecessionReport, recession_report, sublevel_components
 from .curvature import (FundamentalForms, ShapeSpectrum, commutation_residual,
-                        fd_residuals, mean_curvature, ricci_coordinate, ricci_eigenvalues,
-                        ricci_from_shape, shape_spectrum)
+                        fd_residuals, mean_curvature, ricci_coordinate, ricci_from_shape,
+                        shape_spectrum)
 from .errors import (DataError, DegenerateGradientError, DomainError, HypcurvError,
-                     HypothesisContradiction, NumericError, ParameterError,
-                     PreconditionError)
+                     HypothesisContradiction, NumericError, ParameterError)
 from .gridfn import GridFunction, load_grid_function, save_grid_function
 from .heightfield import (Box, HeightField, Jet2, SampledGridField, fd_validate_jet,
                           field_from_descriptor, field_from_json, field_to_descriptor,
                           make_catalog_surface, sample_height_grid)
 from .inequalities import (Regime, RegimeReport, convexity_classify, grad_direction_ricci,
                            point_regime_report)
-from .plaplace import (SolverConfig, p_dirichlet_energy, solve_laplace_linear,
-                       solve_p_harmonic, viscosity_probe)
-from .rigidity import (ConstancyScan, Verdict, classify_global, constancy_scan,
-                       flat_direction_check)
+from .plaplace import SolverConfig, p_dirichlet_energy, solve_p_harmonic, viscosity_probe
+from .rigidity import ConstancyScan, Verdict, classify_global, constancy_scan
 
 __version__ = "0.1.0"

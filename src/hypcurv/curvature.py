@@ -18,8 +18,7 @@ in the shape operator.  :func:`shape_spectrum` is its view at one jet, and its
 ``forms`` field holds the metric data; every caller reads from the spectra it returns.
 
 Oracles, independent of the kernel: the expanded coordinate double contraction
-(:func:`ricci_coordinate`, with scipy's generalized solver in
-:func:`ricci_eigenvalues`) and the shape-operator polynomial lowered with g
+(:func:`ricci_coordinate`) and the shape-operator polynomial lowered with g
 (:func:`ricci_from_shape`), both scalar; their agreement is the implementation oracle.
 :func:`fd_residuals` checks the metric and II against each other through Codazzi and
 Gauss residuals built from central differences of both, for P points at once: one
@@ -39,8 +38,8 @@ from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
     "FundamentalForms", "ShapeSpectrum", "shape_spectra", "shape_spectrum",
-    "mean_curvature", "ricci_coordinate", "ricci_from_shape", "ricci_eigenvalues",
-    "fd_residuals", "commutation_residual", "cluster_kappas",
+    "mean_curvature", "ricci_coordinate", "ricci_from_shape", "fd_residuals",
+    "commutation_residual", "cluster_kappas",
 ]
 
 #: relative gap below which two principal curvatures belong to one multiplicity cluster
@@ -191,13 +190,6 @@ def ricci_from_shape(spec: ShapeSpectrum) -> np.ndarray:
     n = S.shape[0]
     ric_op = -(n - 1) * np.eye(n) + spec.mean * S - S @ S
     return spec.forms.metric @ ric_op
-
-
-def ricci_eigenvalues(ric: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Ricci operator (the pencil (Ric, g))."""
-    import scipy.linalg
-
-    return scipy.linalg.eigh(ric, metric, eigvals_only=True)
 
 
 def commutation_residual(ric: np.ndarray, metric: np.ndarray, shape: np.ndarray,

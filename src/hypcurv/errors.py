@@ -17,10 +17,6 @@ class DataError(HypcurvError, ValueError):
     """Malformed grid data, e.g. a -inf value at an unmasked node."""
 
 
-class PreconditionError(HypcurvError, ValueError):
-    """Caller violated an operation precondition (test-harness misuse)."""
-
-
 class DegenerateGradientError(HypcurvError, ValueError):
     """Operation requires Df != 0 but the gradient vanishes at the point."""
 

@@ -531,11 +531,6 @@ def _mesh(axes):
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
 
 
-def _mesh_points(lo, dims, spacing):
-    """Coordinates of every lattice node, shape dims + (n,)."""
-    return _mesh(_lattice_axes(lo, dims, spacing))
-
-
 #: the most axes for which :func:`_lattice_sq_norm` rounds as the einsum does
 _SEPARABLE_MAX_N = 7
 

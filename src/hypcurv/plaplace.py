@@ -22,8 +22,8 @@ evaluate the energy alone, keeps the recorded energy trace monotonically
 non-increasing.  The descent stops once a trial step predicts a decrease within
 rounding of the energy, or once a step passes the Armijo test with the energy
 unchanged.  For p = 2 the stationarity condition is linear, and
-:func:`solve_laplace_linear`, a direct sparse solve of the independently assembled
-system, is the oracle for the descent.
+``acceptance.solve_laplace_linear``, a direct sparse solve of the independently
+assembled system, is the oracle for the descent.
 
 The viscosity probe samples h = log f on a box, solves the p = n Dirichlet problem
 with boundary h, and reports whether the p-harmonic solution dominates h up to a
@@ -44,8 +44,7 @@ from .heightfield import HeightField, sample_height_grid
 
 __all__ = [
     "SolverConfig", "PHarmonicResult", "ProbeResult",
-    "p_dirichlet_energy", "solve_p_harmonic", "solve_laplace_linear",
-    "viscosity_probe", "tighten_boundary",
+    "p_dirichlet_energy", "solve_p_harmonic", "viscosity_probe", "tighten_boundary",
 ]
 
 #: default grid spacing for the viscosity probe
@@ -238,8 +237,8 @@ class PHarmonicResult:
 def _box_preconditioner(dims, spacing, p):
     """Exact inverse of ``p h^n A_I^T A_I`` on the interior of the lattice box.
 
-    ``A`` is the cell-gradient operator (:func:`_gradient_operator` with every cell
-    complete) and ``I`` the nodes off the box faces.  On that product set
+    ``A`` is the cell-gradient operator (``acceptance._gradient_operator`` with every
+    cell complete) and ``I`` the nodes off the box faces.  On that product set
     ``A_I^T A_I = sum_a L_a (x) prod_{b != a} M_b`` with ``L = tridiag(-1, 2, -1)/h^2``
     and ``M = tridiag(1/4, 1/2, 1/4)``, both diagonalised by the orthonormal DST-I
     matrix ``S``.  The eigenvalues of ``M``, ``(1 + cos theta_k)/2``, vanish towards
@@ -430,63 +429,6 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, len(steps),
                            stop_reason, float(np.sqrt(np.sum(grad * grad))), backtracks,
                            held)
-
-
-# -- independent p = 2 oracle -----------------------------------------------------------
-
-def _gradient_operator(dims, spacing, cell_mask):
-    """Sparse map from node values to stacked per-cell gradient components."""
-    import scipy.sparse
-
-    n = len(dims)
-    cdims = [d - 1 for d in dims]
-    ncells = int(np.prod(cdims))
-    nnodes = int(np.prod(dims))
-    node_strides = np.array([int(np.prod(dims[k + 1:])) for k in range(n)])
-    cell_multi = np.stack(np.meshgrid(*[np.arange(c) for c in cdims], indexing="ij"),
-                          axis=-1).reshape(-1, n)
-    keep = cell_mask.ravel()
-    rows, cols, vals = [], [], []
-    w = 1.0 / (2 ** (n - 1)) / spacing
-    for axis in range(n):
-        for off in itertools.product((0, 1), repeat=n):
-            sign = 1.0 if off[axis] == 1 else -1.0
-            node = (cell_multi + np.asarray(off)) @ node_strides
-            rows.append(axis * ncells + np.arange(ncells)[keep])
-            cols.append(node[keep])
-            vals.append(np.full(int(keep.sum()), sign * w))
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * ncells, nnodes))
-    return A.tocsr()
-
-
-def solve_laplace_linear(boundary_data: GridFunction) -> GridFunction:
-    """p = 2 oracle: direct sparse solve of the discrete Laplace stationarity system.
-
-    Assembles the cell-gradient operator explicitly and solves the normal equations,
-    an independent route from the descent minimizer.
-    """
-    import scipy.sparse.linalg
-
-    gf = boundary_data.copy()
-    gf.validate()
-    active = gf.active_mask()
-    cell_mask = _complete_cells(active)
-    interior = gf.interior_mask().ravel()
-    A = _gradient_operator(gf.dims, gf.spacing, cell_mask)
-    vals = np.where(active, gf.values, 0.0).ravel()
-    AI = A[:, interior]
-    AB = A[:, ~interior]
-    rhs = -AI.T @ (AB @ vals[~interior])
-    K = (AI.T @ AI).tocsc()
-    sol = scipy.sparse.linalg.spsolve(K, rhs)
-    out_vals = vals.copy()
-    out_vals[interior] = sol
-    out = gf.copy()
-    out.values = out_vals.reshape(gf.dims)
-    out.values[~active] = gf.values[~active]
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Rigidity checks: Ricci-null directions, curvature constancy, and the global verdict.
+"""Rigidity checks: curvature constancy and the global verdict.
 
 On a surface with nonnegative Ricci curvature and n >= 3, a zero eigenvalue of the
 Ricci operator singles out a principal direction whose curvature must equal the
@@ -7,9 +7,11 @@ multiplicity-1 curvature kappa_0 and its reciprocal with multiplicity n-1.  Cons
 of that split across samples, combined with a two-point recession set, certifies an
 equidistant tube; the all-ones spectrum certifies a horosphere.
 
-The parts stay separate: :func:`flat_direction_check` reads the null directions of
-one point's spectrum, :func:`constancy_scan` clusters one batch of spectra over the
-samples, and :func:`classify_global` combines a scan with the recession count.
+The parts stay separate: :func:`constancy_scan` clusters one batch of spectra over the
+samples, and :func:`classify_global` combines a scan with the recession count.  The
+Ricci-null step is read from the same spectra (along principal direction i the Ricci
+eigenvalue is -(n-1) + kappa_i H - kappa_i^2); the ``equidistant-tube-spectrum``
+acceptance criterion checks it.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from enum import Enum
 
 import numpy as np
 
-from .curvature import (ShapeSpectrum, _cluster_labels, cluster_kappas, ricci_from_shape,
-                        shape_spectra)
-from .errors import HypothesisContradiction, ParameterError, PreconditionError
+from .curvature import _cluster_labels, shape_spectra
+from .errors import HypothesisContradiction
 from .heightfield import HeightField
 
 __all__ = [
-    "Verdict", "NullDirectionReport", "ConstancyScan", "flat_direction_check",
-    "constancy_scan", "classify_global", "verdict_report",
+    "Verdict", "ConstancyScan", "constancy_scan", "classify_global", "verdict_report",
 ]
 
-#: absolute eigenvalue threshold below which a Ricci eigenvalue counts as null
+#: Ricci floor of the "fd" profile: classify takes Ricci >= 0 when the smallest Ricci
+#: eigenvalue over the samples is at least -RICCI_NULL_TOL
 RICCI_NULL_TOL = 1e-6
 #: max |kappa_0 * kappa_t - 1| accepted by the tube verdict
 TUBE_PRODUCT_TOL = 1e-6
@@ -38,7 +39,7 @@ TUBE_PRODUCT_TOL = 1e-6
 CONSTANCY_VAR_TOL = 1e-10
 #: |kappa - 1| accepted by the horosphere verdict
 UMBILIC_ONE_TOL = 1e-8
-#: classify tolerances per profile, (ricci_null, product, variance): "fd" is the
+#: classify tolerances per profile, (ricci_floor, product, variance): "fd" is the
 #: defaults above, loose enough for finite-difference jets; "strict" is for closed forms
 TOLERANCE_PROFILES = {
     "strict": (1e-9, 1e-9, 1e-18),
@@ -51,18 +52,6 @@ class Verdict(Enum):
     HOROSPHERE = "Horosphere"
     SINGLE_END_CANDIDATE = "SingleEndCandidate"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class NullDirectionReport:
-    """Ricci-null eigendirections at one jet and their principal alignment."""
-
-    null_space_dim: int
-    null_kappas: np.ndarray       # curvature of each null direction
-    principal_alignment: float    # worst angle to the nearest principal eigenspace (rad)
-    kappa0: float                 # curvature along the null space (nan if empty)
-    kappa0_expected: float        # smaller quadratic root (nan if H^2 < 4(n-1))
-    mean: float
 
 
 @dataclass(frozen=True)
@@ -79,56 +68,6 @@ class ConstancyScan:
     umbilic_value: float
     samples: int
     ric_min: float       # smallest Ricci eigenvalue over the samples
-
-
-def _smaller_root(H: float, n: int) -> float:
-    disc = H * H - 4.0 * (n - 1)
-    if disc < 0:
-        return math.nan
-    return (H - math.sqrt(disc)) / 2.0
-
-
-def flat_direction_check(spec: ShapeSpectrum,
-                         ric_tol: float = RICCI_NULL_TOL) -> NullDirectionReport:
-    """Extract Ricci-null directions of one point's spectrum and compare their
-    curvature to the smaller root.
-
-    Requires n >= 3 and a pointwise nonnegative Ricci spectrum (floor -ric_tol); an
-    empty null space is a valid outcome, not an error.
-    """
-    import scipy.linalg
-
-    n = spec.kappas.size
-    if n < 3:
-        raise ParameterError("flat-direction analysis requires n >= 3")
-    g = spec.forms.metric
-    eigvals, eigvecs = scipy.linalg.eigh(ricci_from_shape(spec), g)
-    if eigvals[0] < -ric_tol:
-        raise PreconditionError(
-            f"surface has negative Ricci eigenvalue {eigvals[0]:.3e} at this point")
-    null_idx = np.nonzero(np.abs(eigvals) <= ric_tol)[0]
-    if null_idx.size == 0:
-        return NullDirectionReport(0, np.empty(0), 0.0, math.nan,
-                                   _smaller_root(spec.mean, n), spec.mean)
-
-    clusters = cluster_kappas(spec.kappas)
-    null_kappas = []
-    worst_angle = 0.0
-    for idx in null_idx:
-        v = eigvecs[:, idx]
-        null_kappas.append(float(v @ spec.second_form @ v))
-        # angle to the nearest principal eigenspace, via the g-orthogonal residual
-        best = math.pi / 2
-        for cl in clusters:
-            E = spec.frame[:, cl]
-            resid = v - E @ (E.T @ g @ v)
-            sin_angle = min(1.0, math.sqrt(max(0.0, float(resid @ g @ resid))))
-            best = min(best, math.asin(sin_angle))
-        worst_angle = max(worst_angle, best)
-    null_kappas = np.asarray(null_kappas)
-    return NullDirectionReport(int(null_idx.size), null_kappas, worst_angle,
-                               float(null_kappas[0]), _smaller_root(spec.mean, n),
-                               spec.mean)
 
 
 def constancy_scan(field: HeightField, samples) -> ConstancyScan:

@@ -1,7 +1,11 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints one line."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import hypcurv
 from hypcurv.acceptance import CRITERIA, RUNTIME_BUDGET
 
 SEED = 7
@@ -16,3 +20,21 @@ def test_criterion(name, capsys):
         f"{name} exceeded its runtime budget: {result.elapsed:.1f}s "
         f"> {RUNTIME_BUDGET[name]:.0f}s")
     assert result.passed, result.detail
+
+
+def test_only_acceptance_imports_scipy():
+    # the CLI's geometry, classify and solver paths run on numpy alone; scipy serves
+    # the sparse p=2 oracle that verify runs
+    package = Path(hypcurv.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"acceptance.py"}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcurv import acceptance, heightfield
+from hypcurv import heightfield
 from hypcurv.errors import DataError, DomainError, ParameterError
 from hypcurv.gridfn import (GridFunction, box_face_mask, load_grid_function,
                             save_grid_function)
@@ -262,8 +262,7 @@ class TestLatticeContract:
         with pytest.raises(ParameterError):
             SampledGridField.from_field(cone(), [0.5, 0.5, 0.5], [1.0, 1.1, 1.0], 0.0625)
         with pytest.raises(ParameterError):
-            acceptance._annulus_box_heights(lambda m: m[0], (0.0, 0.0, 0.0),
-                                            (1.0, 1.0, 1.05), 0.1)
+            heightfield._lattice_dims((0.0, 0.0, 0.0), (1.0, 1.0, 1.05), 0.1)
 
     def test_window_outside_domain_rejected(self):
         # the cone's domain is [-2, 2]^3: both lattices refuse a window past x1 = 2
@@ -286,7 +285,7 @@ class TestLatticeContract:
         field = make_catalog_surface("equidistant_cone", {"slope": 1.3, "mask_radius": 0.3}, n)
         lo, hi = np.full(n, -0.5), np.array([0.5] + [0.4] * (n - 1))
         grid = sample_height_grid(field, lo, hi, 0.1)
-        mesh = heightfield._mesh_points(lo, grid.dims, 0.1)
+        mesh = heightfield._mesh(heightfield._lattice_axes(lo, grid.dims, 0.1))
         assert grid.values.tobytes() == field.height_array(mesh).tobytes()
         assert np.array_equal(grid.boundary_mask,
                               box_face_mask(grid.dims) | np.isneginf(grid.values))
@@ -305,7 +304,8 @@ def test_lattice_mask_box_matches_full_mesh(seed, n, places):
     spacing = float(rng.uniform(0.05, 0.5))
     lo = rng.uniform(-1, 1, size=n)
     hi = lo + spacing * (np.asarray(dims) - 1)
-    X = heightfield._mesh_points(lo, dims, spacing)
+    axes = heightfield._lattice_axes(lo, dims, spacing)
+    X = heightfield._mesh(axes)
     balls = []
     for place in places:
         # under one spacing, a whole number of spacings (nodes on the sphere) or more
@@ -321,7 +321,6 @@ def test_lattice_mask_box_matches_full_mesh(seed, n, places):
             center = rng.uniform(lo - radius, hi + radius)
         balls.append(BallMask(center, radius))
     field = HeightField(n, Box(lo - 10, hi + 10), masks=balls)
-    axes = heightfield._lattice_axes(lo, dims, spacing)
     assert np.array_equal(heightfield._lattice_masked(field, axes, lo, spacing),
                           heightfield._masked_points(field, X))
     # both lattice builders on the same window, over a cap whose domain reaches past
@@ -360,8 +359,9 @@ def test_lattice_sq_norm_equals_mesh_einsum_bitwise(seed, n):
     dims = tuple(rng.integers(1, {1: 40, 2: 20, 3: 12, 4: 7, 5: 5}.get(n, 3) + 1, size=n))
     spacing = float(10.0 ** rng.uniform(-3, 1))
     lo = rng.uniform(-2, 2, size=n) * 10.0 ** rng.uniform(-2, 1)
-    X = heightfield._mesh_points(lo, dims, spacing)
-    got = heightfield._lattice_sq_norm(heightfield._lattice_axes(lo, dims, spacing))
+    axes = heightfield._lattice_axes(lo, dims, spacing)
+    X = heightfield._mesh(axes)
+    got = heightfield._lattice_sq_norm(axes)
     assert got.shape == dims
     assert got.tobytes() == np.einsum("...i,...i->...", X, X).tobytes()
 

@@ -6,15 +6,16 @@ import pytest
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hypcurv.errors import DataError, ParameterError, PreconditionError
+from hypcurv.acceptance import _gradient_operator, solve_laplace_linear
+from hypcurv.errors import DataError, ParameterError
 from hypcurv.gridfn import GridFunction, box_face_mask
 from hypcurv.heightfield import make_catalog_surface, sample_height_grid
 from hypcurv import plaplace
 from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _cell_weights,
                               _complete_cells, _energy, _energy_gradient,
-                              _free_node_inverse, _gradient_operator, _pair, _pair_adjoint,
-                              p_dirichlet_energy, solve_laplace_linear, solve_p_harmonic,
-                              tighten_boundary, viscosity_probe)
+                              _free_node_inverse, _pair, _pair_adjoint,
+                              p_dirichlet_energy, solve_p_harmonic, tighten_boundary,
+                              viscosity_probe)
 
 
 @dataclass(frozen=True)
@@ -30,15 +31,15 @@ def comparison_check(u: GridFunction, v: GridFunction, tol: float = 1e-8) -> Com
     """Check v >= u given boundary domination v|bd >= u|bd.
 
     The boundary-domination precondition mirrors the continuum hypothesis; violating
-    it is harness misuse and raises PreconditionError.
+    it is harness misuse and raises ValueError.
     """
     if u.dims != v.dims or u.spacing != v.spacing or not np.allclose(u.origin, v.origin):
-        raise PreconditionError("comparison requires identical grids")
+        raise ValueError("comparison requires identical grids")
     both = u.active_mask() & v.active_mask()
     bd = u.boundary_mask & both
     if np.any(v.values[bd] < u.values[bd] - 1e-12):
         worst = float(np.min((v.values - u.values)[bd]))
-        raise PreconditionError(f"boundary of v does not dominate u (min gap {worst:.3e})")
+        raise ValueError(f"boundary of v does not dominate u (min gap {worst:.3e})")
     diff = np.where(both, v.values - u.values, np.inf)
     min_diff = float(np.min(diff))
     viol = np.argwhere(diff < -tol)
@@ -438,7 +439,7 @@ class TestComparison:
         mesh, h = unit_grid(5)
         u = grid_from(mesh[0].copy(), h)
         v = grid_from(mesh[0] - 1.0, h)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError):
             comparison_check(u, v)
 
     def test_grid_mismatch(self):
@@ -446,7 +447,7 @@ class TestComparison:
         u = grid_from(mesh[0].copy(), h)
         mesh2, h2 = unit_grid(9)
         v = grid_from(mesh2[0].copy(), h2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValueError):
             comparison_check(u, v)
 
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from hypcurv import rigidity
 from hypcurv.curvature import (cluster_kappas, commutation_residual, ricci_coordinate,
-                               shape_spectrum)
-from hypcurv.errors import HypothesisContradiction, ParameterError, PreconditionError
+                               shape_spectra, shape_spectrum)
+from hypcurv.errors import HypothesisContradiction
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import SampledGridField, make_catalog_surface
 from hypcurv.rigidity import (ConstancyScan, Verdict, classify_global, constancy_scan,
-                              flat_direction_check, verdict_report)
+                              verdict_report)
 
 SQ2 = math.sqrt(2.0)
 
@@ -32,46 +32,68 @@ def cap(n=3):
         "geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0}, n)
 
 
+def ricci_null(spec):
+    """Mask of the Ricci-null principal directions of one spectrum or a batch.
+
+    Along principal direction i the Ricci eigenvalue is -(n-1) + kappa_i H - kappa_i^2
+    (the Gauss equation); a direction is null where that is within 1e-6 of zero.
+    """
+    k, H = spec.kappas, np.asarray(spec.mean)[..., None]
+    return np.abs(-(k.shape[-1] - 1) + k * H - k * k) <= 1e-6
+
+
+def smaller_root(H, n):
+    """Smaller root of k^2 - H k + (n-1) = 0."""
+    return (H - np.sqrt(H * H - 4.0 * (n - 1))) / 2.0
+
+
+def commutation_at(jet):
+    """Commutator of the coordinate-route Ricci operator with the shape operator: zero
+    when the Ricci eigendirections, the null one among them, are principal."""
+    spec = shape_spectrum(jet)
+    return commutation_residual(ricci_coordinate(jet, spec.forms), spec.forms.metric,
+                                spec.shape)
+
+
 class TestFlatDirection:
     def test_cone_single_null_direction(self):
-        frag = flat_direction_check(shape_spectrum(cone().jet([1.0, 0.0, 0.0])))
-        assert frag.null_space_dim == 1
-        assert frag.principal_alignment <= 1e-8
-        assert frag.kappa0 == pytest.approx(1.0 / SQ2, abs=1e-10)
+        jet = cone().jet([1.0, 0.0, 0.0])
+        spec = shape_spectrum(jet)
+        null = spec.kappas[ricci_null(spec)]
+        assert null.size == 1
+        assert commutation_at(jet) <= 1e-8
+        assert null[0] == pytest.approx(1.0 / SQ2, abs=1e-10)
         # smaller root of kappa H - kappa^2 - (n-1) = 0 with H = 5/sqrt(2)
         expected = (5.0 / SQ2 - math.sqrt(12.5 - 8.0)) / 2.0
-        assert frag.kappa0_expected == pytest.approx(expected, rel=1e-12)
-        assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
+        root = smaller_root(spec.mean, 3)
+        assert root == pytest.approx(expected, rel=1e-12)
+        assert null[0] == pytest.approx(root, abs=1e-8)
 
     def test_horosphere_full_null_space(self):
-        frag = flat_direction_check(shape_spectrum(horosphere().jet([0.0, 0.0, 0.0])))
-        assert frag.null_space_dim == 3
+        spec = shape_spectrum(horosphere().jet([0.0, 0.0, 0.0]))
+        null = spec.kappas[ricci_null(spec)]
+        assert null.size == 3
         # H = 3: roots (3 +/- 1)/2 = {2, 1}; observed kappa matches the smaller root
-        assert frag.kappa0_expected == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(frag.null_kappas, 1.0, atol=1e-10)
+        assert smaller_root(spec.mean, 3) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(null, 1.0, atol=1e-10)
 
     def test_cap_empty_fragment(self):
-        frag = flat_direction_check(shape_spectrum(cap().jet([0.0, 0.0, 0.0])))
-        assert frag.null_space_dim == 0
-        assert math.isnan(frag.kappa0)
+        spec = shape_spectrum(cap().jet([0.0, 0.0, 0.0]))
+        assert not ricci_null(spec).any()
 
-    def test_dimension_precondition(self):
-        with pytest.raises(ParameterError):
-            flat_direction_check(shape_spectrum(horosphere(1.0, 2).jet([0.0, 0.0])))
-
-    def test_negative_ricci_precondition(self):
-        plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
-        with pytest.raises(PreconditionError):
-            flat_direction_check(shape_spectrum(plane.jet([1.0, 0.0, 0.0])))
-
-    def test_null_kappa_matches_root_at_samples(self):
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_null_kappa_matches_root_at_samples(self, n):
         rng = np.random.default_rng(15)
-        field = cone(2.0)
-        for x in field.sample_points(30, rng, r_min=0.4, r_max=1.8):
-            frag = flat_direction_check(shape_spectrum(field.jet(x)))
-            assert frag.null_space_dim == 1
-            assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
-            assert frag.kappa0 > 0
+        field = cone(2.0, n)
+        pts = field.sample_points(30, rng, r_min=0.4, r_max=1.8)
+        spec = shape_spectra(*field.jet_array(pts))
+        mask = ricci_null(spec)
+        assert np.all(mask.sum(axis=1) == 1)
+        null = spec.kappas[mask]
+        assert np.max(np.abs(null - smaller_root(spec.mean, n))) <= 1e-8
+        assert np.all(null > 0)
+        for x in pts:
+            assert commutation_at(field.jet(x)) <= 1e-8
 
 
 class TestCommutation:
@@ -263,10 +285,10 @@ class TestGlobalVerdict:
         scan = constancy_scan(field, pts)
         assert classify_global(scan, 2) is Verdict.EQUIDISTANT_TUBE
         assert max(scan.kappa0_var, scan.kappa_t_var) <= 1e-20
-        for x in pts:
-            frag = flat_direction_check(shape_spectrum(field.jet(x)))
-            assert frag.null_space_dim == 1
-            assert frag.kappa0 == pytest.approx(frag.kappa0_expected, abs=1e-8)
+        spec = shape_spectra(*field.jet_array(pts))
+        mask = ricci_null(spec)
+        assert np.all(mask.sum(axis=1) == 1)
+        assert np.max(np.abs(spec.kappas[mask] - smaller_root(spec.mean, 3))) <= 1e-8
 
 
 def test_min_ricci_eigenvalue():
