@@ -138,14 +138,14 @@ class HeightField:
         """(f, Df, D2f) at points X of shape (P, n) that passed :meth:`_require`."""
         raise NotImplementedError
 
-    # public surface -----------------------------------------------------------------
-    def contains(self, x) -> bool:
-        """Is x in the box and outside every mask ball?"""
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.n,) and bool(self.contains_array(x))
+    def _lattice_values(self, axes) -> np.ndarray:
+        """f at every node of the lattice with per-axis coordinates ``axes``, as a new
+        array, with f <= 0 where f is undefined; no mask or domain-box check."""
+        raise NotImplementedError
 
+    # public surface -----------------------------------------------------------------
     def contains_array(self, X) -> np.ndarray:
-        """:meth:`contains` for each point of X, shape (..., n)."""
+        """Is each point of X, shape (..., n), in the box and outside every mask ball?"""
         X = np.asarray(X, dtype=float)
         return self.domain.contains(X) & ~_masked_points(self, X)
 
@@ -178,24 +178,6 @@ class HeightField:
         x = np.asarray(x, dtype=float)
         f, df, hess = self._jet_array(self._require(x[None]))
         return Jet2(x, float(f[0]), df[0], hess[0])  # Jet2 makes the checks of jet_array
-
-    def value_array(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized f over points X of shape (..., n), as a new array that the caller
-        may overwrite; every kind supplies its own."""
-        raise NotImplementedError
-
-    def _lattice_values(self, axes) -> np.ndarray:
-        """:meth:`value_array` at every node of the lattice with per-axis coordinates
-        ``axes``, as a new array; kinds whose f is separable skip the node mesh."""
-        return self.value_array(_mesh(axes))
-
-    def height_array(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized h = log f with -inf at masked points; no domain-box check."""
-        X = np.asarray(X, dtype=float)
-        vals = self.value_array(X)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(_masked_points(self, X) | (vals <= 0), -np.inf,
-                            np.log(np.maximum(vals, 1e-300)))
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
                       margin: float = 0.0) -> np.ndarray:
@@ -256,10 +238,6 @@ class Horosphere(HeightField):
     def _jet_array(self, X):
         return np.full(len(X), self.c), np.zeros(X.shape), np.zeros(X.shape + (self.n,))
 
-    def value_array(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.full(X.shape[:-1], self.c)
-
     def _lattice_values(self, axes):
         return np.full(tuple(map(len, axes)), self.c)
 
@@ -304,16 +282,10 @@ class GeodesicSphereCap(HeightField):
         hess = sgn * (np.eye(self.n) / w + X[:, :, None] * X[:, None, :] / w ** 3)
         return self.a - sgn * w[:, 0, 0], sgn * X / w[:, 0], hess
 
-    def value_array(self, X):
-        X = np.asarray(X, dtype=float)
-        return self._from_sq_norm(np.asarray(np.einsum("...i,...i->...", X, X)))
-
     def _lattice_values(self, axes):
-        return self._from_sq_norm(_lattice_sq_norm(axes))
-
-    def _from_sq_norm(self, w):
-        """f from |x|^2, in the array ``w``: w2 = b^2 - |x|^2, then w = sqrt(max(w2, 0)),
-        then a -/+ w; -1 off the chart."""
+        # in one array: w2 = b^2 - |x|^2, then w = sqrt(max(w2, 0)), then a -/+ w; -1 off
+        # the chart
+        w = _lattice_sq_norm(axes)
         np.subtract(self.b ** 2, w, out=w)
         off_chart = ~(w > 0)
         np.sqrt(np.maximum(w, 0.0, out=w), out=w)
@@ -354,15 +326,8 @@ class EquidistantCone(HeightField):
         hess = self.slope * (np.eye(self.n) / r - X[:, :, None] * X[:, None, :] / r ** 3)
         return self.slope * r[:, 0, 0], self.slope * X / r[:, 0], hess
 
-    def value_array(self, X):
-        X = np.asarray(X, dtype=float)
-        return self._from_sq_norm(np.asarray(np.einsum("...i,...i->...", X, X)))[()]
-
     def _lattice_values(self, axes):
-        return self._from_sq_norm(_lattice_sq_norm(axes))
-
-    def _from_sq_norm(self, f):
-        """s|x| from |x|^2, in the array ``f``."""
+        f = _lattice_sq_norm(axes)
         return np.multiply(self.slope, np.sqrt(f, out=f), out=f)
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
@@ -402,10 +367,6 @@ class TiltedPlane(HeightField):
         df[:, 0] = self.slope
         return self.slope * X[:, 0], df, np.zeros(X.shape + (self.n,))
 
-    def value_array(self, X):
-        X = np.asarray(X, dtype=float)
-        return self.slope * X[..., 0]
-
     def _lattice_values(self, axes):
         row = self.slope * axes[0].reshape((-1,) + (1,) * (len(axes) - 1))
         return np.broadcast_to(row, tuple(map(len, axes))).copy()
@@ -439,8 +400,8 @@ class SampledGridField(HeightField):
     Values, gradients and Hessians all come from one kernel, :meth:`_interpolate`:
     tensor-product Lagrange interpolation of the configured order on a window of
     (order+1)^n nodes around each query point, contracted axis by axis with the 1D
-    basis and its derivatives.  Windows containing excised (-inf) nodes raise
-    DomainError.
+    basis and its derivatives.  A jet whose window touches excised (-inf) nodes raises
+    DomainError; a lattice node whose window does gets -inf, as in a mask ball.
     """
 
     kind = "sampled_grid"
@@ -465,17 +426,19 @@ class SampledGridField(HeightField):
         """Values f on the lattice over [lo, hi] at ``spacing``, as ``sample_height_grid``."""
         return cls(_lattice_grid(field, lo, hi, spacing, lambda vals: vals), order=order)
 
-    def _interpolate(self, pts, deriv: int) -> np.ndarray:
-        """Every mixed partial of order <= ``deriv`` per axis at points ``pts`` (P, n).
+    def _interpolate(self, pts, deriv: int):
+        """Every mixed partial of order <= ``deriv`` per axis at points ``pts`` (P, n),
+        and whether each point's window holds finite samples only.
 
-        Returns shape (P,) + (deriv+1,)*n; entry [p, a_1, .., a_n] is
-        d^a_1/dx_1^a_1 .. d^a_n/dx_n^a_n f at pts[p].  Raises DomainError if a window
-        touches excised nodes.
+        The partials have shape (P,) + (deriv+1,)*n; entry [p, a_1, .., a_n] is
+        d^a_1/dx_1^a_1 .. d^a_n/dx_n^a_n f at pts[p], and 0 where the window touches
+        excised nodes.
         """
         if len(pts) > VALUE_CHUNK:
             # bounded chunks keep the gathered windows, (order+1)^n values a point, small
-            return np.concatenate([self._interpolate(pts[i:i + VALUE_CHUNK], deriv)
-                                   for i in range(0, len(pts), VALUE_CHUNK)])
+            chunks = [self._interpolate(pts[i:i + VALUE_CHUNK], deriv)
+                      for i in range(0, len(pts), VALUE_CHUNK)]
+            return tuple(np.concatenate(part) for part in zip(*chunks))
         n, width = self.n, self.order + 1
         t = (pts - self.grid.origin) / self.grid.spacing
         starts = np.clip(np.floor(t).astype(int) - (self.order - 1) // 2, 0,
@@ -485,9 +448,7 @@ class SampledGridField(HeightField):
             (-1,) + (1,) * d + (width,) + (1,) * (n - 1 - d)) for d in range(n))
         block = self.grid.values[index]
         finite = np.all(np.isfinite(block.reshape(len(pts), -1)), axis=1)
-        if not np.all(finite):
-            raise DomainError(f"interpolation window at {pts[np.argmin(finite)]} "
-                              "touches excised nodes")
+        block[~finite] = 0.0  # no -inf * 0 in the contraction
         # weights[p, d, k, j]: d^k/dx_d^k of basis j at local[p, d], by Horner over the
         # padded table, then the chain rule's 1/spacing^k
         table = self._table[:deriv + 1]
@@ -499,21 +460,22 @@ class SampledGridField(HeightField):
         for d in range(n):
             # contract the leading window axis; its derivative axis goes last
             out = np.einsum("pj...,pkj->p...k", out, weights[:, d])
-        return out
-
-    def value_array(self, X):
-        """Interpolated f over points X of shape (..., n), the windows of ``_jet_array``.
-
-        Raises DomainError if the window of any point touches excised nodes.
-        """
-        X = np.asarray(X, dtype=float)
-        return self._interpolate(X.reshape(-1, self.n), 0).reshape(X.shape[:-1])
+        return out, finite
 
     def _jet_array(self, X):
-        partials = self._interpolate(X, 2).reshape(len(X), -1)
+        partials, finite = self._interpolate(X, 2)
+        if not finite.all():
+            raise DomainError(f"interpolation window at {X[np.argmin(finite)]} "
+                              "touches excised nodes")
+        partials = partials.reshape(len(X), -1)
         # flat index of d/dx_i in the (3,)*n partials; d_i d_j f sits at the sum
         axis = 3 ** np.arange(self.n)[::-1]
         return partials[:, 0], partials[:, axis], partials[:, axis[:, None] + axis]
+
+    def _lattice_values(self, axes):
+        # 0, so excised, at nodes whose window touches excised samples
+        f = self._interpolate(_mesh(axes).reshape(-1, self.n), 0)[0]
+        return f.reshape(tuple(map(len, axes)))
 
     def params(self):
         return {"order": self.order, "dims": list(self.grid.dims),
@@ -531,33 +493,11 @@ def _mesh(axes):
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1)
 
 
-#: the most axes for which :func:`_lattice_sq_norm` rounds as the einsum does
-_SEPARABLE_MAX_N = 7
-
-
 def _lattice_sq_norm(axes) -> np.ndarray:
-    """|x|^2 at every lattice node, as a new array, from the per-axis squares.
-
-    ``np.einsum("...i,...i->...")`` over the node mesh adds the squares in two
-    accumulators, the even axes in order and the odd axes in order, and then adds the
-    two; the sum here keeps that order, so every node holds the einsum's bits (a
-    property test pins this against the einsum).  Past ``_SEPARABLE_MAX_N`` axes the
-    einsum rounds otherwise, so it runs on the mesh.
-    """
+    """|x|^2 at every lattice node, as a new array: the per-axis squares, broadcast
+    and added in axis order, with no node mesh."""
     n = len(axes)
-    if n > _SEPARABLE_MAX_N:
-        X = _mesh(axes)
-        return np.einsum("...i,...i->...", X, X)
-    sq = [np.square(a).reshape((-1,) + (1,) * (n - 1 - d)) for d, a in enumerate(axes)]
-    if n == 1:
-        return sq[0]
-    even, odd = sq[0], sq[1]
-    for d in range(2, n):
-        if d % 2:
-            odd = odd + sq[d]
-        else:
-            even = even + sq[d]
-    return even + odd
+    return sum(np.square(a).reshape((-1,) + (1,) * (n - 1 - d)) for d, a in enumerate(axes))
 
 
 def _row_dot(a, b):
@@ -653,7 +593,6 @@ def sample_height_grid(field: HeightField, lo, hi, spacing: float) -> GridFuncti
     its extents must be a whole number of spacings, at least two, with at most
     ``MAX_LATTICE_NODES`` nodes in all (else ParameterError).
     """
-    # the expression of height_array, so the heights are the same to the bit
     return _lattice_grid(field, lo, hi, spacing,
                          lambda vals: np.log(np.maximum(vals, 1e-300, out=vals), out=vals))
 
@@ -737,33 +676,33 @@ class JetValidation:
 def fd_validate_jet(field: HeightField, x, step: float = None) -> JetValidation:
     """Compare the field's jet against 3-point gradient / 5-point-stencil Hessian differences.
 
-    The default step 1e-4 is scaled by max(1, |x|); all stencil points must lie in the
-    field's domain, with f > 0, or DomainError is raised.
+    The default step 1e-4 is scaled by max(1, |x|); every stencil point must lie in the
+    field's domain and have a jet there (on a cap's chart, on a sampled grid's finite
+    windows), or DomainError is raised.
     """
     x = np.asarray(x, dtype=float)
     n = field.n
     if step is None:
         step = FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    jet = field.jet(x)
     # the stencil: x, then x +- e_i, then x +- e_i +- e_j (i < j) in sign order ++ +- -+ --
     e = np.eye(n) * step
     i, j = np.triu_indices(n, 1)
     Y = np.concatenate([x[None], x + e, x - e, x + e[i] + e[j], x + e[i] - e[j],
                         x - e[i] + e[j], x - e[i] - e[j]])
     inside = field.contains_array(Y)
-    if inside.all():
-        # f <= 0 marks a point off the graph's chart, as in height_array
-        values = field.value_array(Y)
-        inside = values > 0
     if not inside.all():
         raise DomainError(
             f"finite-difference stencil exits domain at {Y[np.argmin(inside)]}")
+    try:
+        values, grad, hess = field.jet_array(Y)  # the jet at x is row 0
+    except DomainError as exc:  # off a cap's chart, or a window on excised samples
+        raise DomainError(f"finite-difference stencil exits domain: {exc}") from None
     f0, fp, fm, fpp, fpm, fmp, fmm = np.split(values, np.cumsum([1, n, n] + [len(i)] * 3))
     grad_fd = (fp - fm) / (2 * step)
     hess_fd = np.diag((fp - 2 * f0 + fm) / step ** 2)
     hess_fd[i, j] = hess_fd[j, i] = (fpp - fpm - fmp + fmm) / (4 * step ** 2)
     return JetValidation(
-        grad_residual=float(np.max(np.abs(jet.grad - grad_fd))),
-        hess_residual=float(np.max(np.abs(jet.hess - hess_fd))),
+        grad_residual=float(np.max(np.abs(grad[0] - grad_fd))),
+        hess_residual=float(np.max(np.abs(hess[0] - hess_fd))),
         step=step,
     )

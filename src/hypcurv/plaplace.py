@@ -47,9 +47,6 @@ __all__ = [
     "p_dirichlet_energy", "solve_p_harmonic", "viscosity_probe", "tighten_boundary",
 ]
 
-#: default grid spacing for the viscosity probe
-PROBE_SPACING = 1.0 / 16
-
 #: most nodes held inside the box (a cone apex holds 27) for which the descent direction
 #: inverts the free-node block exactly through a k x k capacitance matrix
 MAX_HELD_NODES = 64
@@ -450,12 +447,9 @@ class ProbeResult:
     backtracks: int
     held_nodes: int
 
-    def __bool__(self):
-        return self.subharmonic
-
 
 def viscosity_probe(field: HeightField, lo, hi, config: SolverConfig,
-                    spacing: float = PROBE_SPACING) -> ProbeResult:
+                    spacing: float) -> ProbeResult:
     """Does the p-harmonic extension of h's boundary values dominate h on the box?
 
     Excised (-inf) nodes inside the box are removed from the Dirichlet domain and

@@ -345,6 +345,24 @@ def excised_grid(tmp_path):
     return str(path)
 
 
+def test_sampled_apex_cone_boundary_and_probe(runner, tmp_path):
+    # a slope-1 cone sampled over [-1, 1]^3 at spacing 0.05, its apex sample excised:
+    # lattice nodes whose interpolation window holds the apex are excised as well
+    cone = heightfield.make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+    sampled = heightfield.SampledGridField.from_field(cone, [-1.0] * 3, [1.0] * 3, 0.05)
+    save_grid_function(sampled.grid, tmp_path / "g.csv", tmp_path / "g.json")
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps({"kind": "sampled_grid", "values_csv": "g.csv",
+                                   "header_json": "g.json"}))
+    result = runner.invoke(main, ["boundary", "--surface", str(surface)])
+    assert result.exit_code == 0, result.stderr
+    result = runner.invoke(main, ["probe", "--surface", str(surface),
+                                  "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:21"])
+    assert result.exit_code == 0, result.stderr
+    doc = json.loads(result.output)
+    assert (doc["excised_nodes"], doc["held_nodes"]) == (125, 343)
+
+
 OUTSIDE = "1,1,1:3,3,3:9"
 
 

@@ -17,6 +17,9 @@ from hypcurv.heightfield import (BallMask, Box, HeightField, Jet2, SampledGridFi
                                  make_catalog_surface, sample_height_grid)
 
 
+EPS = np.finfo(float).eps
+
+
 def cone(s=1.0, n=3):
     return make_catalog_surface("equidistant_cone", {"slope": s}, n)
 
@@ -43,14 +46,18 @@ class TestCatalogConstruction:
             d = field.tube_distance()
             rng = np.random.default_rng(1)
             for x in field.sample_points(10, rng, r_min=0.3, r_max=1.8):
-                f = float(field.value_array(x))
+                f = field.jet(x).f
                 assert math.sinh(d) == pytest.approx(np.linalg.norm(x) / f, rel=1e-12)
 
     def test_cone_masks_origin(self):
         field = cone()
         with pytest.raises(DomainError):
             field.jet([1e-4, 0.0, 0.0])
-        assert field.height_array(np.array([1e-4, 0.0, 0.0])) == -math.inf
+        # the lattice node at (1e-4, 0, 0) is the one node in the apex ball
+        lo = np.array([1e-4 - 0.5, -0.5, -0.5])
+        grid = sample_height_grid(field, lo, lo + 1.0, 0.25)
+        assert grid.values[2, 2, 2] == -math.inf and grid.boundary_mask[2, 2, 2]
+        assert np.isneginf(grid.values).sum() == 1
 
     @pytest.mark.parametrize("field", [cone(), cap(), make_catalog_surface(
         "equidistant_cone", {"slope": 1.0, "mask_radius": 0.3}, 3)])
@@ -63,13 +70,12 @@ class TestCatalogConstruction:
                   and all(np.linalg.norm(x - m.center) >= m.radius for m in field.masks)
                   for x in X]
         assert field.contains_array(X.reshape(20, 20, 3)).ravel().tolist() == inside
-        assert [field.contains(x) for x in X] == inside
+        assert [bool(field.contains_array(x)) for x in X] == inside
 
     def test_sphere_cap_values(self):
         field = cap()
         x = np.array([0.3, 0.0, 0.0])
-        assert float(field.value_array(x)) == pytest.approx(2.0 - math.sqrt(1.0 - 0.09),
-                                                            rel=1e-15)
+        assert field.jet(x).f == pytest.approx(2.0 - math.sqrt(1.0 - 0.09), rel=1e-15)
 
     def test_sphere_cap_hyperbolic_radius(self):
         # oracle: vertical-geodesic distance between the poles is log((a+b)/(a-b)) = 2r
@@ -192,19 +198,88 @@ class TestSampledGrid:
                                               0.025, order=4)
         with pytest.raises(DomainError):
             sampled.jet([0.01, 0.0, 0.0])  # window touches the excised apex
-        with pytest.raises(DomainError):
-            sampled.value_array(np.array([[0.15, 0.15, 0.15], [0.01, 0.0, 0.0]]))
+        with pytest.raises(DomainError, match=r"window at \[0\.01 "):
+            sampled.jet_array(np.array([[0.15, 0.15, 0.15], [0.01, 0.0, 0.0]]))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_value_array_matches_per_node_value(self, n):
+        # batched values, read from jet_array, against one point at a time
         sampled = SampledGridField.from_field(cone(1.3, n), np.full(n, 0.5), np.full(n, 1.3),
                                               0.1)
         rng = np.random.default_rng(n)
-        # points across the box, its faces and slightly past them (clamped windows)
-        X = rng.uniform(0.45, 1.35, size=(200, n))
-        got = sampled.value_array(X.reshape(10, 20, n))
-        want = np.array([sampled.value_array(x[None])[0] for x in X]).reshape(10, 20)
+        # points across the box and on its corners (clamped windows)
+        X = np.concatenate([rng.uniform(0.5, 1.3, size=(198, n)), [np.full(n, 0.5),
+                                                                    np.full(n, 1.3)]])
+        got = sampled.jet_array(X)[0]
+        want = np.array([sampled.jet_array(x[None])[0][0] for x in X])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def window_touches_excised(sampled, x) -> bool:
+    """Brute force at one point: does the interpolation window of x hold a -inf sample?
+
+    The window holds order+1 samples per axis, the (order-1)//2-th before the sample at
+    or below x first, moved inside the grid where it would cross a face.
+    """
+    grid, width = sampled.grid, sampled.order + 1
+    window = []
+    for d in range(grid.ndim):
+        below = math.floor((x[d] - grid.origin[d]) / grid.spacing)
+        start = min(max(below - (sampled.order - 1) // 2, 0), grid.dims[d] - width)
+        window.append(slice(start, start + width))
+    return bool(np.isneginf(grid.values[tuple(window)]).any())
+
+
+def excised_by_brute_force(sampled, grid):
+    """``window_touches_excised`` at every node of the lattice ``grid``."""
+    X = heightfield._mesh(grid.axes()).reshape(-1, grid.ndim)
+    return np.array([window_touches_excised(sampled, x) for x in X]).reshape(grid.dims)
+
+
+class TestSampledLatticeExcision:
+    def test_excised_windows_node_by_node(self):
+        # a cone sampled with its apex sample excised: the lattice heights are -inf
+        # exactly at the nodes whose window holds the apex, and log f elsewhere
+        sampled = SampledGridField.from_field(cone(), [-0.5] * 3, [0.5] * 3, 0.05)
+        assert np.isneginf(sampled.grid.values).sum() == 1
+        grid = sample_height_grid(sampled, [-0.3] * 3, [0.3] * 3, 0.025)
+        excised = excised_by_brute_force(sampled, grid)
+        assert 0 < excised.sum() < excised.size
+        assert np.array_equal(np.isneginf(grid.values), excised)
+        assert np.array_equal(grid.boundary_mask, box_face_mask(grid.dims) | excised)
+        X = heightfield._mesh(grid.axes())
+        f = sampled.jet_array(X[~excised])[0]
+        assert np.max(np.abs(grid.values[~excised] - np.log(f))) <= 1e-14
+        # a jet there still raises
+        with pytest.raises(DomainError, match="touches excised nodes"):
+            sampled.jet_array(X[excised][:1])
+
+    def test_interpolation_chunks(self):
+        # _interpolate splits its points into chunks of VALUE_CHUNK; the split must not
+        # show, neither in jets nor in the -inf nodes of a lattice
+        chunk = heightfield.VALUE_CHUNK
+        sampled = SampledGridField.from_field(cone(), [0.5] * 3, [1.5] * 3, 0.1)
+        X = np.random.default_rng(9).uniform(0.5, 1.5, size=(2 * chunk + 5, 3))
+        whole = sampled.jet_array(X)
+        parts = [sampled.jet_array(X[i:i + chunk]) for i in range(0, len(X), chunk)]
+        for got, want in zip(whole, zip(*parts)):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+        # 2-D samples with one excised interior sample, at (1.2, 1.7); the 101^2-node
+        # lattice's flat nodes 4095 and 4096, either side of the first chunk boundary,
+        # both have it in their windows
+        spacing = 0.1
+        axes = [spacing * np.arange(31)] * 2
+        values = 1.0 + heightfield._lattice_sq_norm(axes)
+        values[12, 17] = -np.inf
+        samples = GridFunction((31, 31), spacing, np.zeros(2), values,
+                               box_face_mask((31, 31)) | np.isneginf(values))
+        sampled = SampledGridField(samples)
+        grid = sample_height_grid(sampled, [0.0, 0.0], [3.0, 3.0], 0.03)
+        assert grid.dims == (101, 101) and grid.values.size > 2 * chunk
+        excised = excised_by_brute_force(sampled, grid)
+        assert excised.ravel()[chunk - 1] and excised.ravel()[chunk]
+        assert np.array_equal(np.isneginf(grid.values), excised)
+        assert np.array_equal(grid.boundary_mask, box_face_mask(grid.dims) | excised)
 
 
 def _poly_partials(coeffs, x, orders):
@@ -249,9 +324,9 @@ def test_interpolation_reproduces_per_axis_polynomials(n, order):
         assert close(jet.grad, np.array([_poly_partials(coeffs, x, e) for e in unit]))
         assert close(jet.hess, np.array([[_poly_partials(coeffs, x, d + e) for e in unit]
                                          for d in unit]))
-    # value_array also extrapolates a little past the faces with clamped windows
-    X = rng.uniform(lo - spacing, hi + spacing, size=(40, n))
-    assert close(sampled.value_array(X),
+    # and the values of one batched jet_array call
+    X = rng.uniform(lo, hi, size=(40, n))
+    assert close(sampled.jet_array(X)[0],
                  np.array([_poly_partials(coeffs, x, (0,) * n) for x in X]))
 
 
@@ -280,16 +355,19 @@ class TestLatticeContract:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_heights_match_height_array_bitwise(self, n):
-        # the lattice builder tests mask balls on their index boxes only; the point-set
-        # route tests every node, and the two must agree to the bit
+        # the lattice builder tests mask balls on their index boxes only: -inf exactly
+        # where the point-set mask test holds, and elsewhere h = log(s|x|) from the node
+        # coordinates, within 4 eps * max(1, |h|) (|x|^2 rounds in another order)
         field = make_catalog_surface("equidistant_cone", {"slope": 1.3, "mask_radius": 0.3}, n)
         lo, hi = np.full(n, -0.5), np.array([0.5] + [0.4] * (n - 1))
         grid = sample_height_grid(field, lo, hi, 0.1)
         mesh = heightfield._mesh(heightfield._lattice_axes(lo, grid.dims, 0.1))
-        assert grid.values.tobytes() == field.height_array(mesh).tobytes()
-        assert np.array_equal(grid.boundary_mask,
-                              box_face_mask(grid.dims) | np.isneginf(grid.values))
-        assert np.isneginf(grid.values).sum() > 1
+        masked = heightfield._masked_points(field, mesh)
+        assert np.array_equal(np.isneginf(grid.values), masked) and masked.sum() > 1
+        want = np.log(1.3 * np.sqrt(np.sum(mesh[~masked] ** 2, axis=-1)))
+        got = grid.values[~masked]
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(grid.boundary_mask, box_face_mask(grid.dims) | masked)
 
 
 @settings(max_examples=80, deadline=None)
@@ -321,40 +399,52 @@ def test_lattice_mask_box_matches_full_mesh(seed, n, places):
             center = rng.uniform(lo - radius, hi + radius)
         balls.append(BallMask(center, radius))
     field = HeightField(n, Box(lo - 10, hi + 10), masks=balls)
-    assert np.array_equal(heightfield._lattice_masked(field, axes, lo, spacing),
-                          heightfield._masked_points(field, X))
+    masked = heightfield._masked_points(field, X)
+    assert np.array_equal(heightfield._lattice_masked(field, axes, lo, spacing), masked)
     # both lattice builders on the same window, over a cap whose domain reaches past
-    # its chart |x| < b, with the same balls: every node holds the point-set value to
-    # the bit, and the off-chart and masked nodes are -inf and flagged as boundary
+    # its chart |x| < b, with the same balls: the masked and off-chart nodes are -inf
+    # and flagged as boundary, and every other node holds f = a -/+ w, w = sqrt(b^2 -
+    # |x|^2), and log f, from the node coordinates.  |x|^2 rounds in another order
+    # here, so the values' bound is 4 eps f plus twice that rounding, n eps |x|^2,
+    # carried through the square root (1 / (2 w)); the heights' is the values' over f
+    # plus 2 eps |log f|
     b = rng.uniform(0.2, 4.0)
-    cap = heightfield.GeodesicSphereCap(b + rng.uniform(0.1, 2.0), b,
-                                        rng.choice(["lower", "upper"]), n, field.domain)
+    a, which = b + rng.uniform(0.1, 2.0), rng.choice(["lower", "upper"])
+    cap = heightfield.GeodesicSphereCap(a, b, which, n, field.domain)
     cap.masks = field.masks
     heights = sample_height_grid(cap, lo, hi, spacing)
     values = SampledGridField.from_field(cap, lo, hi, spacing, order=2).grid
     assert heights.dims == values.dims == tuple(map(int, dims))
-    h = cap.height_array(X)
-    excised = np.isneginf(h)
-    assert excised[np.einsum("...i,...i->...", X, X) >= b * b].all()
-    assert heights.values.tobytes() == h.tobytes()
-    assert values.values.tobytes() == np.where(excised, -np.inf, cap.value_array(X)).tobytes()
+    sq = np.sum(X * X, axis=-1)
+    excised = masked | (sq >= b * b)
     for grid in (heights, values):
+        assert np.array_equal(np.isneginf(grid.values), excised)
         assert np.array_equal(grid.boundary_mask, box_face_mask(grid.dims) | excised)
-    # each kind's lattice values, without the mesh, hold the bits of value_array on it
-    for kind in (cap, heightfield.Horosphere(rng.uniform(0.1, 3), n),
-                 heightfield.EquidistantCone(rng.uniform(0.1, 3), n),
-                 heightfield.TiltedPlane(rng.uniform(0.1, 3), n)):
+    sq = sq[~excised]
+    w = np.sqrt(b * b - sq)
+    f = a - w if which == "lower" else a + w
+    tol = EPS * (4 * f + n * sq / w)
+    assert np.all(np.abs(values.values[~excised] - f) <= tol)
+    assert np.all(np.abs(heights.values[~excised] - np.log(f))
+                  <= tol / f + 2 * EPS * np.abs(np.log(f)))
+    # each kind's lattice values, without the mesh: the horosphere and the plane are
+    # exact, the cone within 4 eps
+    for kind, want, rtol in (
+            (heightfield.Horosphere(rng.uniform(0.1, 3), n), lambda k: np.full(dims, k.c), 0),
+            (heightfield.TiltedPlane(rng.uniform(0.1, 3), n), lambda k: k.slope * X[..., 0], 0),
+            (heightfield.EquidistantCone(rng.uniform(0.1, 3), n),
+             lambda k: k.slope * np.sqrt(np.sum(X * X, axis=-1)), 4 * EPS)):
         got = kind._lattice_values(axes)
         assert got.shape == tuple(map(int, dims)) and got.flags.writeable
-        assert got.tobytes() == kind.value_array(X).tobytes()
+        assert np.all(np.abs(got - want(kind)) <= rtol * np.abs(want(kind)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9))
 def test_lattice_sq_norm_equals_mesh_einsum_bitwise(seed, n):
-    # per-axis squares summed in the einsum's order, on lattices with axes of length
-    # 1 and up, either sign and spacings over four decades; past _SEPARABLE_MAX_N = 7
-    # axes the einsum runs on the mesh
+    # per-axis squares summed in axis order, on lattices with axes of length 1 and up,
+    # either sign and spacings over four decades: the same squares as the einsum over
+    # the mesh, summed in another order, so within (n - 1) eps |x|^2 of it
     rng = np.random.default_rng(seed)
     dims = tuple(rng.integers(1, {1: 40, 2: 20, 3: 12, 4: 7, 5: 5}.get(n, 3) + 1, size=n))
     spacing = float(10.0 ** rng.uniform(-3, 1))
@@ -363,7 +453,8 @@ def test_lattice_sq_norm_equals_mesh_einsum_bitwise(seed, n):
     X = heightfield._mesh(axes)
     got = heightfield._lattice_sq_norm(axes)
     assert got.shape == dims
-    assert got.tobytes() == np.einsum("...i,...i->...", X, X).tobytes()
+    want = np.einsum("...i,...i->...", X, X)
+    assert np.all(np.abs(got - want) <= (n - 1) * EPS * want)
 
 
 def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
@@ -378,7 +469,7 @@ def sample_one_at_a_time(field, count, rng, r_min=None, r_max=None, margin=0.0):
             continue
         if r_max is not None and r > r_max:
             continue
-        if not field.contains(x):
+        if not field.contains_array(x):
             continue
         out[got] = x
         got += 1

@@ -119,7 +119,7 @@ class TestCommutation:
         spacing = float((field.domain.hi[0] - lo[0]) / 32)
         axes = [lo[d] + spacing * np.arange(33) for d in range(3)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        base = field.value_array(np.stack(mesh, axis=-1))
+        base = field._lattice_values(axes)
         bump = 0.01 * np.sin(3 * mesh[0]) * np.cos(2 * mesh[1]) * np.sin(mesh[2] + 0.4)
         grid = GridFunction((33, 33, 33), spacing, lo, base + bump)
         sampled = SampledGridField(grid, order=4)
