@@ -57,12 +57,17 @@ def _window(field, grid_spec):
     """(lo, hi, spacing) of the grid spec, spacing from axis 0.
 
     Without a spec: a cube of side min(hi - lo)/4 centred on the field's domain, with
-    65 nodes per axis.
+    the largest odd node count per axis, at most 65, whose lattice holds at most 65^3
+    nodes (65 up to n = 3, 21 at n = 4).  An odd count puts a node on the centre, where
+    a cone's apex sits.
     """
     if grid_spec is None:
         centre = 0.5 * (field.domain.lo + field.domain.hi)
         half = float(np.min(field.domain.hi - field.domain.lo)) / 8
-        lo, hi, nodes = centre - half, centre + half, 65
+        nodes = 65
+        while nodes ** field.n > 65 ** 3:
+            nodes -= 2
+        lo, hi = centre - half, centre + half
     else:
         lo, hi, nodes = _parse_grid(grid_spec, field.n)
     return lo, hi, float((hi[0] - lo[0]) / (nodes - 1))

@@ -12,12 +12,15 @@ values and ``stride`` entries shorter than its input, so the cell components cov
 just the nodes that can be a cell's lowest corner, with no zeroed tail.  Cells with an
 excised (-inf) corner contribute nothing.  The minimizer over interior nodes is found
 by preconditioned descent: each direction applies the exact inverse of the p = 2
-operator on the lattice box, a sine transform applied as one matmul per axis.  Where
-the box holds up to ``MAX_HELD_NODES`` nodes inside it (excised or tightened into the
-boundary, as around a cone apex), a capacitance matrix corrects that inverse to the
-exact inverse of the free-node block, so the iteration count does not grow with the
-lattice; above the cap the direction is a principal block of the box inverse, weaker
-where many nodes are held.  A backtracking (Armijo) line search, whose rejected trials
+operator on the lattice box, a sine transform applied as one matmul per axis, scaled
+on both sides by a diagonal that follows the p-Laplacian coefficient ``|Du|^(p-2)``
+of the current iterate (each node's coefficient, clipped to within a factor
+``MAX_COEFFICIENT_RATIO`` of its mean, to the power -1/2).  Where the box holds up to
+``MAX_HELD_NODES`` nodes inside it (excised or tightened into the boundary, as around a
+cone apex), a capacitance matrix corrects that inverse to the exact inverse of the
+free-node block, so the iteration count does not grow with the lattice; above the cap
+the direction is a principal block of the box inverse, weaker where many nodes are
+held.  A backtracking (Armijo) line search, whose rejected trials
 evaluate the energy alone, keeps the recorded energy trace monotonically
 non-increasing.  The descent stops once a trial step predicts a decrease within
 rounding of the energy, or once a step passes the Armijo test with the energy
@@ -50,6 +53,10 @@ __all__ = [
 #: most nodes held inside the box (a cone apex holds 27) for which the descent direction
 #: inverts the free-node block exactly through a k x k capacitance matrix
 MAX_HELD_NODES = 64
+
+#: K: the diagonal scale of the descent direction clips each node's summed p-Laplacian
+#: coefficient to [1/K, K] times its mean over the free nodes
+MAX_COEFFICIENT_RATIO = 3.0
 
 
 @dataclass(frozen=True)
@@ -294,7 +301,7 @@ def _capacitance_inverse(held, transforms, scale):
 
 
 def _free_node_inverse(interior, spacing, p):
-    """The descent direction ``g -> z`` of the p = 2 operator on the free nodes, and k.
+    """The descent direction ``(g, s) -> z`` of the p = 2 operator on the free nodes, and k.
 
     ``P`` is the p = 2 operator on the box interior (:func:`_box_preconditioner`) and
     k the number of nodes inside the box that ``interior`` holds fixed.  With none, z
@@ -305,54 +312,95 @@ def _free_node_inverse(interior, spacing, p):
     the held nodes, so a direction costs one more box transform pair and the solve
     stores only ``C^-1``.  Above the cap z is ``P^-1 g`` zeroed at the held nodes, a
     principal block of ``P^-1``.  Every principal block of the inverse of an SPD matrix
-    is SPD, so either way ``g.z > 0`` for a nonzero g on the free nodes.  z is zero
-    off the free nodes.
+    is SPD, so either way ``g.z > 0`` for a nonzero g on the free nodes.  The scale s,
+    over the box interior and 0 at the held nodes (:func:`_node_scale`), multiplies g
+    as it is gathered and z before it is scattered back, so the direction is
+    ``s * z(s * g)``, zero off the free nodes.
     """
     precondition, transforms, scale = _box_preconditioner(interior.shape, spacing, p)
     inner = tuple(slice(1, -1) for _ in interior.shape)
     free = interior[inner]
     held = np.argwhere(~free)
-    keep = free if len(held) else None
     if 0 < len(held) <= MAX_HELD_NODES:
         c_inv, at_held = _capacitance_inverse(held, transforms, scale), tuple(held.T)
     else:
         c_inv = None
 
-    def direction(g):
+    def direction(g, s):
         z = np.zeros_like(g)
-        zi = precondition(g[inner])
+        zi = precondition(g[inner] * s)
         if c_inv is not None:
             lam = np.zeros_like(zi)
             lam[at_held] = c_inv @ zi[at_held]
             zi -= precondition(lam)
-        if keep is not None:
-            zi *= keep
+        zi *= s
         z[inner] = zi
         return z
 
     return direction, len(held)
 
 
+def _node_scale(state, free):
+    """Diagonal scale ``s`` of the descent direction at the state of :func:`_energy`.
+
+    ``d`` sums the lagged coefficient ``wp`` (``|Du|^(p-2)`` on complete cells, 0
+    elsewhere) over each node's 2^n cells: it is how much the coefficient weighs the
+    p = 2 operator at that node.  ``free`` marks the free nodes of the box interior.
+    Over the interior ``s = 1/sqrt(clip(d / ref, 1/K, K))``, with ``ref`` the mean of d
+    over the free nodes and ``K = MAX_COEFFICIENT_RATIO``, and s is 0 at the held
+    nodes.  Where every cell around the free nodes is complete and p = 2, d is ``2^n``
+    at each of them and s is exactly 1.  Where d vanishes on every free node (none is
+    free, or ``wp`` underflows at a large p) s is 1 on the free nodes.
+    """
+    shape, strides, _, wp = state
+    # after the n sums of the cell stencil entry i holds the cells whose lowest corner
+    # is i + {0,1}^n, the cells around node i + sum(strides): the first interior node
+    # for i = 0, so a view with the node strides reads d over the interior
+    for stride in strides:
+        wp = _pair(wp, stride, 1)
+    d = np.ndarray(free.shape, wp.dtype, wp, 0, [stride * wp.itemsize for stride in strides])
+    s = d * free
+    total = float(s.sum())
+    if total == 0.0:
+        return free.astype(float)
+    ref = total / np.count_nonzero(free)
+    # sqrt(ref) / sqrt(d clipped to ref [1/K, K]), so that d == ref gives exactly 1
+    np.maximum(s, ref / MAX_COEFFICIENT_RATIO, out=s)
+    np.minimum(s, ref * MAX_COEFFICIENT_RATIO, out=s)
+    np.sqrt(s, out=s)
+    np.divide(math.sqrt(ref), s, out=s)
+    s *= free
+    return s
+
+
 def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarmonicResult:
     """Minimize the regularized p-Dirichlet energy over the interior nodes.
 
     Preconditioned descent (Huang, Li & Liu 2007): the search direction is
-    ``z = P_FF^-1 g``, ``P = p h^n A_I^T A_I`` the p=2 operator on the box interior
-    (:func:`_box_preconditioner`) and F its free (interior-mask) nodes; with more than
-    ``MAX_HELD_NODES`` nodes inside the box excised or tightened into the boundary, a
-    principal block of ``P^-1`` stands in for ``P_FF^-1`` (:func:`_free_node_inverse`).
-    The step is a Barzilai-Borwein length in the P-metric,
-    ``t = t_prev^2 (g_prev.z_prev) / (s.y)``, backtracked until the Armijo test
-    ``E(u - t z) <= E(u) - armijo t g.z`` holds, so the energy trace is monotone.
-    ``tighten_boundary`` holds every corner of every incomplete cell, so on a tightened
-    lattice ``P_FF`` is the p=2 operator itself: a p=2 solve ends after one step, and
-    the iteration count does not grow with the lattice (a cone's apex holds 27 nodes);
-    above the cap it does.  A trial step costs one energy
-    evaluation (:func:`_energy`); the gradient is built from its retained cell
-    components only once the step is accepted (:func:`_energy_gradient`), so a solve
-    makes ``iterations + 1`` gradient builds and ``len(energy_trace) + backtracks``
-    energy evaluations, one more when its last trial passed the Armijo test but was
-    not accepted.  ``iterations == len(step_trace)`` for every stop reason.
+    ``z = s * P_FF^-1 (s * g)``, ``P = p h^n A_I^T A_I`` the p=2 operator on the box
+    interior (:func:`_box_preconditioner`) and F its free (interior-mask) nodes; with
+    more than ``MAX_HELD_NODES`` nodes inside the box excised or tightened into the
+    boundary, a principal block of ``P^-1`` stands in for ``P_FF^-1``
+    (:func:`_free_node_inverse`).  The diagonal scale s (:func:`_node_scale`) is rebuilt
+    at every accepted iterate from the same cell state as its gradient: for p > 2 the
+    Hessian weighs the p=2 operator by the lagged coefficient ``|Du|^(p-2)``, which
+    varies across the box, and scaling the fast separable inverse by that
+    coefficient's inverse square root at each node keeps it (Concus & Golub, SIAM J.
+    Numer. Anal. 10, 1973).  The coefficient is clipped to ``[1/K, K]`` times its mean
+    over F, ``K = MAX_COEFFICIENT_RATIO``, so s stays within ``[K^-1/2, K^1/2]`` and z
+    stays an SPD map of g on F, zero off F.  The step is a Barzilai-Borwein length in
+    that metric, ``t = t_prev^2 (g_prev.z_prev) / (du.dg)`` with du and dg the last
+    changes of u and g, backtracked until the Armijo test ``E(u - t z) <= E(u) -
+    armijo t g.z`` holds, so the energy trace is monotone.  ``tighten_boundary`` holds every corner of every incomplete cell, so on
+    a tightened lattice ``P_FF`` is the p=2 operator itself and, at p = 2, s is
+    exactly 1 on F: a p=2 solve ends after one step, and the iteration count does not
+    grow with the lattice (a cone's apex holds 27 nodes); above the cap it does.  A
+    trial step costs one energy evaluation (:func:`_energy`); the gradient and the
+    scale are built from its retained cell components only once the step is accepted
+    (:func:`_energy_gradient`), so a solve makes ``iterations + 1`` gradient builds
+    and ``len(energy_trace) + backtracks`` energy evaluations, one more when its last
+    trial passed the Armijo test but was not accepted.  ``iterations ==
+    len(step_trace)`` for every stop reason.
 
     Interior entries of ``boundary_data`` are the starting point (a warm start with
     the height samples themselves, in the probe's case).  Termination: before each line
@@ -378,16 +426,18 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     weights = _cell_weights(active)
     h, p, eps = gf.spacing, config.p, config.epsilon
     direction, held = _free_node_inverse(interior, h, p)
+    free = interior[tuple(slice(1, -1) for _ in interior.shape)]
     energy, state = _energy(vals, h, p, eps, weights)
     grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
-    del state  # the cell components are dead once the gradient is built: free them
+    scale = _node_scale(state, free)
+    del state  # the cell components are dead once the gradient and scale are built
     trace, steps = [energy], []
     converged, stop_reason = False, "max_iterations"
     backtracks = 0
     t = 1.0
     s = grad_prev = gz_prev = None
     for _ in range(config.max_iterations):
-        z = direction(grad)
+        z = direction(grad, scale)
         gz = float(np.vdot(grad, z))
         if gz == 0.0:
             converged, stop_reason = True, "zero_gradient"
@@ -417,6 +467,7 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
         s, grad_prev, gz_prev = cand - vals, grad, gz
         vals, energy = cand, e_new
         grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
+        scale = _node_scale(state, free)
         del state
         trace.append(energy)
         steps.append(t)

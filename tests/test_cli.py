@@ -256,6 +256,20 @@ def test_default_window_inside_off_origin_domain(runner, surfaces, command):
 
 
 @pytest.mark.parametrize("command", ["classify", "boundary"])
+def test_default_window_within_node_budget_at_n4(runner, tmp_path, command):
+    # 65 nodes per axis would make 65^4 nodes, over the budget; the default falls to
+    # 21, an odd count, so a node sits on the apex (at 22 the cone reads a single end)
+    path = tmp_path / "cone4.json"
+    path.write_text(json.dumps({"kind": "equidistant_cone", "n": 4, "slope": 1.0}))
+    result = runner.invoke(main, [command, "--surface", str(path)])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["manifest"]["config"]["dims"] == [21] * 4
+    assert doc["boundary_points"] == 2
+    assert command == "boundary" or doc["verdict"] == "EquidistantTube"
+
+
+@pytest.mark.parametrize("command", ["classify", "boundary"])
 @pytest.mark.parametrize("levels", ["2,1", "1,1", "a,b", "1,nan", "1,inf"])
 def test_bad_levels_usage_error(runner, surfaces, command, levels):
     result = runner.invoke(main, [command, "--surface", surfaces["cone"],

@@ -13,7 +13,7 @@ from hypcurv.heightfield import make_catalog_surface, sample_height_grid
 from hypcurv import plaplace
 from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _cell_weights,
                               _complete_cells, _energy, _energy_gradient,
-                              _free_node_inverse, _pair, _pair_adjoint,
+                              _free_node_inverse, _node_scale, _pair, _pair_adjoint,
                               p_dirichlet_energy, solve_p_harmonic, tighten_boundary,
                               viscosity_probe)
 
@@ -234,7 +234,7 @@ class TestSolver:
         assert errs[0] / errs[1] >= 2.0
         # the 33^3 solve stops once a trial step predicts a decrease within rounding of
         # the energy, before any accepted step whose Armijo test compares noise
-        assert res.stop_reason == "stalled" and res.iterations < 26
+        assert res.stop_reason == "stalled" and res.iterations <= 18
 
     def test_two_initializations_agree(self):
         mesh, h = unit_grid()
@@ -286,6 +286,14 @@ class TestSolver:
         assert res.step_trace.size == 0
         assert res.backtracks == 1
 
+    def test_zero_gradient_where_the_coefficient_underflows(self):
+        # at p = 60 a flat start's coefficient eps^(p-2) underflows to 0 on every cell;
+        # the direction's scale falls back to 1 and the solve stops at once
+        mesh, h = unit_grid()
+        res = solve_p_harmonic(grid_from(np.full(mesh[0].shape, 1.5), h),
+                               SolverConfig(p=60.0))
+        assert (res.stop_reason, res.iterations, res.grad_norm) == ("zero_gradient", 0, 0.0)
+
     def test_iterations_count_accepted_steps(self):
         # every stop reason reports the accepted steps, len(step_trace), and the
         # energy trace holds one more entry, the start
@@ -329,7 +337,7 @@ class TestSolver:
 
     def test_gradient_built_once_per_accepted_step(self, monkeypatch):
         # trial steps evaluate the energy alone; the gradient follows each accepted step
-        calls = {"energy": 0, "gradient": 0}
+        calls = {"energy": 0, "gradient": 0, "scale": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -340,9 +348,11 @@ class TestSolver:
         monkeypatch.setattr(plaplace, "_energy", counted("energy", _energy))
         monkeypatch.setattr(plaplace, "_energy_gradient",
                             counted("gradient", _energy_gradient))
+        monkeypatch.setattr(plaplace, "_node_scale", counted("scale", _node_scale))
         res = solve_p_harmonic(cold_log_norm(33)[1], SolverConfig(p=3.0))
         assert res.stop_reason == "stalled" and res.backtracks > 0
-        assert calls["gradient"] == res.iterations + 1
+        # the direction's scale is rebuilt from the same state as each gradient
+        assert calls["gradient"] == calls["scale"] == res.iterations + 1
         # after the initial evaluation, one per accepted and one per rejected trial
         assert calls["energy"] - 1 == len(res.energy_trace) - 1 + res.backtracks
 
@@ -361,8 +371,9 @@ class TestSolver:
     @pytest.mark.parametrize("dims,held", [((7, 7, 7), 12), ((5, 9, 7), 9), ((9, 8), 5)])
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_direction_inverts_free_node_block(self, dims, held, p):
-        # oracle: P_FF = p h^n A_F^T A_F assembled from _gradient_operator over every
-        # cell of the box, F the interior nodes left after holding ``held`` scattered ones
+        # oracle: s P_FF^-1 s with P_FF = p h^n A_F^T A_F assembled from
+        # _gradient_operator over every cell of the box, F the interior nodes left after
+        # holding ``held`` scattered ones, and s a unit or a random positive scale on F
         h = 0.11
         rng = np.random.default_rng(sum(dims) + held)
         interior = ~box_face_mask(dims)
@@ -374,10 +385,37 @@ class TestSolver:
         g = np.where(interior, rng.normal(size=dims), 0.0)
         direction, k = _free_node_inverse(interior, h, p)
         assert k == held
-        z = direction(g)
-        want = np.linalg.solve(K, g[interior])
-        assert np.all(z[~interior] == 0.0)
-        assert np.max(np.abs(z[interior] - want)) <= 1e-10 * np.max(np.abs(want))
+        free = interior[tuple(slice(1, -1) for _ in dims)]
+        positive = np.where(free, rng.uniform(0.3, 3.0, free.shape), 0.0)
+        for scale in (free.astype(float), positive):
+            z = direction(g, scale)
+            s = scale[free]
+            want = s * np.linalg.solve(K, s * g[interior])
+            assert np.all(z[~interior] == 0.0)
+            assert np.max(np.abs(z[interior] - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lo,hi,held", [((-0.5,) * 3, (0.5,) * 3, 27),
+                                            ((0.5, -0.5, -0.5), (1.5, 0.5, 0.5), 0)])
+    def test_scale_is_one_at_p2(self, lo, hi, held):
+        # at p = 2 the coefficient is 1 on every complete cell, and every cell around a
+        # free node of a tightened or unmasked lattice is complete: the direction stays
+        # the exact inverse, so p = 2 iterates do not change
+        field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+        grid = tighten_boundary(sample_height_grid(field, lo, hi, 1.0 / 16))
+        active, interior = grid.active_mask(), grid.interior_mask()
+        free = interior[(slice(1, -1),) * 3]
+        assert np.count_nonzero(~free) == held
+        vals = np.where(active, grid.values, 0.0)
+        for p in (2.0, 3.0):
+            state = _energy(vals, grid.spacing, p, 1e-8, _cell_weights(active))[1]
+            scale = _node_scale(state, free)
+            assert np.all(scale[~free] == 0.0)
+            if p == 2.0:
+                assert np.all(scale[free] == 1.0)
+            else:
+                k = plaplace.MAX_COEFFICIENT_RATIO
+                assert np.ptp(scale[free]) > 0.0
+                assert np.all((scale[free] >= k ** -0.5) & (scale[free] <= k ** 0.5))
 
     def test_apex_iterations_do_not_grow(self):
         # the principal-block direction took 143 iterations on this box
@@ -498,18 +536,18 @@ class TestViscosityProbe:
             assert res.subharmonic, field.kind
 
     @pytest.mark.parametrize(
-            "kind,params,lo,hi,nodes,subharmonic,stop_reason,backtracks", [
+            "kind,params,lo,hi,nodes,subharmonic,stop_reason,backtracks,iterations", [
         pytest.param("equidistant_cone", {"slope": 1.0}, (0.5, -0.5, -0.5), (1.5, 0.5, 0.5),
-                     17, True, "stalled", 2, id="cone"),
+                     17, True, "stalled", 2, 8, id="cone"),
         pytest.param("tilted_plane", {"slope": 1.0}, (1.0, -0.5, -0.5), (2.0, 0.5, 0.5),
-                     33, False, "stalled", 2, id="plane"),
+                     33, False, "stalled", 2, None, id="plane"),
         pytest.param("geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0},
-                     (-0.3,) * 3, (0.3,) * 3, 13, True, "stalled", None, id="cap"),
+                     (-0.3,) * 3, (0.3,) * 3, 13, True, "stalled", None, None, id="cap"),
         pytest.param("horosphere", {"c": 1.0}, (-0.5,) * 3, (0.5,) * 3, 17, True,
-                     "zero_gradient", 0, id="horosphere"),
+                     "zero_gradient", 0, None, id="horosphere"),
     ])
     def test_warm_probe_stop(self, kind, params, lo, hi, nodes, subharmonic, stop_reason,
-                             backtracks):
+                             backtracks, iterations):
         # the probe starts from h itself; where h is smooth that start is close, and the
         # descent stops with at most 2 rejected trials instead of halving steps whose
         # energies differ only in their last bits
@@ -518,6 +556,7 @@ class TestViscosityProbe:
                               spacing=(hi[0] - lo[0]) / (nodes - 1))
         assert (res.subharmonic, res.stop_reason) == (subharmonic, stop_reason)
         assert backtracks is None or res.backtracks <= backtracks
+        assert iterations is None or res.iterations <= iterations
         assert res.grad_norm <= 1e-6
 
 
