@@ -27,6 +27,7 @@ SURFACES = {
     "cone": {"kind": "equidistant_cone", "n": 3, "slope": 1.8},
     "cone_unit": {"kind": "equidistant_cone", "n": 3, "slope": 1.0, "mask_radius": 1e-3},
     "cone4": {"kind": "equidistant_cone", "n": 4, "slope": 1.2},
+    "cone12": {"kind": "equidistant_cone", "n": 3, "slope": 1.2},
     "horosphere": {"kind": "horosphere", "n": 3, "c": 1.3},
     "cap": {"kind": "geodesic_sphere_cap", "n": 3, "center_height": 2.0,
             "euclidean_radius": 1.0},
@@ -63,6 +64,11 @@ DOCUMENTS = {
     # scan spaces each axis of the spec evenly: 0.5, 0.6 and 0.5 here
     "scan_cone": ("cone_unit", ["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.7,0.5:3"],
                   ["scan.csv", "scan.manifest.json"]),
+    # 343 and 625 rows whose curvature and coordinate columns repeat across rows
+    "scan_cone7": ("cone12", ["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.5,0.5:7"],
+                   ["scan.csv", "scan.manifest.json"]),
+    "scan_cone4": ("cone4", ["scan", "--grid", "0.5,-0.5,-0.5,-0.5:1.5,0.5,0.5,0.5:5"],
+                   ["scan.csv", "scan.manifest.json"]),
     "classify_cone_out": ("cone_unit", ["classify", "--levels", "0.5,1,2",
                                         "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:17",
                                         "--samples", "20", "--seed", "3"],
