@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError
+from .reportio import _spell_distinct
 
 __all__ = ["GridFunction", "load_grid_function", "save_grid_function"]
 
@@ -123,10 +124,13 @@ def save_grid_function(gf: GridFunction, csv_path, header_path):
     with open(header_path, "w") as fh:
         json.dump(header, fh, indent=2)
         fh.write("\n")
-    nodes = zip(gf.values.ravel().tolist(), gf.boundary_mask.ravel().tolist())
+    # each distinct value is spelt once, by repr, and one % writes every line
+    table = np.empty((gf.values.size, 2), dtype=object)
+    table[:, 0], spec = _spell_distinct(gf.values.ravel(), "%r", repr)
+    table[:, 1] = gf.boundary_mask.ravel()
     with open(csv_path, "w") as fh:
         fh.write("value,boundary\n")
-        fh.writelines(map("%r,%d\n".__mod__, nodes))
+        fh.write(f"{spec},%d\n" * len(table) % tuple(table.ravel().tolist()))
 
 
 def load_grid_function(csv_path, header_path) -> GridFunction:

@@ -1,9 +1,11 @@
 """Deterministic report serialization: JSON and CSV with 17-significant-digit floats.
 
 The standard json encoder does not expose float formatting, so reports go through a
-small recursive writer, and CSV tables through a row writer that spells floats the
-same way.  Output is bitwise-stable for a fixed manifest and build, and every report
-embeds the manifest that produced it.
+small recursive writer, and CSV tables through a table writer that spells floats the
+same way.  A scan table repeats most of its floats to the bit (constant curvatures,
+lattice coordinates), so the table writer spells each distinct float once and
+gathers the spellings.  Output is bitwise-stable for a fixed manifest and build, and
+every report embeds the manifest that produced it.
 """
 
 from __future__ import annotations
@@ -29,32 +31,54 @@ def format_float(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
-#: text that ``%.17g`` writes only for NaN, the infinities and -0.0, which
-#: format_float spells otherwise
-_ODD = ("nan", "inf", "-0,", "-0\n")
+#: bits of -0.0, which compares equal to 0.0 but is spelt apart from it
+_NEG_ZERO = np.float64(-0.0).view(np.int64)
 
 
-def _csv_line(row) -> str:
-    return ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+def _spell_distinct(values, spec: str, spell_odd):
+    """Fields for the float array ``values`` and the ``%`` spec that writes each.
+
+    Each distinct bit pattern is spelt once, by one C-level ``spec % v`` over all of
+    them, or by ``spell_odd`` for NaN, the infinities and -0.0; the fields are then
+    these spellings, an object array shaped like ``values``, and the spec is ``%s``.
+    The key is the bits, never float equality, which would merge -0.0 with 0.0.  When
+    more than three quarters of the values are distinct and none is odd, spelling and
+    gathering them costs more than spelling every value, so the fields are ``values``
+    and the spec is ``spec``.  ``spec`` must not write a comma.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    distinct = keys.view(np.float64)
+    odd = np.flatnonzero(~np.isfinite(distinct) | (keys == _NEG_ZERO)).tolist()
+    if 4 * len(keys) > 3 * bits.size and not odd:
+        return values, spec
+    spelt = (f"{spec}," * len(keys) % tuple(distinct.tolist())).split(",")[:-1]
+    for i in odd:
+        spelt[i] = spell_odd(float(distinct[i]))
+    # numpy 1.x returns a flat inverse, numpy 2.x may shape it like bits
+    return np.array(spelt, dtype=object)[inverse.reshape(bits.shape)], "%s"
 
 
 def csv_rows(rows) -> str:
     """CSV lines of ``rows``, each float spelt by :func:`format_float`, any other value
     by ``str``.
 
-    Every row has the column types of the first, so one C-level ``%`` formats a row.
-    Its ``%.17g`` is format_float's own routine; only the rare line where it wrote
-    ``nan``, ``inf`` or a bare ``-0`` is written again value by value.
+    Every row has the column types of the first.  The float columns are stacked into
+    one array, and each distinct value in it is spelt once (:func:`_spell_distinct`):
+    by ``%.17g``, which is format_float's own routine, or by format_float itself for
+    NaN, the infinities and -0.0.  One C-level ``%`` of ``%s`` fields then writes the
+    whole table from the spellings.
     """
     if not rows:
         return ""
-    spec = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-    lines = [spec % tuple(row) for row in rows]
-    text = "".join(lines)
-    if any(odd in text for odd in _ODD):
-        text = "".join(_csv_line(row) if any(odd in line for odd in _ODD) else line
-                       for row, line in zip(rows, lines))
-    return text
+    table = np.array(rows, dtype=object)
+    floats = [c for c, v in enumerate(rows[0]) if isinstance(v, float)]
+    spec = "%s"
+    if floats:
+        table[:, floats], spec = _spell_distinct(table[:, floats].astype(np.float64),
+                                                 "%.17g", format_float)
+    line = ",".join(spec if c in floats else "%s" for c in range(table.shape[1])) + "\n"
+    return line * len(table) % tuple(table.ravel().tolist())
 
 
 def _encode(obj, indent: int, level: int) -> str:

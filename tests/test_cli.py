@@ -255,6 +255,16 @@ def test_default_window_inside_off_origin_domain(runner, surfaces, command):
     assert lo == [1.25, -0.25, -0.25] and hi == [1.75, 0.25, 0.25]
 
 
+def test_plane_single_end_without_nonneg_ricci_is_inconclusive(runner, surfaces):
+    # the default window sees one end of the slope-1 plane, an umbilic surface with
+    # Ricci curvature -1, where the paper's end count does not apply
+    result = runner.invoke(main, ["classify", "--surface", surfaces["plane"]])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert (doc["boundary_points"], doc["nonneg_ricci_on_samples"]) == (1, False)
+    assert doc["verdict"] == "Inconclusive"
+
+
 @pytest.mark.parametrize("command", ["classify", "boundary"])
 def test_default_window_within_node_budget_at_n4(runner, tmp_path, command):
     # 65 nodes per axis would make 65^4 nodes, over the budget; the default falls to
@@ -569,13 +579,45 @@ class TestReportIO:
         min_size=1, max_size=8)))
     @example([(0, [-0.0, 0.0, math.nan], "NonnegRicci")])
     def test_csv_rows_spell_floats_as_format_float(self, rows):
-        rows = [[i, *floats, text] for i, floats, text in rows]
-        want = "".join(f"{row[0]},{','.join(map(format_float, row[1:-1]))},{row[-1]}\n"
-                       for row in rows)
-        assert csv_rows(rows) == want
-        floats_only = [row[1:-1] for row in rows]
-        assert csv_rows(floats_only) == "".join(
-            ",".join(map(format_float, row)) + "\n" for row in floats_only)
+        assert_csv_rows_spelling([[i, *floats, text] for i, floats, text in rows])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats() | st.sampled_from(ODD_FLOATS), min_size=1, max_size=4)
+           .flatmap(lambda pool: st.integers(1, 6).flatmap(lambda k: st.lists(
+               st.lists(st.sampled_from(pool), min_size=k, max_size=k),
+               min_size=1, max_size=40))))
+    def test_csv_rows_spell_pooled_floats_as_format_float(self, rows):
+        # a few values repeat across rows and columns, as in a catalog scan
+        assert_csv_rows_spelling([[i, *floats, "NotConvex"] for i, floats in enumerate(rows)])
+
+    def test_csv_rows_keep_negative_zero_apart_from_zero(self):
+        rows = [[0.0, 1.5], [-0.0, 1.5], [0.0, -0.0]]
+        assert csv_rows(rows) == "0,1.5\n-0.0,1.5\n0,-0.0\n"
+
+    def test_csv_rows_spell_nan_payloads_alike(self):
+        quiet, payload, negative = (struct.unpack("<d", struct.pack("<Q", bits))[0]
+                                    for bits in (0x7FF8000000000000, 0x7FF8000000000001,
+                                                 0xFFF8000000000000))
+        rows = [[quiet, payload, 2.0], [payload, negative, 2.0], [negative, quiet, 2.0]]
+        assert csv_rows(rows) == "NaN,NaN,2\n" * 3
+
+    @pytest.mark.parametrize("odd", [None, -0.0, math.inf])
+    def test_csv_rows_all_distinct(self, odd):
+        rows = np.random.default_rng(5).standard_normal((343, 13)).tolist()
+        if odd is not None:
+            rows[100][7] = odd
+        assert_csv_rows_spelling([[i, *row, "NotConvex"] for i, row in enumerate(rows)])
+
+
+def assert_csv_rows_spelling(rows):
+    """``csv_rows`` spells ``rows``, each ``[int, float, .., float, str]``, and their
+    float columns alone as format_float and str do, one value at a time."""
+    want = "".join(f"{row[0]},{','.join(map(format_float, row[1:-1]))},{row[-1]}\n"
+                   for row in rows)
+    assert csv_rows(rows) == want
+    floats_only = [row[1:-1] for row in rows]
+    assert csv_rows(floats_only) == "".join(
+        ",".join(map(format_float, row)) + "\n" for row in floats_only)
 
 
 def assert_round_trip(got, sent):

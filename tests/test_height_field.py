@@ -192,6 +192,15 @@ class TestSampledGrid:
             assert np.max(np.abs(got.hess - exact.hess)) <= 1e-6 * max(
                 1.0, np.max(np.abs(exact.hess)))
 
+    def test_weight_table_shared_per_order_and_read_only(self):
+        lo, hi = -0.2 * np.ones(3), 0.2 * np.ones(3)
+        a = SampledGridField.from_field(cone(), lo, hi, 0.05)
+        b = SampledGridField.from_field(cap(), lo, hi, 0.025)
+        assert a._table is b._table
+        assert SampledGridField.from_field(cap(), lo, hi, 0.05, order=2)._table is not a._table
+        with pytest.raises(ValueError):
+            a._table[0, 0, 0] = 1.0
+
     def test_masked_window_rejected(self):
         field = cone()
         sampled = SampledGridField.from_field(field, -0.2 * np.ones(3), 0.2 * np.ones(3),
@@ -607,6 +616,23 @@ class TestDescriptorsAndIO:
         assert back.dims == gf.dims
         assert back.values.tobytes() == gf.values.tobytes()
         assert np.array_equal(back.boundary_mask, gf.boundary_mask)
+
+    @pytest.mark.parametrize("values", [
+        # a few values repeated over the nodes, -0.0 beside 0.0
+        np.array([0.0, -0.0, 0.1, 1e300, 5e-324])[
+            np.random.default_rng(3).integers(0, 5, 125)],
+        np.random.default_rng(4).standard_normal(125),  # every value distinct
+    ])
+    def test_grid_io_spells_each_value_by_repr(self, tmp_path, values):
+        values = values.reshape(5, 5, 5)
+        values[0, 0, 0] = -np.inf
+        gf = GridFunction((5, 5, 5), 0.5, np.zeros(3), values)
+        save_grid_function(gf, tmp_path / "g.csv", tmp_path / "g.json")
+        lines = (tmp_path / "g.csv").read_text().splitlines()
+        assert lines[1:] == [f"{v!r},{int(b)}" for v, b in zip(
+            values.ravel().tolist(), gf.boundary_mask.ravel().tolist())]
+        back = load_grid_function(tmp_path / "g.csv", tmp_path / "g.json")
+        assert back.values.tobytes() == values.tobytes()
 
     def test_grid_io_malformed_cell(self, tmp_path):
         gf = GridFunction((3, 3, 3), 1.0, np.zeros(3), np.zeros((3, 3, 3)))
