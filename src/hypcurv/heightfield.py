@@ -17,6 +17,7 @@ Jets from closed forms are cross-validated against central differences by
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -377,11 +378,13 @@ class TiltedPlane(HeightField):
 
 # -- sampled grids -------------------------------------------------------------------
 
+@functools.cache
 def _lagrange_weight_table(npts: int) -> np.ndarray:
     """Monomial coefficients of the Lagrange basis on nodes 0..npts-1 and derivatives.
 
     Entry [k, j] holds the k-th derivative (k = 0, 1, 2) of basis polynomial j, highest
-    power first and padded with leading zeros to npts coefficients.
+    power first and padded with leading zeros to npts coefficients.  Built once per
+    npts and shared by every field of that order, so it is read-only.
     """
     offs = np.arange(npts, dtype=float)
     table = np.zeros((3, npts, npts))
@@ -391,6 +394,7 @@ def _lagrange_weight_table(npts: int) -> np.ndarray:
         for k in range(3):
             der = np.polyder(coeff, k)
             table[k, j, npts - len(der):] = der
+    table.setflags(write=False)
     return table
 
 
