@@ -113,7 +113,9 @@ def classify_global(constancy: ConstancyScan, boundary_points: int,
     """Combine spectrum constancy with the recession-set count into a global verdict.
 
     More than two boundary points on a surface asserted to have nonnegative Ricci
-    curvature contradicts the classification and raises HypothesisContradiction.
+    curvature contradicts the classification and raises HypothesisContradiction.  The
+    paper counts ends only under that hypothesis, so one boundary point makes a
+    single-end candidate only when ``nonneg_ricci`` holds.
     """
     if boundary_points > 2 and nonneg_ricci:
         raise HypothesisContradiction(
@@ -125,7 +127,7 @@ def classify_global(constancy: ConstancyScan, boundary_points: int,
             and constancy.kappa0_var <= var_tol
             and constancy.kappa_t_var <= var_tol):
         return Verdict.EQUIDISTANT_TUBE
-    if boundary_points == 1:
+    if boundary_points == 1 and nonneg_ricci:
         return Verdict.SINGLE_END_CANDIDATE
     return Verdict.INCONCLUSIVE
 

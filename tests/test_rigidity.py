@@ -251,7 +251,12 @@ class TestGlobalVerdict:
         assert classify_global(scan, 1) is Verdict.HOROSPHERE
 
     def test_single_end(self):
-        assert classify_global(self._cone_scan(), 1) is Verdict.SINGLE_END_CANDIDATE
+        assert classify_global(self._cone_scan(), 1,
+                               nonneg_ricci=True) is Verdict.SINGLE_END_CANDIDATE
+
+    def test_single_end_needs_nonneg_ricci(self):
+        # the paper counts ends only on surfaces with Ricci >= 0
+        assert classify_global(self._cone_scan(), 1) is Verdict.INCONCLUSIVE
 
     def test_inconclusive_for_compact_cap(self):
         field = cap()
