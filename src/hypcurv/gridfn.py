@@ -19,6 +19,9 @@ from .reportio import _spell_distinct
 
 __all__ = ["GridFunction", "load_grid_function", "save_grid_function"]
 
+#: nodes that save_grid_function spells and writes at a time
+WRITE_BLOCK = 4096
+
 
 @dataclass
 class GridFunction:
@@ -124,13 +127,17 @@ def save_grid_function(gf: GridFunction, csv_path, header_path):
     with open(header_path, "w") as fh:
         json.dump(header, fh, indent=2)
         fh.write("\n")
-    # each distinct value is spelt once, by repr, and one % writes every line
-    table = np.empty((gf.values.size, 2), dtype=object)
-    table[:, 0], spec = _spell_distinct(gf.values.ravel(), "%r", repr)
-    table[:, 1] = gf.boundary_mask.ravel()
+    values, boundary = gf.values.ravel(), gf.boundary_mask.ravel()
     with open(csv_path, "w") as fh:
         fh.write("value,boundary\n")
-        fh.write(f"{spec},%d\n" * len(table) % tuple(table.ravel().tolist()))
+        # per block of nodes, values spelt as %r, each distinct one once, and one %
+        # writes every line; the blocks bound the text held at once
+        for start in range(0, values.size, WRITE_BLOCK):
+            block = slice(start, start + WRITE_BLOCK)
+            table = np.empty((len(values[block]), 2), dtype=object)
+            table[:, 0], spec = _spell_distinct(values[block], "%r", repr)
+            table[:, 1] = boundary[block]
+            fh.write(f"{spec},%d\n" * len(table) % tuple(table.ravel().tolist()))
 
 
 def load_grid_function(csv_path, header_path) -> GridFunction:

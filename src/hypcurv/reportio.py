@@ -36,7 +36,7 @@ _NEG_ZERO = np.float64(-0.0).view(np.int64)
 
 
 def _spell_distinct(values, spec: str, spell_odd):
-    """Fields for the float array ``values`` and the ``%`` spec that writes each.
+    """Fields for the float64 array ``values`` and the ``%`` spec that writes each.
 
     Each distinct bit pattern is spelt once, by one C-level ``spec % v`` over all of
     them, or by ``spell_odd`` for NaN, the infinities and -0.0; the fields are then
@@ -46,7 +46,7 @@ def _spell_distinct(values, spec: str, spell_odd):
     gathering them costs more than spelling every value, so the fields are ``values``
     and the spec is ``spec``.  ``spec`` must not write a comma.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    bits = values.view(np.int64)
     keys, inverse = np.unique(bits, return_inverse=True)
     distinct = keys.view(np.float64)
     odd = np.flatnonzero(~np.isfinite(distinct) | (keys == _NEG_ZERO)).tolist()

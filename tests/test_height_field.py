@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcurv import heightfield
+from hypcurv import gridfn, heightfield
 from hypcurv.errors import DataError, DomainError, ParameterError
 from hypcurv.gridfn import (GridFunction, box_face_mask, load_grid_function,
                             save_grid_function)
@@ -620,13 +620,15 @@ class TestDescriptorsAndIO:
     @pytest.mark.parametrize("values", [
         # a few values repeated over the nodes, -0.0 beside 0.0
         np.array([0.0, -0.0, 0.1, 1e300, 5e-324])[
-            np.random.default_rng(3).integers(0, 5, 125)],
-        np.random.default_rng(4).standard_normal(125),  # every value distinct
+            np.random.default_rng(3).integers(0, 5, 17 ** 3)],
+        np.random.default_rng(4).standard_normal(17 ** 3),  # every value distinct
     ])
     def test_grid_io_spells_each_value_by_repr(self, tmp_path, values):
-        values = values.reshape(5, 5, 5)
+        # 17^3 nodes span two write blocks
+        assert gridfn.WRITE_BLOCK < values.size < 2 * gridfn.WRITE_BLOCK
+        values = values.reshape(17, 17, 17)
         values[0, 0, 0] = -np.inf
-        gf = GridFunction((5, 5, 5), 0.5, np.zeros(3), values)
+        gf = GridFunction((17, 17, 17), 0.5, np.zeros(3), values)
         save_grid_function(gf, tmp_path / "g.csv", tmp_path / "g.json")
         lines = (tmp_path / "g.csv").read_text().splitlines()
         assert lines[1:] == [f"{v!r},{int(b)}" for v, b in zip(
