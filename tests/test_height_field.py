@@ -626,7 +626,7 @@ class TestDescriptorsAndIO:
     def test_grid_io_spells_each_value_by_repr(self, tmp_path, values):
         # 17^3 nodes span two write blocks
         assert gridfn.WRITE_BLOCK < values.size < 2 * gridfn.WRITE_BLOCK
-        values = values.reshape(17, 17, 17)
+        values = values.reshape(17, 17, 17).copy()
         values[0, 0, 0] = -np.inf
         gf = GridFunction((17, 17, 17), 0.5, np.zeros(3), values)
         save_grid_function(gf, tmp_path / "g.csv", tmp_path / "g.json")
