@@ -222,11 +222,12 @@ def scan(field, manifest, out, grid_spec):
     pts = pts[inside]
     manifest.config.update(grid=grid_spec, scanned_points=len(pts),
                            dropped_points=int(np.count_nonzero(~inside)))
-    rows = scan_field(field, pts)
+    table = scan_field(field, pts)
     n = field.n
     header = [*(f"x{i+1}" for i in range(n)), "f", "H", *(f"kappa{i+1}" for i in range(n)),
               "min_ric_eig", "A", "B", "AB_minus_nm1", "density", "regime"]
-    text = ",".join(header) + "\n" + csv_rows(rows)
+    text = ",".join(header) + "\n" + csv_rows(table.values,
+                                              {len(header) - 1: table.regimes})
     _echo(text)
     if out:
         _write(out, "scan.csv", text)
@@ -274,9 +275,9 @@ def solve(field, manifest, out, grid_spec, p):
     grid = plaplace.tighten_boundary(sample_height_grid(field, lo, hi, spacing))
     res = plaplace.solve_p_harmonic(grid, plaplace.SolverConfig(p=p))
     if out:
-        trace = zip(res.energy_trace.tolist(), [0.0, *res.step_trace.tolist()])
-        _write(out, "energy_trace.csv", "iteration,energy,step\n" + csv_rows(
-            [(i, e, s) for i, (e, s) in enumerate(trace)]))
+        trace = np.column_stack([res.energy_trace, np.append(0.0, res.step_trace)])
+        _write(out, "energy_trace.csv", "iteration,energy,step\n"
+               + csv_rows(trace, {0: range(len(trace))}))
         save_grid_function(res.grid, os.path.join(out, "solution.csv"),
                            os.path.join(out, "solution.json"))
         manifest.outputs += ["solution.csv", "solution.json", "energy_trace.csv"]

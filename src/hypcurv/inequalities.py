@@ -37,7 +37,7 @@ from .heightfield import HeightField, Jet2, _row_dot
 __all__ = [
     "Regime", "RegimeReport", "grad_direction_ricci", "ricci_gradient_adapted",
     "n_laplacian_expansion", "convexity_classify", "point_regime_report",
-    "regime_reports", "scan_field",
+    "regime_reports", "ScanTable", "scan_field",
 ]
 
 #: absolute tolerance for inequality assertions on O(1) quantities
@@ -177,23 +177,31 @@ def point_regime_report(jet: Jet2, tol: float = INEQ_TOL) -> RegimeReport:
     return regime_reports(*jet.stacked(), tol).point(0)
 
 
-def scan_field(field: HeightField, points) -> list:
-    """Per-point scan rows for CSV output, from one kernel call over all points.
+@dataclass(frozen=True)
+class ScanTable:
+    """A scan's columns: the float block (P, m) and each point's regime name (P,)."""
 
-    Row: x_1..x_n, f, H, kappa_1..kappa_n, min_ric_eig, A, B, AB_minus_(n-1),
-    density, regime.
+    values: np.ndarray
+    regimes: np.ndarray
+
+    def __len__(self):
+        return len(self.values)
+
+
+def scan_field(field: HeightField, points) -> ScanTable:
+    """Per-point scan columns for CSV output, from one kernel call over all points.
+
+    Float columns: x_1..x_n, f, H, kappa_1..kappa_n, min_ric_eig, A, B,
+    AB_minus_(n-1), density; the regime name goes after them.
     """
     X = np.asarray(points, dtype=float).reshape(-1, field.n)
     f, df, hess = field.jet_array(X)
     rep = regime_reports(f, df, hess)
     A, B = rep.factors
-    cols = np.column_stack([X, f, rep.mean, rep.spectrum.kappas, rep.min_ricci_eig, A, B,
-                            A * B - (field.n - 1), rep.n_subharmonic_density])
+    values = np.column_stack([X, f, rep.mean, rep.spectrum.kappas, rep.min_ricci_eig, A, B,
+                              A * B - (field.n - 1), rep.n_subharmonic_density])
     # each regime's name is read once, not through the Enum property on every row
     names = np.empty(len(X), dtype=object)
     for regime in Regime:
         names[rep.regime == regime] = regime.value
-    rows = cols.tolist()
-    for row, name in zip(rows, names.tolist()):
-        row.append(name)
-    return rows
+    return ScanTable(values, names)

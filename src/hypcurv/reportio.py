@@ -1,11 +1,11 @@
 """Deterministic report serialization: JSON and CSV with 17-significant-digit floats.
 
 The standard json encoder does not expose float formatting, so reports go through a
-small recursive writer, and CSV tables through a table writer that spells floats the
-same way.  A scan table repeats most of its floats to the bit (constant curvatures,
-lattice coordinates), so the table writer spells each distinct float once and
-gathers the spellings.  Output is bitwise-stable for a fixed manifest and build, and
-every report embeds the manifest that produced it.
+small recursive writer, and CSV tables, a float block with text columns beside it,
+through a table writer that spells floats the same way.  A scan table repeats most of
+its floats to the bit (constant curvatures, lattice coordinates), so the table writer
+spells each distinct float once and gathers the spellings.  Output is bitwise-stable
+for a fixed manifest and build, and every report embeds the manifest that produced it.
 """
 
 from __future__ import annotations
@@ -59,26 +59,27 @@ def _spell_distinct(values, spec: str, spell_odd):
     return np.array(spelt, dtype=object)[inverse.reshape(bits.shape)], "%s"
 
 
-def csv_rows(rows) -> str:
-    """CSV lines of ``rows``, each float spelt by :func:`format_float`, any other value
-    by ``str``.
+def csv_rows(values, text=None) -> str:
+    """CSV lines of the float block ``values`` (P, m), with the text columns ``text``
+    spliced in: a mapping from a column's position in the line to its P values, each
+    written by ``str``.  Every float is spelt by :func:`format_float`.
 
-    Every row has the column types of the first.  The float columns are stacked into
-    one array, and each distinct value in it is spelt once (:func:`_spell_distinct`):
-    by ``%.17g``, which is format_float's own routine, or by format_float itself for
-    NaN, the infinities and -0.0.  One C-level ``%`` of ``%s`` fields then writes the
-    whole table from the spellings.
+    Each distinct value of the block is spelt once (:func:`_spell_distinct`): by
+    ``%.17g``, which is format_float's own routine, or by format_float itself for NaN,
+    the infinities and -0.0.  One C-level ``%`` then writes the whole table.
     """
-    if not rows:
+    values = np.asarray(values, dtype=np.float64)
+    text = text or {}
+    rows, width = len(values), values.shape[1] + len(text)
+    if rows == 0:
         return ""
-    table = np.array(rows, dtype=object)
-    floats = [c for c, v in enumerate(rows[0]) if isinstance(v, float)]
-    spec = "%s"
-    if floats:
-        table[:, floats], spec = _spell_distinct(table[:, floats].astype(np.float64),
-                                                 "%.17g", format_float)
-    line = ",".join(spec if c in floats else "%s" for c in range(table.shape[1])) + "\n"
-    return line * len(table) % tuple(table.ravel().tolist())
+    table = np.empty((rows, width), dtype=object)
+    table[:, [c for c in range(width) if c not in text]], spec = _spell_distinct(
+        values, "%.17g", format_float)
+    for c, column in text.items():
+        table[:, c] = column
+    line = ",".join("%s" if c in text else spec for c in range(width)) + "\n"
+    return line * rows % tuple(table.ravel().tolist())
 
 
 def _encode(obj, indent: int, level: int) -> str:

@@ -141,6 +141,16 @@ class TestScan:
         rows = result.output.strip().splitlines()[1:]
         assert [[float(c) for c in row.split(",")[:3]] for row in rows] == kept
 
+    def test_scan_of_dropped_points_prints_header_only(self, runner, tmp_path):
+        surface = tmp_path / "masked.json"
+        surface.write_text('{"kind": "equidistant_cone", "n": 3, "slope": 1.0, '
+                           '"mask_radius": 5}')
+        result = runner.invoke(main, ["scan", "--surface", str(surface),
+                                      "--grid", "-0.1,-0.1,-0.1:0.1,0.1,0.1:3"])
+        assert result.exit_code == 0
+        assert result.output == ("x1,x2,x3,f,H,kappa1,kappa2,kappa3,min_ric_eig,A,B,"
+                                 "AB_minus_nm1,density,regime\n")
+
 
 class TestClassify:
     def test_cone_tube_verdict(self, runner, surfaces):
@@ -569,7 +579,8 @@ class TestReportIO:
         assert_round_trip(json.loads(dumps(obj)), obj)
 
     def test_csv_rows_empty(self):
-        assert csv_rows([]) == ""
+        assert csv_rows(np.empty((0, 3))) == ""
+        assert csv_rows(np.empty((0, 13)), {13: np.empty(0, dtype=object)}) == ""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda k: st.lists(st.tuples(
@@ -592,14 +603,23 @@ class TestReportIO:
 
     def test_csv_rows_keep_negative_zero_apart_from_zero(self):
         rows = [[0.0, 1.5], [-0.0, 1.5], [0.0, -0.0]]
-        assert csv_rows(rows) == "0,1.5\n-0.0,1.5\n0,-0.0\n"
+        assert csv_rows(np.array(rows)) == "0,1.5\n-0.0,1.5\n0,-0.0\n"
 
     def test_csv_rows_spell_nan_payloads_alike(self):
-        quiet, payload, negative = (struct.unpack("<d", struct.pack("<Q", bits))[0]
-                                    for bits in (0x7FF8000000000000, 0x7FF8000000000001,
-                                                 0xFFF8000000000000))
+        quiet, payload, negative = NAN_PAYLOADS
         rows = [[quiet, payload, 2.0], [payload, negative, 2.0], [negative, quiet, 2.0]]
-        assert csv_rows(rows) == "NaN,NaN,2\n" * 3
+        assert csv_rows(np.array(rows)) == "NaN,NaN,2\n" * 3
+
+    def test_csv_rows_text_column_beside_odd_floats(self):
+        quiet, payload, negative = NAN_PAYLOADS
+        block = np.array([[-0.0, payload, math.inf], [0.0, negative, -math.inf],
+                          [-0.0, quiet, 1.5]])
+        names = np.array(["NotConvex", "-0.0", "NaN"], dtype=object)
+        assert csv_rows(block, {1: names}) == (
+            "-0.0,NotConvex,NaN,Infinity\n0,-0.0,NaN,-Infinity\n-0.0,NaN,NaN,1.5\n")
+        assert csv_rows(block, {0: range(3), 4: names}) == (
+            "0,-0.0,NaN,Infinity,NotConvex\n1,0,NaN,-Infinity,-0.0\n"
+            "2,-0.0,NaN,1.5,NaN\n")
 
     @pytest.mark.parametrize("odd", [None, -0.0, math.inf])
     def test_csv_rows_all_distinct(self, odd):
@@ -609,15 +629,23 @@ class TestReportIO:
         assert_csv_rows_spelling([[i, *row, "NotConvex"] for i, row in enumerate(rows)])
 
 
+#: a quiet NaN, one with a payload and a negative one, which format_float spells alike
+NAN_PAYLOADS = tuple(struct.unpack("<d", struct.pack("<Q", bits))[0]
+                     for bits in (0x7FF8000000000000, 0x7FF8000000000001,
+                                  0xFFF8000000000000))
+
+
 def assert_csv_rows_spelling(rows):
-    """``csv_rows`` spells ``rows``, each ``[int, float, .., float, str]``, and their
-    float columns alone as format_float and str do, one value at a time."""
+    """``csv_rows`` spells ``rows``, each ``[int, float, .., float, str]``, given as their
+    float block with the int and str columns beside it, and the float block alone, as
+    format_float and str do, one value at a time."""
+    block = np.array([row[1:-1] for row in rows], dtype=np.float64)
+    text = {0: [row[0] for row in rows], block.shape[1] + 1: [row[-1] for row in rows]}
     want = "".join(f"{row[0]},{','.join(map(format_float, row[1:-1]))},{row[-1]}\n"
                    for row in rows)
-    assert csv_rows(rows) == want
-    floats_only = [row[1:-1] for row in rows]
-    assert csv_rows(floats_only) == "".join(
-        ",".join(map(format_float, row)) + "\n" for row in floats_only)
+    assert csv_rows(block, text) == want
+    assert csv_rows(block) == "".join(
+        ",".join(map(format_float, row[1:-1])) + "\n" for row in rows)
 
 
 def assert_round_trip(got, sent):

@@ -10,7 +10,8 @@ from hypcurv.errors import DegenerateGradientError
 from hypcurv.heightfield import Jet2, make_catalog_surface
 from hypcurv.inequalities import (INEQ_TOL, Regime, convexity_classify,
                                   grad_direction_ricci, n_laplacian_expansion,
-                                  point_regime_report, ricci_gradient_adapted, scan_field)
+                                  point_regime_report, regime_reports,
+                                  ricci_gradient_adapted, scan_field)
 
 SQ2 = math.sqrt(2.0)
 
@@ -239,11 +240,24 @@ class TestClassifier:
         field = cone()
         rng = np.random.default_rng(14)
         pts = field.sample_points(5, rng, r_min=0.5, r_max=1.5)
-        rows = scan_field(field, pts)
-        assert len(rows) == 5
-        for row in rows:
-            assert len(row) == 3 + 2 + 3 + 5 + 1
-            assert row[-1] == "NonnegSectional"
+        table = scan_field(field, pts)
+        assert len(table) == 5
+        assert table.values.shape == (5, 3 + 2 + 3 + 5)
+        assert table.regimes.tolist() == ["NonnegSectional"] * 5
+
+    def test_scan_columns_are_the_kernel_columns(self):
+        rng = np.random.default_rng(15)
+        for field in (cone(), plane()):
+            X = field.sample_points(40, rng)
+            table = scan_field(field, X)
+            assert len(table) == len(X)
+            f, df, hess = field.jet_array(X)
+            rep = regime_reports(f, df, hess)
+            A, B = rep.factors
+            want = np.column_stack([X, f, rep.mean, rep.spectrum.kappas, rep.min_ricci_eig,
+                                    A, B, A * B - 2, rep.n_subharmonic_density])
+            assert table.values.view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert table.regimes.tolist() == [r.value for r in rep.regime]
 
 
 REGIME_ORDER = [Regime.NOT_CONVEX, Regime.STRICTLY_CONVEX, Regime.NONNEG_RICCI,
