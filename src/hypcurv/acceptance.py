@@ -156,7 +156,8 @@ def criterion_two_route_ricci(seed: int, check) -> str:
             r2 = ricci_from_shape(spec)
             scale = 1.0 + float(np.max(np.abs(r1)))
             dev = float(np.max(np.abs(r1 - r2))) / scale
-            comm = commutation_residual(r1, spec.forms.metric, spec.shape)
+            shape = spec.forms.metric_inv @ spec.second_form
+            comm = commutation_residual(r1, spec.forms.metric, shape)
             worst_dev = max(worst_dev, dev)
             worst_comm = max(worst_comm, comm)
     check(worst_dev <= 1e-9, f"two-route deviation {worst_dev:.2e}")

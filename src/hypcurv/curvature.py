@@ -11,15 +11,18 @@ upward unit normal and second fundamental form are
 Production route: :func:`shape_spectra` is the one batched kernel.  For P stacked
 jets it builds the forms, whitens the pencil (II, g) with the closed-form
 g^{-1/2} = f (I + (1/sqrt(1 + |Df|^2) - 1) u u^T), u = Df/|Df|, solves all P symmetric
-eigenproblems with one ``np.linalg.eigh``, cross-checks every trace against the
-closed-form mean curvature, and returns the Ricci eigenvalues
--(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is that polynomial
-in the shape operator.  :func:`shape_spectrum` is its view at one jet, and its
-``forms`` field holds the metric data; every caller reads from the spectra it returns.
+eigenproblems for their eigenvalues only with one ``np.linalg.eigvalsh`` (the
+inequality chain reads the principal curvatures, never the principal directions),
+cross-checks every trace against the closed-form mean curvature, and returns the
+Ricci eigenvalues -(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is
+that polynomial in the shape operator.  :func:`shape_spectrum` is its view at one
+jet, and its ``forms`` field holds the metric data; every caller reads from the
+spectra it returns.
 
 Oracles, independent of the kernel: the expanded coordinate double contraction
 (:func:`ricci_coordinate`) and the shape-operator polynomial lowered with g
-(:func:`ricci_from_shape`), both scalar; their agreement is the implementation oracle.
+(:func:`ricci_from_shape`, which builds the shape operator g^-1 II itself), both
+scalar; their agreement is the implementation oracle.
 :func:`fd_residuals` checks the metric and II against each other through Codazzi and
 Gauss residuals built from central differences of both, for P points at once: one
 stencil batch per call (one ``jet_array`` call, one forms build, one batched inverse
@@ -79,15 +82,13 @@ class FundamentalForms(Stacked):
 
 @dataclass(frozen=True)
 class ShapeSpectrum(Stacked):
-    """Forms, second form, shape operator, curvatures and Ricci at a point, or stacked."""
+    """Forms, second form, curvatures and Ricci at a point, or stacked."""
 
     forms: FundamentalForms
     second_form: np.ndarray
-    shape: np.ndarray
-    kappas: np.ndarray
+    kappas: np.ndarray     # ascending principal curvatures
     mean: float            # trace of the shape operator, sum of kappas
     mean_closed: float     # closed-form mean curvature (:func:`mean_curvature`)
-    frame: np.ndarray      # columns are g-orthonormal principal directions
     ricci: np.ndarray      # ascending Ricci eigenvalues
 
 
@@ -135,8 +136,8 @@ def shape_spectra(f, df, hess) -> ShapeSpectrum:
     """The batched kernel: shape spectra of stacked jets f (P,), Df (P, n), D2f (P, n, n).
 
     Whitening with g^{-1/2} = f (I + (1/sqrt(q) - 1) u u^T), q = 1 + |Df|^2, makes each
-    pencil (II, g) symmetric; one batched solve gives ascending curvatures and the
-    g-orthonormal frame g^{-1/2} V.  A trace off the closed-form mean curvature signals
+    pencil (II, g) symmetric; one batched eigenvalue-only solve gives the ascending
+    curvatures.  A trace off the closed-form mean curvature signals
     corrupted inputs (NumericError names the first such point).  The Ricci eigenvalues
     are the Gauss-equation polynomial -(n-1) + kappa_i H - kappa_i^2, sorted.
     """
@@ -146,7 +147,7 @@ def shape_spectra(f, df, hess) -> ShapeSpectrum:
     white = f[:, None, None] * (np.eye(df.shape[1])
                                 + shrink[:, None, None] * u[:, :, None] * u[:, None, :])
     try:
-        kappas, vecs = np.linalg.eigh(white @ II @ white)
+        kappas = np.linalg.eigvalsh(white @ II @ white)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"batched eigensolve failed: {exc}") from exc
     mean = kappas.sum(axis=1)
@@ -157,8 +158,7 @@ def shape_spectra(f, df, hess) -> ShapeSpectrum:
         raise NumericError(f"mean curvature cross-check failed at point {i}: "
                            f"trace {mean[i]} vs closed form {mean_cf[i]}")
     ricci = np.sort(-(df.shape[1] - 1) + kappas * mean[:, None] - kappas ** 2, axis=1)
-    return ShapeSpectrum(forms, II, forms.metric_inv @ II, kappas, mean, mean_cf,
-                         white @ vecs, ricci)
+    return ShapeSpectrum(forms, II, kappas, mean, mean_cf, ricci)
 
 
 def shape_spectrum(jet: Jet2) -> ShapeSpectrum:
@@ -185,8 +185,9 @@ def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:
 
 
 def ricci_from_shape(spec: ShapeSpectrum) -> np.ndarray:
-    """Ricci via the Gauss-equation polynomial in the shape operator, lowered with g."""
-    S = spec.shape
+    """Ricci via the Gauss-equation polynomial in the shape operator S = g^-1 II,
+    lowered with g."""
+    S = spec.forms.metric_inv @ spec.second_form
     n = S.shape[0]
     ric_op = -(n - 1) * np.eye(n) + spec.mean * S - S @ S
     return spec.forms.metric @ ric_op

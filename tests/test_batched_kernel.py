@@ -24,6 +24,8 @@ from hypcurv.heightfield import (Horosphere, Jet2, SampledGridField,
 from hypcurv.inequalities import (grad_direction_ricci, n_laplacian_expansion,
                                   regime_reports)
 
+from test_curvature import principal_frame
+
 
 def ricci_eigenvalues(ric, metric):
     """Coordinate-route oracle: ascending eigenvalues of the pencil (Ric, g)."""
@@ -52,11 +54,13 @@ def assert_rows_match_oracles(X, f, df, hess):
         H = mean_curvature(jet)
         assert close(rep.mean[i], H) and close(A[i] + B[i], H), i
         if np.any(df[i] != 0.0):
-            # Ricci in the g-unit gradient direction, read from the frame and kappas;
-            # |Df|^2 is taken directly, since (1 + |Df|^2) - 1 loses |Df|^-2 of its bits
+            # Ricci in the g-unit gradient direction, read from the kappas and a frame
+            # of the same pencil; |Df|^2 is taken directly, since (1 + |Df|^2) - 1
+            # loses |Df|^-2 of its bits
             d2 = df[i] @ df[i]
             v = f[i] / math.sqrt(d2 * (1.0 + d2)) * df[i]
-            c = spec.frame[i].T @ forms.metric @ v
+            _, frame = principal_frame(f[i], df[i], spec.second_form[i])
+            c = frame.T @ forms.metric @ v
             kappas = spec.kappas[i]
             ric_v = np.sum((-(n - 1) + kappas * rep.mean[i] - kappas ** 2) * c ** 2)
             assert close(ric_v, grad_direction_ricci(jet)), i

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcurv import curvature
-from hypcurv.curvature import (cluster_kappas, commutation_residual, fd_residuals,
-                               mean_curvature, ricci_coordinate, ricci_from_shape,
-                               shape_spectrum)
+from hypcurv.curvature import (MEAN_XCHECK_RTOL, cluster_kappas, commutation_residual,
+                               fd_residuals, mean_curvature, ricci_coordinate,
+                               ricci_from_shape, shape_spectra, shape_spectrum)
 from hypcurv.errors import NumericError
 from hypcurv.heightfield import Jet2, make_catalog_surface
 
@@ -19,6 +19,18 @@ SQ2 = math.sqrt(2.0)
 def ricci_eigenvalues(ric, metric):
     """Coordinate-route oracle: ascending eigenvalues of the pencil (Ric, g)."""
     return scipy.linalg.eigh(ric, metric, eigvals_only=True)
+
+
+def principal_frame(f, df, second_form):
+    """Ascending curvatures and g-orthonormal principal directions (columns) at one jet,
+    from ``np.linalg.eigh`` of the pencil (II, g) whitened by
+    g^-1/2 = f (I + (1/sqrt(1 + |Df|^2) - 1) u u^T), u = Df/|Df| (e_1 where Df = 0)."""
+    n = len(df)
+    norm = math.sqrt(df @ df)
+    u = df / norm if norm > 0.0 else np.eye(n)[0]
+    white = f * (np.eye(n) + (1.0 / math.sqrt(1.0 + df @ df) - 1.0) * np.outer(u, u))
+    kappas, vecs = np.linalg.eigh(white @ second_form @ white)
+    return kappas, white @ vecs
 
 
 def horosphere(c=1.0, n=3):
@@ -111,12 +123,14 @@ class TestShapeSpectrum:
         for field in (cone(1.3), cap(), plane(0.6)):
             for x in field.sample_points(20, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet, forms, spec = spectrum_at(field, x)
-                gram = spec.frame.T @ forms.metric @ spec.frame
+                _, frame = principal_frame(jet.f, jet.grad, spec.second_form)
+                gram = frame.T @ forms.metric @ frame
                 assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
+                shape = forms.metric_inv @ spec.second_form
                 for i in range(3):
-                    resid = spec.shape @ spec.frame[:, i] - spec.kappas[i] * spec.frame[:, i]
+                    resid = shape @ frame[:, i] - spec.kappas[i] * frame[:, i]
                     assert np.max(np.abs(resid)) <= 1e-9
-                assert spec.mean == pytest.approx(np.trace(spec.shape), rel=1e-12)
+                assert spec.mean == pytest.approx(np.trace(shape), rel=1e-12)
 
     def test_cone_reciprocal_product(self):
         rng = np.random.default_rng(6)
@@ -189,7 +203,8 @@ class TestRicci:
             for x in field.sample_points(50, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet, forms, spec = spectrum_at(field, x)
                 ric = ricci_coordinate(jet, forms)
-                assert commutation_residual(ric, forms.metric, spec.shape) <= 1e-9
+                shape = forms.metric_inv @ spec.second_form
+                assert commutation_residual(ric, forms.metric, shape) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,9 +217,32 @@ def test_two_route_ricci_random_jets(n, seed):
     r1 = ricci_coordinate(jet, forms)
     r2 = ricci_from_shape(spec)
     assert np.max(np.abs(r1 - r2)) <= 1e-9 * (1.0 + np.max(np.abs(r1)))
-    assert commutation_residual(r1, forms.metric, spec.shape) <= 1e-9
+    shape = forms.metric_inv @ spec.second_form
+    assert commutation_residual(r1, forms.metric, shape) <= 1e-9
     assert abs(np.sum(spec.kappas) - mean_curvature(jet)) <= 1e-10 * (
         1.0 + abs(spec.mean))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10 ** 9),
+       st.booleans())
+def test_kappas_are_eigh_of_the_whitened_pencil(n, seed, critical):
+    # the eigenvalue-only solve against eigh with eigenvectors of the same pencil
+    rng = np.random.default_rng(seed)
+    count = 8
+    f = rng.uniform(0.2, 3.0, count)
+    df = rng.normal(size=(count, n))
+    h = rng.normal(size=(count, n, n))
+    if critical:
+        df[::2] = 0.0
+    spec = shape_spectra(f, df, h + h.swapaxes(1, 2))
+    for i in range(count):
+        kappas, _ = principal_frame(f[i], df[i], spec.second_form[i])
+        assert np.max(np.abs(spec.kappas[i] - kappas)) <= 1e-13 * max(
+            1.0, np.max(np.abs(kappas))), i
+    assert np.all(np.diff(spec.kappas, axis=1) >= 0.0)
+    assert np.all(np.abs(spec.kappas.sum(axis=1) - spec.mean_closed)
+                  <= MEAN_XCHECK_RTOL * np.maximum(1.0, np.abs(spec.mean_closed)))
 
 
 @settings(max_examples=200, deadline=None)
