@@ -10,8 +10,8 @@ for a fixed manifest and build, and every report embeds the manifest that produc
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,22 +82,30 @@ def csv_rows(values, text=None) -> str:
     return line * rows % tuple(table.ravel().tolist())
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(obj, step: str, pad: str) -> str:
+    """JSON text of ``obj`` at indent ``pad``, each nested level ``step`` deeper.  Exact
+    built-in types come first; numpy values, bools, None and subclasses go by isinstance."""
+    kind = type(obj)
+    if kind is float:
+        return format_float(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return str(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad_in}{json.dumps(str(k))}: {_encode(v, indent, level + 1)}'
-                 for k, v in obj.items()]
+        inner = pad + step
+        items = [f"{inner}{_quote(str(k))}: {_encode(v, step, inner)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [f"{pad_in}{_encode(v, indent, level + 1)}" for v in obj]
+        inner = pad + step
+        items = [f"{inner}{_encode(v, step, inner)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist(), indent, level)
+        return _encode(obj.tolist(), step, pad)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -107,13 +115,13 @@ def _encode(obj, indent: int, level: int) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps(obj, indent: int = 2) -> str:
     """Serialize to JSON text with all floats at 17 significant digits."""
-    return _encode(obj, indent, 0) + "\n"
+    return _encode(obj, " " * indent, "") + "\n"
 
 
 @dataclass

@@ -578,6 +578,14 @@ class TestReportIO:
     def test_json_round_trip(self, obj):
         assert_round_trip(json.loads(dumps(obj)), obj)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.one_of(st.integers(), st.booleans(), st.none(), st.text()),
+        lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids), max_leaves=20))
+    def test_json_layout_is_the_standard_encoders(self, obj):
+        # without floats, the writer's bytes are those of json.dumps at indent 2
+        assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
     def test_csv_rows_empty(self):
         assert csv_rows(np.empty((0, 3))) == ""
         assert csv_rows(np.empty((0, 13)), {13: np.empty(0, dtype=object)}) == ""
