@@ -428,7 +428,9 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     direction, held = _free_node_inverse(interior, h, p)
     free = interior[tuple(slice(1, -1) for _ in interior.shape)]
     energy, state = _energy(vals, h, p, eps, weights)
-    grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
+    # masked to the interior once, after the loop: inside it every product reading g
+    # off the free nodes meets a zero (the direction's scale, z, the step u - u_prev)
+    grad = _energy_gradient(state, h, p)
     scale = _node_scale(state, free)
     del state  # the cell components are dead once the gradient and scale are built
     trace, steps = [energy], []
@@ -466,12 +468,13 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
             break
         s, grad_prev, gz_prev = cand - vals, grad, gz
         vals, energy = cand, e_new
-        grad = np.where(interior, _energy_gradient(state, h, p), 0.0)
+        grad = _energy_gradient(state, h, p)
         scale = _node_scale(state, free)
         del state
         trace.append(energy)
         steps.append(t)
 
+    grad = np.where(interior, grad, 0.0)
     out = gf.copy()
     out.values = np.where(active, vals, gf.values)
     return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, len(steps),

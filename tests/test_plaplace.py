@@ -356,6 +356,37 @@ class TestSolver:
         # after the initial evaluation, one per accepted and one per rejected trial
         assert calls["energy"] - 1 == len(res.energy_trace) - 1 + res.backtracks
 
+    @pytest.mark.parametrize("max_held", [plaplace.MAX_HELD_NODES, 0])
+    def test_gradient_masked_once_keeps_every_iterate(self, monkeypatch, max_held):
+        # masking the gradient to the interior at every accepted step, as the solver
+        # once did, gives the same iterates, bit for bit, around an excised apex: with
+        # the capacitance correction and with the principal-block direction
+        field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+        grid = tighten_boundary(sample_height_grid(field, [-0.5] * 3, [0.5] * 3, 1.0 / 16))
+        interior = grid.interior_mask()
+        monkeypatch.setattr(plaplace, "MAX_HELD_NODES", max_held)
+        runs = []
+        for gradient in (_energy_gradient,
+                         lambda *args: np.where(interior, _energy_gradient(*args), 0.0)):
+            iterates = []
+
+            def energy(values, *args):
+                iterates.append(values.tobytes())
+                return _energy(values, *args)
+
+            monkeypatch.setattr(plaplace, "_energy", energy)
+            monkeypatch.setattr(plaplace, "_energy_gradient", gradient)
+            runs.append((solve_p_harmonic(grid, SolverConfig(p=3.0)), iterates))
+        (masked_once, once), (masked_each, each) = runs
+        assert masked_once.held_nodes == 27 and masked_once.iterations > 2
+        assert len(once) == len(each) and once == each
+        assert masked_once.grid.values.tobytes() == masked_each.grid.values.tobytes()
+        assert (masked_once.iterations, masked_once.backtracks, masked_once.stop_reason,
+                masked_once.grad_norm) == (masked_each.iterations, masked_each.backtracks,
+                                           masked_each.stop_reason, masked_each.grad_norm)
+        assert masked_once.energy_trace.tobytes() == masked_each.energy_trace.tobytes()
+        assert masked_once.step_trace.tobytes() == masked_each.step_trace.tobytes()
+
     def test_p2_matches_direct_solve_with_excision(self):
         # the apex box holds 27 nodes, so the direction inverts the p=2 operator on the
         # free nodes exactly and the unit step lands on the minimizer
