@@ -11,13 +11,11 @@ upward unit normal and second fundamental form are
 Production route: :func:`shape_spectra` is the one batched kernel.  For P stacked
 jets it builds the forms, whitens the pencil (II, g) with the closed-form
 g^{-1/2} = f (I + (1/sqrt(1 + |Df|^2) - 1) u u^T), u = Df/|Df|, solves all P symmetric
-eigenproblems for their eigenvalues only with one ``np.linalg.eigvalsh`` (the
-inequality chain reads the principal curvatures, never the principal directions),
-cross-checks every trace against the closed-form mean curvature, and returns the
-Ricci eigenvalues -(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is
-that polynomial in the shape operator.  :func:`shape_spectrum` is its view at one
-jet, and its ``forms`` field holds the metric data; every caller reads from the
-spectra it returns.
+eigenproblems for their eigenvalues with one ``np.linalg.eigvalsh``, cross-checks
+every trace against the closed-form mean curvature, and returns the Ricci eigenvalues
+-(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is that polynomial
+in the shape operator.  :func:`shape_spectrum` is its view at one jet, and its
+``forms`` field holds the metric data; every caller reads from the spectra it returns.
 
 Oracles, independent of the kernel: the expanded coordinate double contraction
 (:func:`ricci_coordinate`) and the shape-operator polynomial lowered with g
@@ -136,10 +134,10 @@ def shape_spectra(f, df, hess) -> ShapeSpectrum:
     """The batched kernel: shape spectra of stacked jets f (P,), Df (P, n), D2f (P, n, n).
 
     Whitening with g^{-1/2} = f (I + (1/sqrt(q) - 1) u u^T), q = 1 + |Df|^2, makes each
-    pencil (II, g) symmetric; one batched eigenvalue-only solve gives the ascending
-    curvatures.  A trace off the closed-form mean curvature signals
-    corrupted inputs (NumericError names the first such point).  The Ricci eigenvalues
-    are the Gauss-equation polynomial -(n-1) + kappa_i H - kappa_i^2, sorted.
+    pencil (II, g) symmetric; one batched eigenvalue-only solve gives ascending
+    curvatures.  A trace off the closed-form mean curvature signals corrupted inputs
+    (NumericError names the first such point).  The Ricci eigenvalues are the
+    Gauss-equation polynomial -(n-1) + kappa_i H - kappa_i^2, sorted.
     """
     forms, II = _forms(f, df, hess)
     u, _ = _unit_gradient(df)
@@ -185,8 +183,7 @@ def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:
 
 
 def ricci_from_shape(spec: ShapeSpectrum) -> np.ndarray:
-    """Ricci via the Gauss-equation polynomial in the shape operator S = g^-1 II,
-    lowered with g."""
+    """Ricci via the Gauss-equation polynomial in S = g^-1 II, lowered with g."""
     S = spec.forms.metric_inv @ spec.second_form
     n = S.shape[0]
     ric_op = -(n - 1) * np.eye(n) + spec.mean * S - S @ S

@@ -130,6 +130,10 @@ class Regime(Enum):
     HOROCONVEX = "Horoconvex"
 
 
+#: the regimes by level, weakest first, for one lookup per classification
+_REGIMES = np.array(list(Regime), dtype=object)
+
+
 @dataclass(frozen=True)
 class RegimeReport(Stacked):
     """Classifier output for one point, or stacked over points."""
@@ -158,8 +162,7 @@ def convexity_classify(kappas, ric_eigs, n: int, tol: float = INEQ_TOL) -> Regim
              np.all(prods >= 1 - tol, axis=-1),
              np.all(kappas >= 1 - tol, axis=-1)]
     level = np.logical_and.accumulate(holds).sum(axis=0)
-    regime = np.array(list(Regime), dtype=object)[level]
-    return RegimeReport(regime, np.min(np.asarray(ric_eigs, dtype=float), axis=-1), H)
+    return RegimeReport(_REGIMES[level], np.min(np.asarray(ric_eigs, dtype=float), axis=-1), H)
 
 
 def regime_reports(f, df, hess, tol: float = INEQ_TOL) -> RegimeReport:
