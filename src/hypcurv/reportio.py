@@ -73,9 +73,9 @@ def csv_rows(values, text=None) -> str:
     rows, width = len(values), values.shape[1] + len(text)
     if rows == 0:
         return ""
+    cells, spec = _spell_distinct(values, "%.17g", format_float)
     table = np.empty((rows, width), dtype=object)
-    table[:, [c for c in range(width) if c not in text]], spec = _spell_distinct(
-        values, "%.17g", format_float)
+    table[:, [c for c in range(width) if c not in text]] = cells
     for c, column in text.items():
         table[:, c] = column
     line = ",".join("%s" if c in text else spec for c in range(width)) + "\n"
