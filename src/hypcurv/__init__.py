@@ -6,10 +6,9 @@ n-subharmonicity of the height log f, runs rigidity and recession-set analyses, 
 provides a p-Dirichlet solver with a viscosity-comparison probe.
 """
 
-from .asymptotics import RecessionReport, recession_report, sublevel_components
+from .asymptotics import RecessionReport, recession_report
 from .curvature import (FundamentalForms, ShapeSpectrum, commutation_residual,
-                        fd_residuals, mean_curvature, ricci_coordinate, ricci_from_shape,
-                        shape_spectrum)
+                        fd_residuals, ricci_coordinate, ricci_from_shape)
 from .errors import (DataError, DegenerateGradientError, DomainError, HypcurvError,
                      HypothesisContradiction, NumericError, ParameterError)
 from .gridfn import GridFunction, load_grid_function, save_grid_function
@@ -18,7 +17,7 @@ from .heightfield import (Box, HeightField, Jet2, SampledGridField, fd_validate_
                           make_catalog_surface, sample_height_grid)
 from .inequalities import (Regime, RegimeReport, convexity_classify, grad_direction_ricci,
                            point_regime_report)
-from .plaplace import SolverConfig, p_dirichlet_energy, solve_p_harmonic, viscosity_probe
+from .plaplace import SolverConfig, solve_p_harmonic, viscosity_probe
 from .rigidity import ConstancyScan, Verdict, classify_global, constancy_scan
 
 __version__ = "0.1.0"

@@ -4,8 +4,10 @@ Deep sublevel sets {h < -M} of the height h = log f localize the finite part of 
 recession set: each surviving component whose diameter keeps shrinking as M grows is
 counted as one asymptotic boundary point, and an unbounded graph domain contributes
 the projection point p_0 on top.  Components use face adjacency on the analysis
-lattice and diameters are Euclidean in the horosphere coordinates.  The labelling is
-numpy's alone: no scipy module is loaded on this path.
+lattice and diameters are Euclidean in the horosphere coordinates.  From labelling to
+report, a sublevel set is held in one form: its runs along the last lattice axis, each
+a first and a last node and a component number.  The labelling is numpy's alone: no
+scipy module is loaded on this path.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .errors import ParameterError
 from .gridfn import GridFunction
 from .heightfield import HeightField, sample_height_grid
 
-__all__ = ["Component", "RecessionReport", "sublevel_components", "recession_report",
-           "recession_json"]
+__all__ = ["Component", "RecessionReport", "recession_report", "recession_json"]
 
 #: a final-level component counts as decaying if its diameter halves across the levels
 DECAY_RATIO = 0.5
@@ -96,10 +97,11 @@ def _check_levels(levels) -> tuple:
 
 
 def _label_faces(mask: np.ndarray):
-    """Face-adjacency labels of a boolean array, numbered from 1 by each component's
-    first node in C order (as ``scipy.ndimage.label`` numbers them), and their count.
+    """Face-connected components of a boolean array, as its runs along the last axis.
 
-    The set splits into runs along the last axis, numbered in C order.  Two runs in
+    Returns, for the runs in C order, the flat C-order indices of each run's first and
+    last node and the run's component number, counted from 1 by each component's
+    first node in C order (as ``scipy.ndimage.label`` numbers them).  Two runs in
     face-adjacent rows touch if and only if their overlap is not empty, and the overlap
     begins at the start of one of them; so each run start is linked to the runs of its
     two neighbours along every other axis.  The links are merged by min-label hooking
@@ -136,78 +138,56 @@ def _label_faces(mask: np.ndarray):
         while not np.array_equal(up := parent[parent], parent):
             parent = up
     number = np.cumsum(parent == np.arange(len(first)), dtype=np.int32)
-    labels = np.zeros(flat.shape, np.int32)
-    labels[flat] = np.repeat(number[parent], last - first + 1)
-    return labels.reshape(mask.shape), int(number[-1]) if len(number) else 0
+    return first, last, number[parent]
 
 
 def _label_sublevel(grid: GridFunction, level: float, box: tuple):
-    """Face-adjacency labelling of {h < -level} within the index box ``box``.
+    """Runs of {h < -level} within the index box ``box``, and the set's bounding box.
 
-    ``box`` (a slice per axis) must hold the whole set; the labelling covers the set's
-    own bounding box, which is returned with it as (labels, count, box).  An empty set
-    returns (None, 0, None).  A translated sub-box keeps C order, so the labels are
-    numbered as on the full lattice.  Excised nodes (-inf) lie in every sublevel set.
+    ``box`` (a slice per axis) must hold the whole set.  It shrinks to the set's own
+    bounding box one axis at a time, each axis's extent read from the set already
+    cropped along the earlier axes, and the set is labelled there.  The runs come back
+    as (first, last, component) with flat C-order indices into the whole lattice: a
+    translated sub-box keeps C order, so runs and component numbers are those of the
+    full lattice.  An empty set returns (None, None).  Excised nodes (-inf) lie in
+    every sublevel set.
     """
     inset = grid.values[box] < -level
-    crop = []
+    box = list(box)
     for d in range(grid.ndim):
         hit = np.flatnonzero(inset.any(axis=tuple(a for a in range(grid.ndim) if a != d)))
         if hit.size == 0:
-            return None, 0, None
-        crop.append(slice(hit[0], hit[-1] + 1))
-    box = tuple(slice(b.start + c.start, b.start + c.stop) for b, c in zip(box, crop))
-    labels, count = _label_faces(inset[tuple(crop)])
-    return labels, count, box
+            return None, None
+        inset = inset[(slice(None),) * d + (slice(hit[0], hit[-1] + 1),)]
+        box[d] = slice(box[d].start + hit[0], box[d].start + hit[-1] + 1)
+    first, last, number = _label_faces(inset)
+    index = np.unravel_index(first, inset.shape)
+    start = np.ravel_multi_index([i + b.start for i, b in zip(index, box)], grid.dims)
+    return (start, start + (last - first), number), tuple(box)
 
 
-def _components_from_labels(grid: GridFunction, labels, count, box) -> list:
-    """Components of a labelling of the index box ``box``, from its run ends.
+def _components(grid: GridFunction, runs) -> list:
+    """Components of a set given as its runs along the last axis (None: empty set).
 
-    A component's first node in C order has no neighbour of its own before it along
-    any axis, so it ends a run along every axis: it is the first of the component's
-    run ends, which keep C order within each component.  Node counts come from one
-    ``bincount``; coordinates are gathered per axis for the run ends only.
+    A component's node count is the sum of its run lengths, and its first node in C
+    order is the first node of its least run.  Its diameter is measured on its run
+    endpoints alone.  From any node q, the end of a run farther from q along the last
+    axis is at least as far as every node of the run, also after rounding, since their
+    coordinates differ on that axis alone and grow with the index; so the endpoints
+    hold a pair at the component's diameter, to the bit.
     """
-    if count == 0:
+    if runs is None:
         return []
-    ends = _run_ends(labels)
-    idx = np.argwhere(ends)
-    lab = labels[ends]
-    order = np.argsort(lab, kind="stable")
-    idx = idx[order] + [b.start for b in box]
+    first, last, number = runs
+    order = np.argsort(number, kind="stable")
+    first, last = first[order], last[order]
+    cut = np.cumsum(np.bincount(number))
+    sizes = np.add.reduceat(last - first + 1, cut[:-1])
+    idx = np.stack(np.unravel_index(np.stack([first, last], axis=-1).ravel(), grid.dims),
+                   axis=-1)
     pts = np.stack([axis[idx[:, d]] for d, axis in enumerate(grid.axes())], axis=-1)
-    cut = np.cumsum(np.bincount(lab, minlength=count + 1))
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)
     return [Component(idx[a], int(size), _set_diameter(pts[a:b]))
-            for a, b, size in zip(cut[:-1], cut[1:], sizes[1:])]
-
-
-def _run_ends(labels) -> np.ndarray:
-    """Labelled nodes that end a run of their label along every axis.
-
-    Take a node whose two neighbours along some axis lie in its component.  From any
-    node q, the neighbour farther from q along that axis is at least as far as the
-    node, also after rounding, since their coordinates differ on that axis alone and
-    grow with the index.  So the run ends hold a pair at the component's diameter, to
-    the bit.
-    """
-    ends = labels > 0
-    for d in range(labels.ndim):
-        lab, end = np.moveaxis(labels, d, 0), np.moveaxis(ends, d, 0)
-        end[1:-1] &= (lab[1:-1] != lab[:-2]) | (lab[1:-1] != lab[2:])
-    return ends
-
-
-def sublevel_components(grid: GridFunction, level: float) -> list:
-    """Connected components of {h < -level} on a height lattice (``sample_height_grid``).
-
-    An empty sublevel set returns an empty list; a non-finite level raises
-    ParameterError.
-    """
-    (level,) = _check_levels([level])
-    labels, count, box = _label_sublevel(grid, level, tuple(slice(0, d) for d in grid.dims))
-    return _components_from_labels(grid, labels, count, box)
+            for a, b, size in zip(2 * cut[:-1], 2 * cut[1:], sizes)]
 
 
 def recession_report(field: HeightField, levels, lo, hi, spacing: float) -> RecessionReport:
@@ -220,24 +200,25 @@ def recession_report(field: HeightField, levels, lo, hi, spacing: float) -> Rece
     """
     levels = _check_levels(levels)
     grid = sample_height_grid(field, lo, hi, spacing)
-    per_level = []  # (components, labels, box) per level
+    per_level = []  # (components, runs) per level
     box = tuple(slice(0, d) for d in grid.dims)
     for M in levels:
-        labels, count, box = _label_sublevel(grid, M, box) if box else (None, 0, None)
-        per_level.append((_components_from_labels(grid, labels, count, box), labels, box))
+        runs, box = _label_sublevel(grid, M, box) if box else (None, None)
+        per_level.append((_components(grid, runs), runs))
 
-    counts = tuple(len(comps) for comps, _, _ in per_level)
+    counts = tuple(len(comps) for comps, _ in per_level)
     max_diams = tuple(max((c.diameter for c in comps), default=0.0)
-                      for comps, _, _ in per_level)
+                      for comps, _ in per_level)
 
     trajectories = []
     decaying = 0
     fat = False
     for comp in per_level[-1][0]:
-        # the witness node lies in every shallower set, and so in every level's box
-        witness = comp.first
-        traj = tuple(comps[lab[tuple(witness - [b.start for b in at])] - 1].diameter
-                     for comps, lab, at in per_level)
+        # the witness node lies in every shallower set: in the last run of each level
+        # that starts at or before it
+        witness = np.ravel_multi_index(comp.first, grid.dims)
+        traj = tuple(comps[number[np.searchsorted(first, witness, "right") - 1] - 1].diameter
+                     for comps, (first, _, number) in per_level)
         trajectories.append(traj)
         if len(traj) >= 2 and traj[-1] <= DECAY_RATIO * traj[0]:
             decaying += 1

@@ -37,7 +37,7 @@ def _parse_tuple(text: str) -> np.ndarray:
 
 def _parse_grid(text: str, n: int):
     """Grid spec 'lo1,..,lon:hi1,..,hin:nodes' of an n-dimensional surface ->
-    (lo, hi, nodes)."""
+    (lo, hi, nodes); ParameterError for a lattice of nodes^n over the node budget."""
     parts = text.split(":")
     if len(parts) != 3:
         raise click.UsageError("grid spec must be 'lo..:hi..:nodes'")
@@ -50,6 +50,7 @@ def _parse_grid(text: str, n: int):
         raise click.UsageError("grid spec needs lo < hi and nodes >= 3")
     if lo.shape != (n,):
         raise click.UsageError("grid dimension does not match the surface")
+    check_node_budget((nodes,) * n)
     return lo, hi, nodes
 
 
@@ -215,7 +216,6 @@ def analyze(field, manifest, out, point, step):
 def scan(field, manifest, out, grid_spec):
     """CSV scan of curvature quantities over a point grid."""
     lo, hi, nodes = _parse_grid(grid_spec, field.n)
-    check_node_budget((nodes,) * field.n)
     axes = [np.linspace(lo[d], hi[d], nodes) for d in range(field.n)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, field.n)
     inside = field.contains_array(pts)

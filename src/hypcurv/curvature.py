@@ -14,8 +14,8 @@ g^{-1/2} = f (I + (1/sqrt(1 + |Df|^2) - 1) u u^T), u = Df/|Df|, solves all P sym
 eigenproblems for their eigenvalues with one ``np.linalg.eigvalsh``, cross-checks
 every trace against the closed-form mean curvature, and returns the Ricci eigenvalues
 -(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is that polynomial
-in the shape operator.  :func:`shape_spectrum` is its view at one jet, and its
-``forms`` field holds the metric data; every caller reads from the spectra it returns.
+in the shape operator.  The returned record's ``forms`` field holds the metric data,
+``.point(i)`` reads one point's record, and every caller reads from these spectra.
 
 Oracles, independent of the kernel: the expanded coordinate double contraction
 (:func:`ricci_coordinate`) and the shape-operator polynomial lowered with g
@@ -38,9 +38,8 @@ from .errors import NumericError, ParameterError
 from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
-    "FundamentalForms", "ShapeSpectrum", "shape_spectra", "shape_spectrum",
-    "mean_curvature", "ricci_coordinate", "ricci_from_shape", "fd_residuals",
-    "commutation_residual", "cluster_kappas",
+    "FundamentalForms", "ShapeSpectrum", "shape_spectra", "ricci_coordinate",
+    "ricci_from_shape", "fd_residuals", "commutation_residual", "cluster_kappas",
 ]
 
 #: relative gap below which two principal curvatures belong to one multiplicity cluster
@@ -86,7 +85,7 @@ class ShapeSpectrum(Stacked):
     second_form: np.ndarray
     kappas: np.ndarray     # ascending principal curvatures
     mean: float            # trace of the shape operator, sum of kappas
-    mean_closed: float     # closed-form mean curvature (:func:`mean_curvature`)
+    mean_closed: float     # closed-form mean curvature
     ricci: np.ndarray      # ascending Ricci eigenvalues
 
 
@@ -114,11 +113,6 @@ def _mean_closed(f, df, hess):
     h1 = _quadratic(df, hess)
     trace = np.trace(hess, axis1=-2, axis2=-1)
     return (df.shape[-1] + f * trace - f * h1 / q) / np.sqrt(q)
-
-
-def mean_curvature(jet: Jet2) -> float:
-    """Closed-form trace of the shape operator."""
-    return float(_mean_closed(jet.f, jet.grad, jet.hess))
 
 
 def _unit_gradient(df):
@@ -157,11 +151,6 @@ def shape_spectra(f, df, hess) -> ShapeSpectrum:
                            f"trace {mean[i]} vs closed form {mean_cf[i]}")
     ricci = np.sort(-(df.shape[1] - 1) + kappas * mean[:, None] - kappas ** 2, axis=1)
     return ShapeSpectrum(forms, II, kappas, mean, mean_cf, ricci)
-
-
-def shape_spectrum(jet: Jet2) -> ShapeSpectrum:
-    """:func:`shape_spectra` at one jet."""
-    return shape_spectra(*jet.stacked()).point(0)
 
 
 def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:

@@ -612,7 +612,8 @@ _CATALOG = {cls.kind: (cls, inspect.signature(cls))
 def make_catalog_surface(kind: str, params: dict, n: int) -> HeightField:
     """Build a catalog surface from its constructor's keyword parameters.
 
-    Raises ParameterError for an unknown kind or keyword, a missing one, or bad values.
+    Raises ParameterError for an unknown kind or keyword, a missing one, or bad values,
+    non-finite numbers and values of the wrong type among them.
     """
     params = dict(params)
     domain = params.pop("domain", None)
@@ -621,11 +622,14 @@ def make_catalog_surface(kind: str, params: dict, n: int) -> HeightField:
     if kind not in _CATALOG:
         raise ParameterError(f"unknown catalog kind {kind!r}")
     cls, signature = _CATALOG[kind]
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{kind}: {key} must be finite, got {value}")
     try:
         signature.bind(n=n, domain=domain, **params)
+        return cls(n=n, domain=domain, **params)
     except TypeError as exc:
         raise ParameterError(f"{kind}: {exc}") from None
-    return cls(n=n, domain=domain, **params)
 
 
 def field_from_descriptor(desc: dict, base_dir: str = ".") -> HeightField:

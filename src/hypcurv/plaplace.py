@@ -47,7 +47,7 @@ from .heightfield import HeightField, sample_height_grid
 
 __all__ = [
     "SolverConfig", "PHarmonicResult", "ProbeResult",
-    "p_dirichlet_energy", "solve_p_harmonic", "viscosity_probe", "tighten_boundary",
+    "solve_p_harmonic", "viscosity_probe", "tighten_boundary",
 ]
 
 #: most nodes held inside the box (a cone apex holds 27) for which the descent direction
@@ -183,17 +183,6 @@ def _energy_gradient(state, spacing, p):
         grad = g
     grad *= p * spacing ** n * (2.0 ** (1 - n) / spacing) ** 2
     return grad.reshape(shape)
-
-
-def p_dirichlet_energy(u: GridFunction, p: float, epsilon: float) -> float:
-    """Regularized p-Dirichlet energy over the complete cells of u.
-
-    Raises DataError (via grid validation) if a -inf value sits at an unmasked node.
-    """
-    u.validate()
-    active = u.active_mask()
-    vals = np.where(active, u.values, 0.0)
-    return _energy(vals, u.spacing, p, epsilon, _cell_weights(active))[0]
 
 
 def tighten_boundary(gf: GridFunction) -> GridFunction:

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypcurv import asymptotics
-from hypcurv.asymptotics import (Component, recession_json, recession_report,
-                                 sublevel_components)
+from hypcurv.asymptotics import Component, recession_json, recession_report
 from hypcurv.errors import ParameterError
 from hypcurv.gridfn import GridFunction, box_face_mask
 from hypcurv.heightfield import SampledGridField, make_catalog_surface, sample_height_grid
@@ -22,6 +21,14 @@ def cone(s=1.0):
 
 def horosphere(c=1.0):
     return make_catalog_surface("horosphere", {"c": c}, 3)
+
+
+def sublevel_components(grid, level):
+    """Face-connected components of {h < -level} on a height lattice, through the
+    production labelling; ParameterError for a non-finite level."""
+    (level,) = asymptotics._check_levels([level])
+    runs, _ = asymptotics._label_sublevel(grid, level, tuple(slice(0, d) for d in grid.dims))
+    return asymptotics._components(grid, runs)
 
 
 def window_components(field, spacing, level):
@@ -174,21 +181,46 @@ def label_masks(draw):
     return mask
 
 
+def run_labels(runs, shape):
+    """The int32 label array (0 off the set) of runs (first, last, component) whose
+    flat C-order indices address an array of ``shape``."""
+    labels = np.zeros(math.prod(shape), np.int32)
+    for a, b, lab in zip(*runs):
+        labels[a:b + 1] = lab
+    return labels.reshape(shape)
+
+
+def label_runs(labels):
+    """The runs (first, last, label) of equal nonzero labels along the last axis, in C
+    order, with flat C-order indices."""
+    flat = labels.ravel()
+    begins = np.ones(flat.size, dtype=bool)
+    begins[1:] = flat[1:] != flat[:-1]
+    begins[::labels.shape[-1]] = True
+    inset = flat > 0
+    return (np.flatnonzero(begins & inset), np.flatnonzero(np.append(begins[1:], True) & inset),
+            flat[begins & inset])
+
+
 @settings(max_examples=300, deadline=None)
 @given(mask=label_masks())
 def test_label_faces_equals_scipy_bitwise(mask):
-    labels, count = asymptotics._label_faces(mask)
+    first, last, number = asymptotics._label_faces(mask)
+    rows = mask.shape[-1]
+    # runs in C order, each within one row, none continuing the one before it
+    assert np.all(first <= last) and np.all(first // rows == last // rows)
+    assert np.all((first[1:] > last[:-1] + 1) | (first[1:] % rows == 0))
+    labels = run_labels((first, last, number), mask.shape)
     ref, ref_count = scipy_label(mask)
-    assert labels.dtype == ref.dtype and labels.shape == ref.shape
     assert labels.tobytes() == ref.tobytes()
-    assert type(count) is int and count == ref_count
+    assert number.max(initial=0) == ref_count
 
 
-def label_full_lattice(grid, level, box):
-    """Reference: face-adjacency labelling of {h < -level} and the excised nodes over
-    the whole lattice."""
+def runs_full_lattice(grid, level, box):
+    """Reference: the runs of the face-adjacency labelling of {h < -level} and the
+    excised nodes over the whole lattice (None when the set is empty)."""
     labels, count = scipy_label((grid.values < -level) | np.isneginf(grid.values))
-    return labels, count, tuple(slice(0, d) for d in grid.dims)
+    return label_runs(labels) if count else None, tuple(slice(0, d) for d in grid.dims)
 
 
 def all_pairs_diameter(pts):
@@ -201,13 +233,16 @@ def all_pairs_diameter(pts):
     return float(np.sqrt(best))
 
 
-def components_per_label(grid, labels, count, box):
-    """Reference: a scan of the labelled box per label, coordinates from the full node
-    mesh and the all-pairs diameter of every node of the component."""
+def components_per_label(grid, runs):
+    """Reference: a scan of the runs' label array per label, coordinates from the full
+    node mesh and the all-pairs diameter of every node of the component."""
+    if runs is None:
+        return []
+    labels = run_labels(runs, grid.dims)
     coords = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
     comps = []
-    for lab in range(1, count + 1):
-        idx = np.argwhere(labels == lab) + [b.start for b in box]
+    for lab in range(1, labels.max() + 1):
+        idx = np.argwhere(labels == lab)
         pts = coords[tuple(idx.T)]
         comps.append(Component(idx[0], len(idx), all_pairs_diameter(pts)))
     return comps
@@ -258,7 +293,7 @@ def test_sublevel_components_match_per_label_walk(seed, n, level, excised, plant
     # planted lattices give separate components, sets on the faces and, at levels
     # of 3 or more, empty sets; masked ones give excised nodes in every set
     grid = planted_lattice(seed, n) if planted else masked_lattice(seed, n, excised)
-    ref = components_per_label(grid, *label_full_lattice(grid, level, None))
+    ref = components_per_label(grid, runs_full_lattice(grid, level, None)[0])
     same_components(sublevel_components(grid, level), ref)
 
 
@@ -271,10 +306,30 @@ def test_recession_report_matches_per_label_walk(seed, n, excised, planted, deep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(asymptotics, "sample_height_grid", lambda *args: grid)
         new = recession_report(cone(), levels, None, None, grid.spacing)
-        mp.setattr(asymptotics, "_label_sublevel", label_full_lattice)
-        mp.setattr(asymptotics, "_components_from_labels", components_per_label)
+        mp.setattr(asymptotics, "_label_sublevel", runs_full_lattice)
+        mp.setattr(asymptotics, "_components", components_per_label)
         ref = recession_report(cone(), levels, None, None, grid.spacing)
     assert repr(new) == repr(ref)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_recession_report_of_cones_matches_per_label_walk(s):
+    # 17^3 nodes on [-0.5,0.5]^3: at slope 0.5 the level-1 set touches every lattice
+    # face and holds rows that are one run end to end; the component around the apex
+    # shrinks over the four levels, at slope 1 down to the apex node's single run
+    args = (cone(s), [1, 2, 3, 4], *WINDOW, 1.0 / 16)
+    new = recession_report(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotics, "_label_sublevel", runs_full_lattice)
+        mp.setattr(asymptotics, "_components", components_per_label)
+        ref = recession_report(*args)
+    assert repr(new) == repr(ref)
+    assert new.counts == (1, 1, 1, 1)
+    assert all(b < a for a, b in zip(new.max_diameters[:3], new.max_diameters[1:3]))
+    if s == 0.5:
+        level1 = sample_height_grid(cone(s), *WINDOW, 1.0 / 16).values < -1
+        assert all(np.take(level1, i, axis=d).any() for d in range(3) for i in (0, -1))
+        assert level1.all(axis=-1).any()
 
 
 @st.composite

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypcurv import curvature
-from hypcurv.curvature import mean_curvature, ricci_coordinate, shape_spectra, shape_spectrum
+from hypcurv.curvature import ricci_coordinate, shape_spectra
 from hypcurv.errors import DomainError, NumericError, ParameterError
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import (Horosphere, Jet2, SampledGridField,
@@ -24,7 +24,7 @@ from hypcurv.heightfield import (Horosphere, Jet2, SampledGridField,
 from hypcurv.inequalities import (grad_direction_ricci, n_laplacian_expansion,
                                   regime_reports)
 
-from test_curvature import principal_frame
+from test_curvature import mean_curvature, principal_frame, shape_spectrum
 
 
 def ricci_eigenvalues(ric, metric):

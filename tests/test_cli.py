@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hypcurv
@@ -340,6 +340,132 @@ def test_negative_seed_usage_error(runner, surfaces, command):
     result = runner.invoke(main, [command, *surface, "--seed", "-1"])
     assert result.exit_code == 2
     assert "--seed" in result.output
+
+
+#: the catalog kinds with a valid value of each constructor parameter
+CATALOG_PARAMS = {
+    "horosphere": {"c": 1.0},
+    "equidistant_cone": {"slope": 1.0, "mask_radius": 1e-3},
+    "geodesic_sphere_cap": {"center_height": 2.0, "euclidean_radius": 1.0},
+    "tilted_plane": {"slope": 1.0},
+}
+#: the report fields documented to carry NaN (a constancy scan without the split)
+NAN_FIELDS = {"kappa0", "kappa_transverse", "variances"}
+#: node counts beyond any lattice: over the budget at every n, or beyond a float
+HUGE_NODES = ["4097", "100000", str(2 ** 63), str(10 ** 400)]
+
+
+@st.composite
+def catalog_descriptors(draw):
+    """Catalog descriptors at n = 2..4: each parameter kept, dropped, drawn over six
+    decades either side of 1, or out of range (zero, negative, non-finite, a string);
+    sometimes with a key that no constructor takes."""
+    kind = draw(st.sampled_from(sorted(CATALOG_PARAMS)))
+    desc = {"kind": kind, "n": draw(st.integers(2, 4))}
+    for key, value in CATALOG_PARAMS[kind].items():
+        choice = draw(st.sampled_from(["keep"] * 4 + ["drop", "scale", "scale", "bad"]))
+        if choice == "keep":
+            desc[key] = value
+        elif choice == "scale":
+            desc[key] = value * 10.0 ** draw(st.floats(-6, 6))
+        elif choice == "bad":
+            desc[key] = draw(st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, "x"]))
+    if draw(st.integers(0, 7)) == 0:
+        desc["bogus"] = 1.0
+    return desc
+
+
+@st.composite
+def grid_specs(draw, n):
+    """None (the default window) or a 'lo:hi:nodes' spec: a cube, or a box with one
+    other extent, at most 33 nodes per axis, or a spec with a non-finite bound, a
+    wrong dimension, or a NaN, infinite, huge, zero or negative node count."""
+    if draw(st.integers(0, 3)) == 0:
+        return None
+    centre, half = draw(st.floats(-1.0, 2.0)), draw(st.floats(0.01, 1.0))
+    lo, hi = [centre - half] * n, [centre + half] * n
+    flaw = draw(st.sampled_from(["none"] * 5 + ["extent", "bound", "dimension"]))
+    if flaw == "extent":
+        hi[-1] = centre + draw(st.floats(0.01, 1.0))
+    elif flaw == "bound":
+        lo[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf]))
+    elif flaw == "dimension":
+        lo, hi = lo[1:], hi[1:]
+    nodes = draw(st.one_of(st.integers(-1, 33).map(str),
+                           st.sampled_from(["nan", "inf", "0"] + HUGE_NODES)))
+    return f"{','.join(map(repr, lo))}:{','.join(map(repr, hi))}:{nodes}"
+
+
+@st.composite
+def level_lists(draw):
+    """Depths in [-3, 8], mostly strictly increasing; sometimes in any order, with a
+    NaN or an infinite depth appended, or none at all."""
+    levels = draw(st.lists(st.floats(-3.0, 8.0), min_size=1, max_size=4))
+    flaw = draw(st.sampled_from([None] * 8 + ["order", "empty", math.nan, math.inf]))
+    if flaw != "order":
+        levels = sorted(set(levels))
+    if flaw == "empty":
+        levels = []
+    elif isinstance(flaw, float):
+        levels.append(flaw)
+    return levels
+
+
+def nan_keys(doc, key=None):
+    """The top-level keys of the JSON document ``doc`` under which a NaN sits."""
+    if isinstance(doc, float) and math.isnan(doc):
+        yield key
+    elif isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from nan_keys(v, k if key is None else key)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from nan_keys(v, key)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["classify", "boundary"]), desc=catalog_descriptors(),
+       data=st.data(), levels=level_lists(),
+       samples=st.sampled_from([1, 2, 5, 10, 20, 40, 40, 40, 0, -1]),
+       seed=st.integers(-1, 2 ** 64))
+def test_fuzz_classify_and_boundary(tmp_path, command, desc, data, levels, samples, seed):
+    # in-process runs of drawn options: an exit code and its output, never a traceback
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(desc))
+    grid_spec = data.draw(grid_specs(desc["n"]))
+    args = [command, "--surface", str(surface), "--levels", ",".join(map(repr, levels))]
+    if grid_spec is not None:
+        args += ["--grid", grid_spec]
+    if command == "classify":
+        args += ["--samples", str(samples), "--seed", str(seed)]
+    lattices = []
+    axes = heightfield._lattice_axes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heightfield, "_lattice_axes",
+                   lambda lo, dims, spacing: lattices.append(dims) or axes(lo, dims, spacing))
+        result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, desc, result.exception)
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.stdout + result.stderr
+    # no lattice beyond the drawn 33 nodes per axis, or the default window's 65, is
+    # allocated: a huge count is refused before
+    assert all(max(dims) <= (65 if grid_spec is None else 33) for dims in lattices)
+    if result.exit_code == 0:
+        doc = json.loads(result.stdout)
+        assert set(nan_keys(doc)) <= NAN_FIELDS
+        assert result.stderr == ""
+    elif result.exit_code == 1:
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert list(error) == ["error"] and isinstance(error["error"], str)
+        # the node budget stops exactly the huge counts, never a default window
+        budget = "exceeds the budget" in error["error"]
+        assert budget == (grid_spec is not None and grid_spec.endswith(
+            tuple(":" + nodes for nodes in HUGE_NODES))), error
+    else:
+        assert "Error:" in result.stderr
 
 
 #: each command's options, in the order its --help lists them

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hypcurv import curvature
 from hypcurv.curvature import (MEAN_XCHECK_RTOL, cluster_kappas, commutation_residual,
-                               fd_residuals, mean_curvature, ricci_coordinate,
-                               ricci_from_shape, shape_spectra, shape_spectrum)
+                               fd_residuals, ricci_coordinate, ricci_from_shape,
+                               shape_spectra)
 from hypcurv.errors import NumericError
 from hypcurv.heightfield import Jet2, make_catalog_surface
 
@@ -31,6 +31,19 @@ def principal_frame(f, df, second_form):
     white = f * (np.eye(n) + (1.0 / math.sqrt(1.0 + df @ df) - 1.0) * np.outer(u, u))
     kappas, vecs = np.linalg.eigh(white @ second_form @ white)
     return kappas, white @ vecs
+
+
+def shape_spectrum(jet):
+    """The batched kernel's record at one jet."""
+    return shape_spectra(*jet.stacked()).point(0)
+
+
+def mean_curvature(jet):
+    """Closed-form oracle of the trace of the shape operator,
+    H = (n + f tr D2f - f Df.D2f.Df / q) / sqrt(q), q = 1 + |Df|^2."""
+    f, df, hess = jet.f, jet.grad, jet.hess
+    q = 1.0 + df @ df
+    return float((jet.n + f * np.trace(hess) - f * (df @ hess @ df) / q) / math.sqrt(q))
 
 
 def horosphere(c=1.0, n=3):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypcurv.curvature import mean_curvature, ricci_coordinate, shape_spectrum
+from hypcurv.curvature import ricci_coordinate
 from hypcurv.errors import DegenerateGradientError
 from hypcurv.heightfield import Jet2, make_catalog_surface
 from hypcurv.inequalities import (INEQ_TOL, Regime, convexity_classify,
                                   grad_direction_ricci, n_laplacian_expansion,
                                   point_regime_report, regime_reports,
                                   ricci_gradient_adapted, scan_field)
+
+from test_curvature import mean_curvature, shape_spectrum
 
 SQ2 = math.sqrt(2.0)
 

@@ -14,8 +14,16 @@ from hypcurv import plaplace
 from hypcurv.plaplace import (SolverConfig, _box_preconditioner, _cell_weights,
                               _complete_cells, _energy, _energy_gradient,
                               _free_node_inverse, _node_scale, _pair, _pair_adjoint,
-                              p_dirichlet_energy, solve_p_harmonic, tighten_boundary,
-                              viscosity_probe)
+                              solve_p_harmonic, tighten_boundary, viscosity_probe)
+
+
+def p_dirichlet_energy(u: GridFunction, p: float, epsilon: float) -> float:
+    """Regularized p-Dirichlet energy over the complete cells of u; DataError (via grid
+    validation) if a -inf value sits at an unmasked node."""
+    u.validate()
+    active = u.active_mask()
+    return _energy(np.where(active, u.values, 0.0), u.spacing, p, epsilon,
+                   _cell_weights(active))[0]
 
 
 @dataclass(frozen=True)

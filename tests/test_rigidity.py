@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from hypcurv import rigidity
 from hypcurv.curvature import (cluster_kappas, commutation_residual, ricci_coordinate,
-                               shape_spectra, shape_spectrum)
+                               shape_spectra)
 from hypcurv.errors import HypothesisContradiction
 from hypcurv.gridfn import GridFunction
 from hypcurv.heightfield import SampledGridField, make_catalog_surface
 from hypcurv.rigidity import (ConstancyScan, Verdict, classify_global, constancy_scan,
                               verdict_report)
+
+from test_curvature import shape_spectrum
 
 SQ2 = math.sqrt(2.0)
 
