@@ -7,8 +7,8 @@ provides a p-Dirichlet solver with a viscosity-comparison probe.
 """
 
 from .asymptotics import RecessionReport, recession_report
-from .curvature import (FundamentalForms, ShapeSpectrum, commutation_residual,
-                        fd_residuals, ricci_coordinate, ricci_from_shape)
+from .curvature import (FundamentalForms, ShapeSpectrum, commutation_residual, fd_residuals,
+                        fundamental_forms, ricci_coordinate, ricci_from_shape)
 from .errors import (DataError, DegenerateGradientError, DomainError, HypcurvError,
                      HypothesisContradiction, NumericError, ParameterError)
 from .gridfn import GridFunction, load_grid_function, save_grid_function

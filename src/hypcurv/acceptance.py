@@ -22,7 +22,8 @@ import numpy as np
 
 from . import asymptotics, plaplace, rigidity
 from .curvature import (cluster_kappas, commutation_residual, fd_residuals,
-                        ricci_coordinate, ricci_from_shape, shape_spectra)
+                        fundamental_forms, ricci_coordinate, ricci_from_shape,
+                        shape_spectra)
 from .gridfn import GridFunction
 from .heightfield import Jet2, make_catalog_surface, sample_height_grid
 from .inequalities import grad_direction_ricci, regime_reports
@@ -93,15 +94,15 @@ def criterion_horosphere_identity(seed: int, check) -> str:
             pts = field.sample_points(50, rng)
             f, df, hess = field.jet_array(pts)
             rep = regime_reports(f, df, hess)
-            spec = rep.spectrum
-            check(np.max(np.abs(spec.second_form - spec.forms.metric)) <= tol,
+            spec, forms = rep.spectrum, fundamental_forms(f, df, hess)
+            check(np.max(np.abs(spec.second_form - forms.metric)) <= tol,
                   f"II != g at n={n} c={c}")
             check(np.max(np.abs(spec.kappas - 1.0)) <= tol, f"kappa != 1 at n={n} c={c}")
             check(np.max(np.abs(spec.mean - n)) <= tol, f"H != n at n={n} c={c}")
             for i, x in enumerate(pts):
-                row = spec.point(i)
-                ric = ricci_coordinate(Jet2(x, f[i], df[i], hess[i]), row.forms)
-                ric2 = ricci_from_shape(row)
+                row = forms.point(i)
+                ric = ricci_coordinate(Jet2(x, f[i], df[i], hess[i]), row)
+                ric2 = ricci_from_shape(spec.point(i), row)
                 check(np.max(np.abs(ric)) <= tol, f"Ric != 0 at n={n} c={c}")
                 check(np.max(np.abs(ric2)) <= tol, f"shape-route Ric != 0 at n={n} c={c}")
             check(np.max(np.abs(rep.n_subharmonic_density)) <= tol,
@@ -148,16 +149,16 @@ def criterion_two_route_ricci(seed: int, check) -> str:
     worst_dev, worst_comm = 0.0, 0.0
     for n in (3, 4, 5):
         jets = [random_jet(rng, n) for _ in range(1000)]
-        spectra = shape_spectra(np.array([j.f for j in jets]), np.array([j.grad for j in jets]),
-                                np.array([j.hess for j in jets]))
+        stacked = [np.array(v) for v in zip(*((j.f, j.grad, j.hess) for j in jets))]
+        spectra, all_forms = shape_spectra(*stacked), fundamental_forms(*stacked)
         for i, jet in enumerate(jets):
-            spec = spectra.point(i)
-            r1 = ricci_coordinate(jet, spec.forms)
-            r2 = ricci_from_shape(spec)
+            spec, forms = spectra.point(i), all_forms.point(i)
+            r1 = ricci_coordinate(jet, forms)
+            r2 = ricci_from_shape(spec, forms)
             scale = 1.0 + float(np.max(np.abs(r1)))
             dev = float(np.max(np.abs(r1 - r2))) / scale
-            shape = spec.forms.metric_inv @ spec.second_form
-            comm = commutation_residual(r1, spec.forms.metric, shape)
+            shape = forms.metric_inv @ spec.second_form
+            comm = commutation_residual(r1, forms.metric, shape)
             worst_dev = max(worst_dev, dev)
             worst_comm = max(worst_comm, comm)
     check(worst_dev <= 1e-9, f"two-route deviation {worst_dev:.2e}")

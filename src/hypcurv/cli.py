@@ -16,8 +16,8 @@ import click
 import numpy as np
 
 from . import acceptance, asymptotics, plaplace, rigidity
-from .curvature import fd_residuals
-from .errors import HypcurvError
+from .curvature import fd_residuals, fundamental_forms
+from .errors import HypcurvError, ParameterError
 from .gridfn import save_grid_function
 from .heightfield import (FD_STEP, check_node_budget, field_from_json, field_to_descriptor,
                           sample_height_grid)
@@ -59,15 +59,16 @@ def _window(field, grid_spec):
 
     Without a spec: a cube of side min(hi - lo)/4 centred on the field's domain, with
     the largest odd node count per axis, at most 65, whose lattice holds at most 65^3
-    nodes (65 up to n = 3, 21 at n = 4).  An odd count puts a node on the centre, where
-    a cone's apex sits.
+    nodes (65 up to n = 3, 21 at n = 4, 3 at n = 11, ParameterError from n = 12).  An
+    odd count puts a node on the centre, where a cone's apex sits.
     """
     if grid_spec is None:
         centre = 0.5 * (field.domain.lo + field.domain.hi)
         half = float(np.min(field.domain.hi - field.domain.lo)) / 8
-        nodes = 65
-        while nodes ** field.n > 65 ** 3:
-            nodes -= 2
+        nodes = next((k for k in range(65, 2, -2) if k ** field.n <= 65 ** 3), None)
+        if nodes is None:
+            raise ParameterError(f"the default window cannot hold 3^{field.n} > 65^3 "
+                                 "nodes; give the window with --grid")
         lo, hi = centre - half, centre + half
     else:
         lo, hi, nodes = _parse_grid(grid_spec, field.n)
@@ -195,7 +196,7 @@ def analyze(field, manifest, out, point, step):
     report = {
         "x": x.tolist(),
         "f": jet.f,
-        "g": spec.forms.metric.tolist(),
+        "g": fundamental_forms(*jet.stacked()).metric[0].tolist(),
         "II": spec.second_form.tolist(),
         "kappas": spec.kappas.tolist(),
         "H": spec.mean,

@@ -8,14 +8,15 @@ upward unit normal and second fundamental form are
     nu      = f (1 + |Df|^2)^-1/2 (-Df, 1)
     II_ij   = (delta_ij + f_i f_j + f f_ij) / (f^2 (1 + |Df|^2)^1/2)
 
-Production route: :func:`shape_spectra` is the one batched kernel.  For P stacked
-jets it builds the forms, whitens the pencil (II, g) with the closed-form
-g^{-1/2} = f (I + (1/sqrt(1 + |Df|^2) - 1) u u^T), u = Df/|Df|, solves all P symmetric
-eigenproblems for their eigenvalues with one ``np.linalg.eigvalsh``, cross-checks
-every trace against the closed-form mean curvature, and returns the Ricci eigenvalues
--(n-1) + kappa_i H - kappa_i^2, exact because the Ricci operator is that polynomial
-in the shape operator.  The returned record's ``forms`` field holds the metric data,
-``.point(i)`` reads one point's record, and every caller reads from these spectra.
+Production route: :func:`shape_spectra` is the one batched kernel, a single pass over
+P stacked jets that builds q = 1 + |Df|^2, sqrt(q), u = Df/|Df| with its critical-point
+flag, tr D2f and II once per point, whitens the pencil (II, g) with the closed-form
+g^{-1/2} = f (I + (1/sqrt(q) - 1) u u^T), solves all P symmetric eigenproblems for their
+eigenvalues with one ``np.linalg.eigvalsh``, cross-checks every trace against the
+closed-form mean curvature, and returns the Ricci eigenvalues -(n-1) + kappa_i H -
+kappa_i^2, exact because the Ricci operator is that polynomial in the shape operator.
+``inequalities.regime_reports`` reads q, u and tr D2f of the pass again.  Metric,
+inverse and normal are built only where read, by :func:`fundamental_forms`.
 
 Oracles, independent of the kernel: the expanded coordinate double contraction
 (:func:`ricci_coordinate`) and the shape-operator polynomial lowered with g
@@ -38,8 +39,9 @@ from .errors import NumericError, ParameterError
 from .heightfield import HeightField, Jet2, _row_dot
 
 __all__ = [
-    "FundamentalForms", "ShapeSpectrum", "shape_spectra", "ricci_coordinate",
-    "ricci_from_shape", "fd_residuals", "commutation_residual", "cluster_kappas",
+    "FundamentalForms", "ShapeSpectrum", "fundamental_forms", "shape_spectra",
+    "ricci_coordinate", "ricci_from_shape", "fd_residuals", "commutation_residual",
+    "cluster_kappas",
 ]
 
 #: relative gap below which two principal curvatures belong to one multiplicity cluster
@@ -79,9 +81,8 @@ class FundamentalForms(Stacked):
 
 @dataclass(frozen=True)
 class ShapeSpectrum(Stacked):
-    """Forms, second form, curvatures and Ricci at a point, or stacked."""
+    """Second form, curvatures and Ricci at a point, or stacked."""
 
-    forms: FundamentalForms
     second_form: np.ndarray
     kappas: np.ndarray     # ascending principal curvatures
     mean: float            # trace of the shape operator, sum of kappas
@@ -89,17 +90,24 @@ class ShapeSpectrum(Stacked):
     ricci: np.ndarray      # ascending Ricci eigenvalues
 
 
-def _forms(f, df, hess):
-    """Forms and second form II of stacked jets f (P,), Df (P, n), D2f (P, n, n)."""
-    q = 1.0 + _row_dot(df, df)
+def fundamental_forms(f, df, hess) -> FundamentalForms:
+    """Metric, inverse, |Df|^2 and upward normal of stacked jets f (P,), Df (P, n),
+    D2f (P, n, n); the forms do not read D2f, which is taken so a jet passes whole."""
+    d2 = _row_dot(df, df)
+    q = 1.0 + d2
     eye = np.eye(df.shape[1])
     ddt = df[:, :, None] * df[:, None, :]
     f2 = f[:, None, None] ** 2
-    root_q = np.sqrt(q)
-    normal = np.concatenate([-df, np.ones((len(f), 1))], axis=1) * (f / root_q)[:, None]
-    forms = FundamentalForms((eye + ddt) / f2, f2 * (eye - ddt / q[:, None, None]),
-                             q - 1.0, normal)
-    return forms, (eye + ddt + f[:, None, None] * hess) / (f2 * root_q[:, None, None])
+    normal = np.concatenate([-df, np.ones((len(f), 1))], axis=1) * (f / np.sqrt(q))[:, None]
+    return FundamentalForms((eye + ddt) / f2, f2 * (eye - ddt / q[:, None, None]), d2,
+                            normal)
+
+
+def _second_form(f, df, hess, root_q):
+    """II of stacked jets, given root_q = sqrt(1 + |Df|^2) (P,)."""
+    ddt = df[:, :, None] * df[:, None, :]
+    return (np.eye(df.shape[1]) + ddt + f[:, None, None] * hess) / (
+        f[:, None, None] ** 2 * root_q[:, None, None])
 
 
 def _quadratic(v, M):
@@ -107,50 +115,43 @@ def _quadratic(v, M):
     return _row_dot((v[..., None, :] @ M)[..., 0, :], v)
 
 
-def _mean_closed(f, df, hess):
-    """Closed-form trace of the shape operator, over any leading point axes."""
-    q = 1.0 + _row_dot(df, df)
-    h1 = _quadratic(df, hess)
-    trace = np.trace(hess, axis1=-2, axis2=-1)
-    return (df.shape[-1] + f * trace - f * h1 / q) / np.sqrt(q)
-
-
-def _unit_gradient(df):
-    """u = Df/|Df| over stacked gradients; e_1, flagged, where |Df| <= GRADIENT_EPS."""
-    norm = np.sqrt(_row_dot(df, df))
+def _kernel(f, df, hess):
+    """:func:`shape_spectra`, and the terms of its pass that ``regime_reports`` reads
+    again: q = 1 + |Df|^2, u = Df/|Df| (e_1, flagged, where |Df| <= GRADIENT_EPS) and
+    tr D2f."""
+    n = df.shape[1]
+    d2 = _row_dot(df, df)
+    q = 1.0 + d2
+    root_q = np.sqrt(q)
+    norm = np.sqrt(d2)
     degenerate = norm <= GRADIENT_EPS
     u = df / np.where(degenerate, 1.0, norm)[:, None]
-    u[degenerate] = np.eye(df.shape[1])[0]
-    return u, degenerate
-
-
-def shape_spectra(f, df, hess) -> ShapeSpectrum:
-    """The batched kernel: shape spectra of stacked jets f (P,), Df (P, n), D2f (P, n, n).
-
-    Whitening with g^{-1/2} = f (I + (1/sqrt(q) - 1) u u^T), q = 1 + |Df|^2, makes each
-    pencil (II, g) symmetric; one batched eigenvalue-only solve gives ascending
-    curvatures.  A trace off the closed-form mean curvature signals corrupted inputs
-    (NumericError names the first such point).  The Ricci eigenvalues are the
-    Gauss-equation polynomial -(n-1) + kappa_i H - kappa_i^2, sorted.
-    """
-    forms, II = _forms(f, df, hess)
-    u, _ = _unit_gradient(df)
-    shrink = 1.0 / np.sqrt(1.0 + forms.grad_norm_sq) - 1.0
-    white = f[:, None, None] * (np.eye(df.shape[1])
-                                + shrink[:, None, None] * u[:, :, None] * u[:, None, :])
+    u[degenerate] = np.eye(n)[0]
+    trace = np.trace(hess, axis1=1, axis2=2)
+    II = _second_form(f, df, hess, root_q)
+    white = f[:, None, None] * (np.eye(n) + (1.0 / root_q - 1.0)[:, None, None]
+                                * u[:, :, None] * u[:, None, :])
     try:
         kappas = np.linalg.eigvalsh(white @ II @ white)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"batched eigensolve failed: {exc}") from exc
     mean = kappas.sum(axis=1)
-    mean_cf = _mean_closed(f, df, hess)
+    mean_cf = (n + f * trace - f * _quadratic(df, hess) / q) / root_q
     bad = ~(np.abs(mean - mean_cf) <= MEAN_XCHECK_RTOL * np.maximum(1.0, np.abs(mean_cf)))
     if bad.any():
         i = np.argmax(bad)
         raise NumericError(f"mean curvature cross-check failed at point {i}: "
                            f"trace {mean[i]} vs closed form {mean_cf[i]}")
-    ricci = np.sort(-(df.shape[1] - 1) + kappas * mean[:, None] - kappas ** 2, axis=1)
-    return ShapeSpectrum(forms, II, kappas, mean, mean_cf, ricci)
+    ricci = np.sort(-(n - 1) + kappas * mean[:, None] - kappas ** 2, axis=1)
+    return ShapeSpectrum(II, kappas, mean, mean_cf, ricci), q, u, degenerate, trace
+
+
+def shape_spectra(f, df, hess) -> ShapeSpectrum:
+    """The batched kernel: shape spectra of stacked jets f (P,), Df (P, n), D2f (P, n, n),
+    with ascending curvatures and Ricci eigenvalues (see the module docstring).  A trace
+    off the closed-form mean curvature signals corrupted inputs (NumericError names the
+    first such point)."""
+    return _kernel(f, df, hess)[0]
 
 
 def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:
@@ -171,12 +172,12 @@ def ricci_coordinate(jet: Jet2, forms: FundamentalForms) -> np.ndarray:
     return -(n - 1) * forms.metric + (B * scalar - B @ inner) / (f ** 2 * q)
 
 
-def ricci_from_shape(spec: ShapeSpectrum) -> np.ndarray:
+def ricci_from_shape(spec: ShapeSpectrum, forms: FundamentalForms) -> np.ndarray:
     """Ricci via the Gauss-equation polynomial in S = g^-1 II, lowered with g."""
-    S = spec.forms.metric_inv @ spec.second_form
+    S = forms.metric_inv @ spec.second_form
     n = S.shape[0]
     ric_op = -(n - 1) * np.eye(n) + spec.mean * S - S @ S
-    return spec.forms.metric @ ric_op
+    return forms.metric @ ric_op
 
 
 def commutation_residual(ric: np.ndarray, metric: np.ndarray, shape: np.ndarray,
@@ -245,7 +246,9 @@ def fd_residuals(field: HeightField, X, step: float):
         return np.concatenate([Y, Y + e, Y - e], axis=-2)
 
     stencil = star(star(X))  # (P, centre, 2n+1, n)
-    forms, II = _forms(*field.jet_array(stencil.reshape(-1, n)))
+    f, df, hess = field.jet_array(stencil.reshape(-1, n))
+    forms = fundamental_forms(f, df, hess)
+    II = _second_form(f, df, hess, np.sqrt(1.0 + forms.grad_norm_sq))
     shape = stencil.shape[:3] + (n, n)
     g, II = forms.metric.reshape(shape), II.reshape(shape)
 

@@ -60,7 +60,7 @@ class Jet2:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
         object.__setattr__(self, "hess", np.asarray(self.hess, dtype=float))
-        _check_jets(self.x[None], np.array([self.f], dtype=float), self.hess[None])
+        _check_jets(self.x[None], *self.stacked())
 
     @property
     def n(self) -> int:
@@ -71,15 +71,19 @@ class Jet2:
         return np.array([self.f], dtype=float), self.grad[None], self.hess[None]
 
 
-def _check_jets(X, f, hess):
-    """The invariants of a jet at stacked points X: f > 0 and a symmetric Hessian.
+def _check_jets(X, f, df, hess):
+    """The invariants of a jet at stacked points X: 0 < f < inf, Df, D2f and
+    1 + |Df|^2 finite, and a symmetric Hessian.
 
     Raises ParameterError naming the first point that fails.
     """
-    bad = ~(f > 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 + |Df|^2 is inf or NaN
+        bad = ~((f > 0) & (f < np.inf) & np.isfinite(1.0 + _row_dot(df, df))
+                & np.isfinite(hess).all(axis=(-2, -1)))
     if bad.any():
         i = np.argmax(bad)
-        raise ParameterError(f"graph value must be positive, got f={f[i]} at {X[i]}")
+        raise ParameterError(f"graph value must be positive and f, Df, D2f, 1 + |Df|^2 "
+                             f"finite, got f={f[i]} at {X[i]}")
     asym = np.abs(hess - hess.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     bad = asym > 1e-12 * np.abs(hess).max(axis=(-2, -1), initial=1.0)
     if bad.any():
@@ -170,15 +174,15 @@ class HeightField:
         that fails one.
         """
         X = self._require(X)
-        f, df, hess = self._jet_array(X)
-        _check_jets(X, f, hess)
+        with np.errstate(all="ignore"):  # an overflow fails the checks
+            f, df, hess = self._jet_array(X)
+        _check_jets(X, f, df, hess)
         return f, df, hess
 
     def jet(self, x) -> Jet2:
         """Second-order jet of f at x (exact for catalog kinds): one-point ``jet_array``."""
-        x = np.asarray(x, dtype=float)
-        f, df, hess = self._jet_array(self._require(x[None]))
-        return Jet2(x, float(f[0]), df[0], hess[0])  # Jet2 makes the checks of jet_array
+        f, df, hess = self.jet_array(np.asarray(x, dtype=float)[None])
+        return Jet2(x, float(f[0]), df[0], hess[0])
 
     def sample_points(self, count: int, rng, r_min: float = None, r_max: float = None,
                       margin: float = 0.0) -> np.ndarray:
@@ -567,7 +571,7 @@ def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> Grid
     place by ``transform``; -inf and a boundary flag where f <= 0 or inside a mask ball.
 
     A lattice of more than ``MAX_LATTICE_NODES`` nodes raises ParameterError before any
-    node array is allocated.
+    node array is allocated, and one with an overflowed value after.
 
     The values and the flags are written into the arrays that the grid keeps.
     """
@@ -579,7 +583,11 @@ def _lattice_grid(field: HeightField, lo, hi, spacing: float, transform) -> Grid
         raise ParameterError("analysis window too small for the requested spacing")
     check_node_budget(dims)
     axes = _lattice_axes(lo, dims, spacing)
-    vals = field._lattice_values(axes)
+    with np.errstate(all="ignore"):
+        vals = field._lattice_values(axes)
+    if not np.isfinite(vals).all():
+        node = np.argwhere(~np.isfinite(vals))[0].tolist()
+        raise ParameterError(f"f not finite at lattice node {node} of {dims}")
     bad = vals > 0
     np.logical_not(bad, out=bad)
     bad |= _lattice_masked(field, axes, lo, spacing)

@@ -12,12 +12,12 @@ height log f Euclidean n-subharmonic; the report's ``n_subharmonic_density`` is 
 adapted-frame expression (n-1) (log f)_11 + sum_{i>=2} (log f)_ii, which equals
 |D log f|^{2-n} Delta_n log f.
 
-Production route: :func:`regime_reports` is the batched kernel over stacked jets.  It
-takes one batch of shape spectra and one unit gradient u per point (e_1 where
-|Df| <= GRADIENT_EPS), and from them the regime, the factors
-A = f q^{-3/2} (u^T D^2f u + q/f), q = 1 + |Df|^2, and B = H - A in the same form, and
-the density.  :func:`point_regime_report` is its view at one point and
-:func:`convexity_classify` its regime step.  Oracles, scalar and independent:
+Production route: :func:`regime_reports` is the batched kernel over stacked jets, one
+pass that builds q = 1 + |Df|^2, u = Df/|Df| (e_1, flagged as a critical point, where
+|Df| <= GRADIENT_EPS) and tr D^2f once per point with the shape spectra, and reads
+them again for A = f q^{-3/2} (u^T D^2f u + q/f), B = H - A in the same form, and the
+density; it builds no fundamental form.  :func:`point_regime_report` is its view at
+one point and :func:`convexity_classify` its regime step.  Scalar, independent oracles:
 :func:`grad_direction_ricci` (the H1/H2 contraction) against
 :func:`ricci_gradient_adapted`, and :func:`n_laplacian_expansion` against the density.
 """
@@ -29,10 +29,9 @@ from enum import Enum
 
 import numpy as np
 
-from .curvature import (GRADIENT_EPS, ShapeSpectrum, Stacked, _quadratic, _unit_gradient,
-                        shape_spectra)
+from .curvature import GRADIENT_EPS, ShapeSpectrum, Stacked, _kernel, _quadratic
 from .errors import DegenerateGradientError
-from .heightfield import HeightField, Jet2, _row_dot
+from .heightfield import HeightField, Jet2
 
 __all__ = [
     "Regime", "RegimeReport", "grad_direction_ricci", "ricci_gradient_adapted",
@@ -72,10 +71,10 @@ def ricci_gradient_adapted(jet: Jet2) -> float:
     gradient u to e_1.
     """
     n = jet.n
-    u, degenerate = _unit_gradient(jet.grad[None])
-    if degenerate[0]:
+    norm = np.sqrt(jet.grad @ jet.grad)
+    if norm <= GRADIENT_EPS:
         raise DegenerateGradientError("gradient direction undefined where Df = 0")
-    v = u[0] - np.eye(n)[0]
+    v = jet.grad / norm - np.eye(n)[0]
     vv = float(v @ v)
     rot = np.eye(n) if vv < 1e-30 else np.eye(n) - 2.0 * np.outer(v, v) / vv
     grad, hess = rot @ jet.grad, rot @ jet.hess @ rot.T
@@ -86,26 +85,6 @@ def ricci_gradient_adapted(jet: Jet2) -> float:
     b_raw = float(np.sum(np.diag(hess)[1:])) + (n - 1) / f
     cross = float(np.sum(hess[0, 1:] ** 2))
     return (f ** 2 / q ** 2) * a_raw * b_raw - (n - 1) - (f ** 2 / q ** 2) * cross
-
-
-def _factors(f, df, hess, u):
-    """The factors (A, B) of stacked jets, split along their unit gradients u (P, n)."""
-    n = df.shape[1]
-    q = 1.0 + _row_dot(df, df)
-    huu = _quadratic(u, hess)
-    A = f * q ** -1.5 * (huu + q / f)
-    B = f * q ** -0.5 * (np.trace(hess, axis1=1, axis2=2) - huu + (n - 1) / f)
-    return A, B
-
-
-def _density(f, df, hess, u, degenerate):
-    """Adapted-frame density (n-1)(log f)_11 + sum_{i>=2} (log f)_ii of stacked jets
-    along their unit gradients u (P, n); Delta log f where the gradient is degenerate."""
-    n = df.shape[1]
-    f3 = f[:, None, None]
-    log_hess = (hess - df[:, :, None] * df[:, None, :] / f3) / f3
-    lap = np.trace(log_hess, axis1=1, axis2=2)
-    return np.where(degenerate, lap, (n - 2) * _quadratic(u, log_hess) + lap)
 
 
 def n_laplacian_expansion(jet: Jet2) -> float:
@@ -167,11 +146,17 @@ def convexity_classify(kappas, ric_eigs, n: int, tol: float = INEQ_TOL) -> Regim
 
 def regime_reports(f, df, hess, tol: float = INEQ_TOL) -> RegimeReport:
     """The batched kernel: reports of stacked jets, each field over a leading point axis."""
-    spec = shape_spectra(f, df, hess)
-    u, degenerate = _unit_gradient(df)
-    base = convexity_classify(spec.kappas, spec.ricci, df.shape[1], tol)
-    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean,
-                        _factors(f, df, hess, u), _density(f, df, hess, u, degenerate),
+    n = df.shape[1]
+    spec, q, u, degenerate, trace = _kernel(f, df, hess)
+    base = convexity_classify(spec.kappas, spec.ricci, n, tol)
+    huu = _quadratic(u, hess)
+    factors = (f * q ** -1.5 * (huu + q / f), f * q ** -0.5 * (trace - huu + (n - 1) / f))
+    # the density along u, Delta log f where the gradient is degenerate
+    f3 = f[:, None, None]
+    log_hess = (hess - df[:, :, None] * df[:, None, :] / f3) / f3
+    lap = np.trace(log_hess, axis1=1, axis2=2)
+    density = np.where(degenerate, lap, (n - 2) * _quadratic(u, log_hess) + lap)
+    return RegimeReport(base.regime, base.min_ricci_eig, spec.mean, factors, density,
                         degenerate, spec)
 
 

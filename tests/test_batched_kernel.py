@@ -16,15 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypcurv import curvature
-from hypcurv.curvature import ricci_coordinate, shape_spectra
+from hypcurv.curvature import (GRADIENT_EPS, MEAN_XCHECK_RTOL, _quadratic, ricci_coordinate,
+                               shape_spectra)
 from hypcurv.errors import DomainError, NumericError, ParameterError
 from hypcurv.gridfn import GridFunction
-from hypcurv.heightfield import (Horosphere, Jet2, SampledGridField,
+from hypcurv.heightfield import (Horosphere, Jet2, SampledGridField, _row_dot,
                                  make_catalog_surface)
-from hypcurv.inequalities import (grad_direction_ricci, n_laplacian_expansion,
-                                  regime_reports)
+from hypcurv.inequalities import (convexity_classify, grad_direction_ricci,
+                                  n_laplacian_expansion, regime_reports)
 
-from test_curvature import mean_curvature, principal_frame, shape_spectrum
+from test_curvature import forms_of, mean_curvature, principal_frame, shape_spectrum
 
 
 def ricci_eigenvalues(ric, metric):
@@ -47,7 +48,7 @@ def assert_rows_match_oracles(X, f, df, hess):
     n = df.shape[1]
     for i in range(len(f)):
         jet = Jet2(X[i], f[i], df[i], hess[i])
-        forms = shape_spectrum(jet).forms
+        forms = forms_of(jet)
         ricci = ricci_eigenvalues(ricci_coordinate(jet, forms), forms.metric)
         assert close(spec.ricci[i], ricci), i
         assert close(rep.min_ricci_eig[i], ricci[0]), i
@@ -138,14 +139,126 @@ def test_batched_rows_match_oracles_on_sampled_grid(n):
     assert_rows_match_oracles(X, f, df, hess)
 
 
+# -- the one-pass kernel against the chain of steps it replaced, bit for bit -----------
+# Each step of the chain builds q = 1 + |Df|^2 (or |Df|) again, and the whitening reads
+# 1 + (q - 1), which is q for 1 <= q < 2^53.
+
+def chain_second_form(f, df, hess):
+    """|Df|^2 as q - 1, and II, from one q."""
+    q = 1.0 + _row_dot(df, df)
+    ddt = df[:, :, None] * df[:, None, :]
+    f2 = f[:, None, None] ** 2
+    II = (np.eye(df.shape[1]) + ddt + f[:, None, None] * hess) / (f2 * np.sqrt(q)[:, None, None])
+    return q - 1.0, II
+
+
+def chain_unit_gradient(df):
+    norm = np.sqrt(_row_dot(df, df))
+    degenerate = norm <= GRADIENT_EPS
+    u = df / np.where(degenerate, 1.0, norm)[:, None]
+    u[degenerate] = np.eye(df.shape[1])[0]
+    return u, degenerate
+
+
+def chain_mean_closed(f, df, hess):
+    q = 1.0 + _row_dot(df, df)
+    trace = np.trace(hess, axis1=-2, axis2=-1)
+    return (df.shape[-1] + f * trace - f * _quadratic(df, hess) / q) / np.sqrt(q)
+
+
+def chain_factors(f, df, hess, u):
+    n = df.shape[1]
+    q = 1.0 + _row_dot(df, df)
+    huu = _quadratic(u, hess)
+    return (f * q ** -1.5 * (huu + q / f),
+            f * q ** -0.5 * (np.trace(hess, axis1=1, axis2=2) - huu + (n - 1) / f))
+
+
+def chain_density(f, df, hess, u, degenerate):
+    n = df.shape[1]
+    f3 = f[:, None, None]
+    log_hess = (hess - df[:, :, None] * df[:, None, :] / f3) / f3
+    lap = np.trace(log_hess, axis1=1, axis2=2)
+    return np.where(degenerate, lap, (n - 2) * _quadratic(u, log_hess) + lap)
+
+
+def chain_regime_reports(f, df, hess):
+    """The fields of ``regime_reports`` by name, through the chain of steps."""
+    n = df.shape[1]
+    grad_norm_sq, II = chain_second_form(f, df, hess)
+    u, _ = chain_unit_gradient(df)
+    shrink = 1.0 / np.sqrt(1.0 + grad_norm_sq) - 1.0
+    white = f[:, None, None] * (np.eye(n) + shrink[:, None, None] * u[:, :, None] * u[:, None, :])
+    try:
+        kappas = np.linalg.eigvalsh(white @ II @ white)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"batched eigensolve failed: {exc}") from exc
+    mean = kappas.sum(axis=1)
+    mean_cf = chain_mean_closed(f, df, hess)
+    bad = ~(np.abs(mean - mean_cf) <= MEAN_XCHECK_RTOL * np.maximum(1.0, np.abs(mean_cf)))
+    if bad.any():
+        i = np.argmax(bad)
+        raise NumericError(f"mean curvature cross-check failed at point {i}: "
+                           f"trace {mean[i]} vs closed form {mean_cf[i]}")
+    ricci = np.sort(-(n - 1) + kappas * mean[:, None] - kappas ** 2, axis=1)
+    u, degenerate = chain_unit_gradient(df)
+    base = convexity_classify(kappas, ricci, n)
+    A, B = chain_factors(f, df, hess, u)
+    return {"regime": base.regime, "min_ricci_eig": base.min_ricci_eig, "mean": mean,
+            "A": A, "B": B, "density": chain_density(f, df, hess, u, degenerate),
+            "at_critical_point": degenerate, "second_form": II, "kappas": kappas,
+            "mean_closed": mean_cf, "ricci": ricci}
+
+
+def kernel_fields(f, df, hess):
+    rep = regime_reports(f, df, hess)
+    spec = rep.spectrum
+    return {"regime": rep.regime, "min_ricci_eig": rep.min_ricci_eig, "mean": rep.mean,
+            "A": rep.factors[0], "B": rep.factors[1], "density": rep.n_subharmonic_density,
+            "at_critical_point": rep.at_critical_point, "second_form": spec.second_form,
+            "kappas": spec.kappas, "mean_closed": spec.mean_closed, "ricci": spec.ricci}
+
+
+def outcome(fields, f, df, hess):
+    """The fields, each as its dtype and bytes, or the NumericError message."""
+    try:
+        got = fields(f, df, hess)
+    except NumericError as exc:
+        return str(exc)
+    return {k: (v.dtype, v.tolist() if v.dtype == object else v.tobytes())
+            for k, v in got.items()}
+
+
+#: |Df| of a drawn row: exactly 0, at the critical-point threshold, or 1e-3 .. 1e7
+GRADIENT_SIZES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -52, 2.0]).map(lambda k: k * GRADIENT_EPS),
+    st.floats(-3.0, 7.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.lists(GRADIENT_SIZES, min_size=1, max_size=6))
+def test_kernel_is_bitwise_the_chain_it_replaced(n, seed, sizes):
+    rng = np.random.default_rng(seed)
+    count = len(sizes)
+    f = rng.uniform(0.2, 3.0, count)
+    direction = rng.normal(size=(count, n))
+    df = direction / np.linalg.norm(direction, axis=1)[:, None] * np.array(sizes)[:, None]
+    h = rng.normal(size=(count, n, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (count, 1, 1))
+    hess = h + h.swapaxes(1, 2)
+    assert outcome(kernel_fields, f, df, hess) == outcome(chain_regime_reports, f, df, hess)
+
+
 def test_scalar_views_are_rows_of_the_batch():
     field = make_catalog_surface("equidistant_cone", {"slope": 0.7}, 3)
     X = field.sample_points(5, np.random.default_rng(3), r_min=0.5, r_max=1.5)
     spec = shape_spectra(*field.jet_array(X))
+    forms = curvature.fundamental_forms(*field.jet_array(X))
     for i, x in enumerate(X):
         one = shape_spectrum(field.jet(x))
         assert np.array_equal(one.kappas, spec.kappas[i])
-        assert np.array_equal(one.forms.metric, spec.forms.metric[i])
+        assert np.array_equal(forms_of(field.jet(x)).metric, forms.metric[i])
         assert one.mean == spec.mean[i]
 
 
@@ -190,13 +303,13 @@ def test_corrupted_second_form_trips_mean_cross_check(monkeypatch):
     field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
     X = field.sample_points(4, np.random.default_rng(5), r_min=0.5, r_max=1.5)
     f, df, hess = field.jet_array(X)
-    build = curvature._forms
+    build = curvature._second_form
 
-    def corrupted(f_, df_, hess_):
-        forms, II = build(f_, df_, hess_)
-        return forms, II + 1e-3 * (f_ == f[2])[:, None, None] * np.eye(3)
+    def corrupted(f_, df_, hess_, root_q):
+        II = build(f_, df_, hess_, root_q)
+        return II + 1e-3 * (f_ == f[2])[:, None, None] * np.eye(3)
 
-    monkeypatch.setattr(curvature, "_forms", corrupted)
+    monkeypatch.setattr(curvature, "_second_form", corrupted)
     shape_spectra(np.delete(f, 2), np.delete(df, 2, 0), np.delete(hess, 2, 0))
     with pytest.raises(NumericError, match="at point 2"):
         shape_spectra(f, df, hess)
@@ -210,8 +323,8 @@ def ref_stencil_forms(field, x, step):
     """Metric g and II at x and their central differences over {x, x +/- step e_i}."""
     n = field.n
     e = np.eye(n) * step
-    forms, II = curvature._forms(*field.jet_array(np.concatenate([x[None], x + e, x - e])))
-    g = forms.metric
+    jets = field.jet_array(np.concatenate([x[None], x + e, x - e]))
+    g, II = curvature.fundamental_forms(*jets).metric, shape_spectra(*jets).second_form
     return (g[0], (g[1:n + 1] - g[n + 1:]) / (2 * step),
             II[0], (II[1:n + 1] - II[n + 1:]) / (2 * step))
 

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -289,6 +290,49 @@ def test_default_window_within_node_budget_at_n4(runner, tmp_path, command):
     assert command == "boundary" or doc["verdict"] == "EquidistantTube"
 
 
+def invoke_without_warnings(runner, args):
+    """The in-process run of ``args``, failing on any warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+@pytest.mark.parametrize("command", ["boundary", "classify"])
+def test_default_window_refused_from_n12(runner, tmp_path, command):
+    # 3^12 > 65^3: not even 3 nodes per axis fit the default window's node count
+    path = tmp_path / "horosphere12.json"
+    path.write_text(json.dumps({"kind": "horosphere", "n": 12, "c": 1.0}))
+    result = invoke_without_warnings(runner, [command, "--surface", str(path)])
+    assert_exit_contract(result, command, huge_nodes=False)
+    error = json.loads(result.stderr)["error"]
+    assert result.exit_code == 1 and "cannot hold" in error and "--grid" in error
+
+
+#: a slope-1e308 cone: 1 + |Df|^2 overflows at every point and f beyond |x| = 1.8
+HUGE_CONE = {"kind": "equidistant_cone", "n": 3, "slope": 1e308}
+
+
+@pytest.mark.parametrize("args,domain,match", [
+    (["analyze", "--point", "0.7,0.2,-0.3"], None, "1 + |Df|^2 finite, got"),
+    (["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.5,0.5:3"], None, "1 + |Df|^2 finite, got"),
+    (["classify"], None, "1 + |Df|^2 finite, got"),
+    (["classify"], 8.0, "f not finite at lattice node"),
+    (["boundary"], 8.0, "f not finite at lattice node"),
+], ids=["analyze", "scan", "classify", "classify-lattice", "boundary-lattice"])
+def test_overflowing_surface_exits_1_with_one_error(runner, tmp_path, args, domain, match):
+    # on the domain [-8, 8]^3 the default window reaches |x| = 2 sqrt(3), where f is inf
+    desc = dict(HUGE_CONE)
+    if domain is not None:
+        desc["domain"] = {"lo": [-domain] * 3, "hi": [domain] * 3}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(desc))
+    result = invoke_without_warnings(runner, [args[0], "--surface", str(path), *args[1:]])
+    assert_exit_contract(result, args, huge_nodes=False)
+    assert result.exit_code == 1 and match in json.loads(result.stderr)["error"]
+
+
 @pytest.mark.parametrize("command", ["classify", "boundary"])
 @pytest.mark.parametrize("levels", ["2,1", "1,1", "a,b", "1,nan", "1,inf"])
 def test_bad_levels_usage_error(runner, surfaces, command, levels):
@@ -376,9 +420,9 @@ def catalog_descriptors(draw):
 
 
 @st.composite
-def grid_specs(draw, n):
+def grid_specs(draw, n, most=33):
     """None (the default window) or a 'lo:hi:nodes' spec: a cube, or a box with one
-    other extent, at most 33 nodes per axis, or a spec with a non-finite bound, a
+    other extent, at most ``most`` nodes per axis, or a spec with a non-finite bound, a
     wrong dimension, or a NaN, infinite, huge, zero or negative node count."""
     if draw(st.integers(0, 3)) == 0:
         return None
@@ -391,7 +435,7 @@ def grid_specs(draw, n):
         lo[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf]))
     elif flaw == "dimension":
         lo, hi = lo[1:], hi[1:]
-    nodes = draw(st.one_of(st.integers(-1, 33).map(str),
+    nodes = draw(st.one_of(st.integers(-1, most).map(str),
                            st.sampled_from(["nan", "inf", "0"] + HUGE_NODES)))
     return f"{','.join(map(repr, lo))}:{','.join(map(repr, hi))}:{nodes}"
 
@@ -423,6 +467,30 @@ def nan_keys(doc, key=None):
             yield from nan_keys(v, key)
 
 
+def assert_exit_contract(result, args, huge_nodes):
+    """An in-process run's exit code and its output, never a traceback: 0 with nothing
+    on stderr, 1 with one error document on stderr and nothing on stdout, 2 with a
+    usage error; the node budget stops exactly the runs given ``huge_nodes``."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.exception)
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.stdout + result.stderr
+    if result.exit_code == 0:
+        assert result.stderr == ""
+    elif result.exit_code == 1:
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert list(error) == ["error"] and isinstance(error["error"], str)
+        assert ("exceeds the budget" in error["error"]) == huge_nodes, error
+    else:
+        assert "Error:" in result.stderr
+
+
+def has_huge_nodes(grid_spec):
+    return grid_spec is not None and grid_spec.endswith(
+        tuple(":" + nodes for nodes in HUGE_NODES))
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["classify", "boundary"]), desc=catalog_descriptors(),
@@ -445,27 +513,86 @@ def test_fuzz_classify_and_boundary(tmp_path, command, desc, data, levels, sampl
         mp.setattr(heightfield, "_lattice_axes",
                    lambda lo, dims, spacing: lattices.append(dims) or axes(lo, dims, spacing))
         result = CliRunner().invoke(main, args)
-    assert result.exception is None or isinstance(result.exception, SystemExit), (
-        args, desc, result.exception)
-    assert result.exit_code in (0, 1, 2)
-    assert "Traceback" not in result.stdout + result.stderr
+    # the node budget stops exactly the huge counts, never a default window
+    assert_exit_contract(result, (args, desc), has_huge_nodes(grid_spec))
     # no lattice beyond the drawn 33 nodes per axis, or the default window's 65, is
     # allocated: a huge count is refused before
     assert all(max(dims) <= (65 if grid_spec is None else 33) for dims in lattices)
     if result.exit_code == 0:
         doc = json.loads(result.stdout)
         assert set(nan_keys(doc)) <= NAN_FIELDS
-        assert result.stderr == ""
-    elif result.exit_code == 1:
-        assert result.stdout == ""
-        error = json.loads(result.stderr)
-        assert list(error) == ["error"] and isinstance(error["error"], str)
-        # the node budget stops exactly the huge counts, never a default window
-        budget = "exceeds the budget" in error["error"]
-        assert budget == (grid_spec is not None and grid_spec.endswith(
-            tuple(":" + nodes for nodes in HUGE_NODES))), error
+
+
+#: --step values: degenerate (0, NaN), negative, or tiny, down to the least subnormal
+FUZZ_STEPS = ["0", "-0.0", "nan", "-1e-4", "-0.3", "1e-9", "1e-300", "5e-324"]
+
+
+@st.composite
+def analyze_points(draw, desc):
+    """A point for the surface ``desc`` (its cap's domain may be widened to the chart's
+    box): inside its domain box, outside it, near the cone apex (inside the mask ball,
+    on it, or just outside) or at the cap's chart edge, on either side."""
+    n = desc["n"]
+    where = draw(st.sampled_from(["inside", "outside", "apex", "edge"]))
+    radius = desc.get("euclidean_radius", 1.0)
+    if where == "edge" and desc["kind"] == "geodesic_sphere_cap" and isinstance(
+            radius, float) and math.isfinite(radius) and radius > 0:
+        desc["domain"] = {"lo": [-radius] * n, "hi": [radius] * n}
+    try:
+        domain = heightfield.field_from_descriptor(dict(desc)).domain
+        lo, hi = domain.lo, domain.hi
+    except (hypcurv.HypcurvError, KeyError, TypeError, ValueError):
+        lo, hi = np.full(n, -1.0), np.full(n, 1.0)
+    unit = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if where == "inside":
+        x = lo + unit * (hi - lo)
+    elif where == "outside":
+        x = lo + unit * (hi - lo)
+        x[draw(st.integers(0, n - 1))] = hi[0] + draw(st.floats(1e-9, 2.0)) * (hi[0] - lo[0])
     else:
-        assert "Error:" in result.stderr
+        direction = unit - 0.5
+        norm = np.linalg.norm(direction)
+        direction = direction / norm if norm > 0 else np.eye(n)[0]
+        if where == "apex":
+            scale = desc.get("mask_radius", 1e-3)
+            factors = [0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5, 3.0]
+        else:
+            scale = radius
+            factors = [1.0 - 1e-12, 1.0 - 1e-6, 1.0 - 1e-3, 1.0, 1.0 + 1e-6]
+        if not (isinstance(scale, float) and math.isfinite(scale)):
+            scale = 1.0
+        x = direction * scale * draw(st.sampled_from(factors))
+    return x
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["scan", "analyze"]), desc=catalog_descriptors(),
+       data=st.data())
+def test_fuzz_scan_and_analyze(tmp_path, command, desc, data):
+    # the kernel commands on drawn surfaces, points, steps and grids of at most 9
+    # nodes per axis: an exit code and its output, never a traceback or a warning
+    args = [command]
+    grid_spec = None
+    if command == "scan":
+        grid_spec = data.draw(grid_specs(desc["n"], most=9).filter(bool))
+        args += ["--grid", grid_spec]
+    else:
+        x = data.draw(analyze_points(desc))
+        args += ["--point", ",".join(map(repr, x.tolist()))]
+        step = data.draw(st.sampled_from([None] * 8 + FUZZ_STEPS))
+        if step is not None:
+            args += ["--step", step]
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(desc))
+    args[1:1] = ["--surface", str(surface)]
+    result = CliRunner().invoke(main, args)
+    assert_exit_contract(result, (args, desc), has_huge_nodes(grid_spec))
+    if result.exit_code == 0 and command == "analyze":
+        assert set(nan_keys(json.loads(result.stdout))) == set()
+    elif result.exit_code == 0:
+        n = desc["n"]
+        assert result.stdout.startswith(",".join(f"x{i + 1}" for i in range(n)) + ",f,H,")
 
 
 #: each command's options, in the order its --help lists them

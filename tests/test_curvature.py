@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hypcurv import curvature
 from hypcurv.curvature import (MEAN_XCHECK_RTOL, cluster_kappas, commutation_residual,
-                               fd_residuals, ricci_coordinate, ricci_from_shape,
-                               shape_spectra)
+                               fd_residuals, fundamental_forms, ricci_coordinate,
+                               ricci_from_shape, shape_spectra)
 from hypcurv.errors import NumericError
 from hypcurv.heightfield import Jet2, make_catalog_surface
 
@@ -36,6 +36,11 @@ def principal_frame(f, df, second_form):
 def shape_spectrum(jet):
     """The batched kernel's record at one jet."""
     return shape_spectra(*jet.stacked()).point(0)
+
+
+def forms_of(jet):
+    """The fundamental forms at one jet."""
+    return fundamental_forms(*jet.stacked()).point(0)
 
 
 def mean_curvature(jet):
@@ -65,8 +70,7 @@ def plane(s=1.0, n=3):
 
 def spectrum_at(field, x):
     jet = field.jet(x)
-    spec = shape_spectrum(jet)
-    return jet, spec.forms, spec
+    return jet, forms_of(jet), shape_spectrum(jet)
 
 
 def random_jet(rng, n):
@@ -78,20 +82,20 @@ def random_jet(rng, n):
 class TestFundamentalForms:
     def test_horosphere(self):
         jet = horosphere().jet([0.4, -0.2, 0.9])
-        forms = shape_spectrum(jet).forms
+        forms = forms_of(jet)
         assert np.allclose(forms.metric, np.eye(3), atol=1e-15)
         assert np.allclose(forms.metric_inv, np.eye(3), atol=1e-15)
         assert np.allclose(forms.normal, [0, 0, 0, 1], atol=1e-15)
 
     def test_cone_adapted_point(self):
         jet = cone().jet([1.0, 0.0, 0.0])
-        forms = shape_spectrum(jet).forms
+        forms = forms_of(jet)
         assert np.allclose(forms.metric, np.diag([2.0, 1.0, 1.0]), atol=1e-15)
         assert np.allclose(forms.metric_inv, np.diag([0.5, 1.0, 1.0]), atol=1e-15)
         assert np.allclose(forms.normal, np.array([-1, 0, 0, 1]) / SQ2, atol=1e-15)
 
     def test_cap_center(self):
-        forms = shape_spectrum(cap().jet([0.0, 0.0, 0.0])).forms
+        forms = forms_of(cap().jet([0.0, 0.0, 0.0]))
         assert np.allclose(forms.metric, np.eye(3), atol=1e-15)
         assert np.allclose(forms.normal, [0, 0, 0, 1], atol=1e-15)
 
@@ -100,7 +104,7 @@ class TestFundamentalForms:
         for field in (cone(0.7), cap(), plane(2.0), horosphere(1.7, 4)):
             for x in field.sample_points(25, rng, r_min=0.0, r_max=np.inf, margin=0.01):
                 jet = field.jet(x)
-                forms = shape_spectrum(jet).forms
+                forms = forms_of(jet)
                 assert np.max(np.abs(forms.metric @ forms.metric_inv - np.eye(field.n))) <= 1e-12
                 # Euclidean norm of the hyperbolic unit normal equals f
                 assert np.linalg.norm(forms.normal) == pytest.approx(jet.f, rel=1e-13)
@@ -163,8 +167,9 @@ class TestShapeSpectrum:
     def test_mean_cross_check_catches_corruption(self, monkeypatch):
         jet1 = cone().jet([1.0, 0.0, 0.0])
         jet2 = cap().jet([0.2, 0.0, 0.0])
-        forms_wrong = curvature._forms(*jet2.stacked())
-        monkeypatch.setattr(curvature, "_forms", lambda f, df, hess: forms_wrong)
+        second_form_wrong = shape_spectrum(jet2).second_form[None]
+        monkeypatch.setattr(curvature, "_second_form",
+                            lambda f, df, hess, root_q: second_form_wrong)
         with pytest.raises(NumericError):
             shape_spectrum(jet1)
 
@@ -179,7 +184,7 @@ class TestRicci:
     def test_horosphere_flat(self):
         jet, forms, spec = spectrum_at(horosphere(), [0.2, 0.2, 0.2])
         assert np.max(np.abs(ricci_coordinate(jet, forms))) <= 1e-14
-        assert np.max(np.abs(ricci_from_shape(spec))) <= 1e-14
+        assert np.max(np.abs(ricci_from_shape(spec, forms))) <= 1e-14
 
     def test_plane_umbilic_ricci(self):
         # umbilic identity: Ric = (n-1)(kappa^2 - 1) g
@@ -207,7 +212,7 @@ class TestRicci:
             for x in field.sample_points(200, rng, margin=0.01, **kwargs):
                 jet, forms, spec = spectrum_at(field, x)
                 r1 = ricci_coordinate(jet, forms)
-                r2 = ricci_from_shape(spec)
+                r2 = ricci_from_shape(spec, forms)
                 assert np.max(np.abs(r1 - r2)) <= 1e-9 * (1.0 + np.max(np.abs(r1)))
 
     def test_commutation_on_catalog(self):
@@ -225,10 +230,9 @@ class TestRicci:
 def test_two_route_ricci_random_jets(n, seed):
     rng = np.random.default_rng(seed)
     jet = random_jet(rng, n)
-    spec = shape_spectrum(jet)
-    forms = spec.forms
+    spec, forms = shape_spectrum(jet), forms_of(jet)
     r1 = ricci_coordinate(jet, forms)
-    r2 = ricci_from_shape(spec)
+    r2 = ricci_from_shape(spec, forms)
     assert np.max(np.abs(r1 - r2)) <= 1e-9 * (1.0 + np.max(np.abs(r1)))
     shape = forms.metric_inv @ spec.second_form
     assert commutation_residual(r1, forms.metric, shape) <= 1e-9
@@ -267,8 +271,7 @@ def test_spectrum_ricci_matches_coordinate_oracle(n, seed, critical):
     jet = random_jet(rng, n)
     if critical:
         jet = Jet2(jet.x, jet.f, np.zeros(n), jet.hess)
-    spec = shape_spectrum(jet)
-    forms = spec.forms
+    spec, forms = shape_spectrum(jet), forms_of(jet)
     ric = ricci_coordinate(jet, forms)
     oracle = ricci_eigenvalues(ric, forms.metric)
     assert np.all(np.diff(spec.ricci) >= 0.0)

@@ -13,7 +13,7 @@ from hypcurv.inequalities import (INEQ_TOL, Regime, convexity_classify,
                                   point_regime_report, regime_reports,
                                   ricci_gradient_adapted, scan_field)
 
-from test_curvature import mean_curvature, shape_spectrum
+from test_curvature import forms_of, mean_curvature, shape_spectrum
 
 SQ2 = math.sqrt(2.0)
 
@@ -105,7 +105,7 @@ class TestGradDirectionRicci:
                 if grad_sq < 1e-20:
                     continue
                 val = grad_direction_ricci(jet)
-                forms = shape_spectrum(jet).forms
+                forms = forms_of(jet)
                 ric = ricci_coordinate(jet, forms)
                 q = 1.0 + grad_sq
                 fbar = jet.f / (math.sqrt(grad_sq) * math.sqrt(q)) * jet.grad

@@ -16,7 +16,7 @@ from hypcurv.heightfield import SampledGridField, make_catalog_surface
 from hypcurv.rigidity import (ConstancyScan, Verdict, classify_global, constancy_scan,
                               verdict_report)
 
-from test_curvature import shape_spectrum
+from test_curvature import forms_of, shape_spectrum
 
 SQ2 = math.sqrt(2.0)
 
@@ -52,14 +52,14 @@ def smaller_root(H, n):
 def commutation_at(jet):
     """Commutator of the coordinate-route Ricci operator with the shape operator: zero
     when the Ricci eigendirections, the null one among them, are principal."""
-    spec = shape_spectrum(jet)
-    return commutation_residual(ricci_coordinate(jet, spec.forms), spec.forms.metric,
-                                shape_operator(spec))
+    spec, forms = shape_spectrum(jet), forms_of(jet)
+    return commutation_residual(ricci_coordinate(jet, forms), forms.metric,
+                                shape_operator(spec, forms))
 
 
-def shape_operator(spec):
-    """The shape operator g^-1 II of one spectrum."""
-    return spec.forms.metric_inv @ spec.second_form
+def shape_operator(spec, forms):
+    """The shape operator g^-1 II of one spectrum and its forms."""
+    return forms.metric_inv @ spec.second_form
 
 
 class TestFlatDirection:
@@ -107,17 +107,17 @@ class TestCommutation:
     def test_horosphere_zero(self):
         jet = horosphere().jet([0.1, 0.2, 0.3])
         spec = shape_spectrum(jet)
-        forms = spec.forms
+        forms = forms_of(jet)
         ric = ricci_coordinate(jet, forms)
-        assert commutation_residual(ric, forms.metric, shape_operator(spec)) == 0.0
+        assert commutation_residual(ric, forms.metric, shape_operator(spec, forms)) == 0.0
 
     def test_plane_umbilic(self):
         plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, 3)
         jet = plane.jet([1.0, 0.3, -0.2])
         spec = shape_spectrum(jet)
-        forms = spec.forms
+        forms = forms_of(jet)
         ric = ricci_coordinate(jet, forms)
-        assert commutation_residual(ric, forms.metric, shape_operator(spec)) <= 1e-12
+        assert commutation_residual(ric, forms.metric, shape_operator(spec, forms)) <= 1e-12
 
     def test_perturbed_cap_sampled_grid(self):
         # 200 interpolated jets from a perturbed cap: the commutator stays at noise
@@ -136,9 +136,10 @@ class TestCommutation:
         for x in pts:
             jet = sampled.jet(x)
             spec = shape_spectrum(jet)
-            forms = spec.forms
+            forms = forms_of(jet)
             ric = ricci_coordinate(jet, forms)
-            worst = max(worst, commutation_residual(ric, forms.metric, shape_operator(spec)))
+            worst = max(worst, commutation_residual(ric, forms.metric,
+                                                    shape_operator(spec, forms)))
         assert worst <= 1e-9
 
 
