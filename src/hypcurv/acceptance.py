@@ -4,11 +4,6 @@ Each criterion checks exact identities on the closed-form catalog or solver outp
 against an independent oracle, at fixed tolerances, and returns a record with a
 one-line summary.  ``run_suite`` executes any subset and reports pass/fail lines;
 the CLI's ``verify`` command and the acceptance tests both drive it.
-
-The p = 2 oracle of the solver, :func:`solve_laplace_linear`, assembles the cell
-gradient as a sparse matrix and solves the normal equations directly.  It is the only
-scipy user in the package, and it imports scipy when called: the CLI imports this
-module at load, and only ``verify`` needs the oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +20,9 @@ from .curvature import (cluster_kappas, commutation_residual, fd_residuals,
                         fundamental_forms, ricci_coordinate, ricci_from_shape,
                         shape_spectra)
 from .gridfn import GridFunction
-from .heightfield import Jet2, make_catalog_surface, sample_height_grid
-from .inequalities import grad_direction_ricci, regime_reports
+from .heightfield import Jet2, fd_validate_jet, make_catalog_surface, sample_height_grid
+from .inequalities import (grad_direction_ricci, n_laplacian_expansion,
+                           regime_reports, ricci_gradient_adapted)
 
 __all__ = ["CriterionResult", "run_suite", "CRITERIA", "random_jet", "solve_laplace_linear"]
 
@@ -166,9 +162,22 @@ def criterion_two_route_ricci(seed: int, check) -> str:
     return f"3000 jets: route deviation {worst_dev:.1e}, commutation {worst_comm:.1e}"
 
 
+def _check_scalar_oracles(check, field, pts, rep):
+    """Off critical points, the density and the H1/H2 gradient-direction Ricci match
+    their scalar oracles at 1e-9 (1 + |oracle|)."""
+    for i in np.flatnonzero(~rep.at_critical_point):
+        jet = field.jet(pts[i])
+        for got, oracle in ((rep.n_subharmonic_density[i], n_laplacian_expansion),
+                            (grad_direction_ricci(jet), ricci_gradient_adapted)):
+            want = oracle(jet)
+            check(abs(got - want) <= 1e-9 * (1.0 + abs(want)),
+                  f"{oracle.__name__} mismatch on {field.kind} at {pts[i]}")
+
+
 @_criterion("inequality-chain", 5.0)
 def criterion_inequality_chain(seed: int, check) -> str:
-    """A+B=H, AB >= n-1, H >= n, density >= 0 on nonneg-Ricci fields; plane discriminates."""
+    """A+B=H, AB >= n-1, H >= n, density >= 0 on nonneg-Ricci fields; plane discriminates;
+    density and gradient Ricci match their scalar oracles."""
     rng = np.random.default_rng(seed)
     n = 3
     nonneg = [make_catalog_surface("horosphere", {"c": 1.0}, n)]
@@ -177,7 +186,9 @@ def criterion_inequality_chain(seed: int, check) -> str:
     nonneg += [make_catalog_surface("geodesic_sphere_cap",
                                     {"center_height": 2.0, "euclidean_radius": 1.0}, n)]
     for field in nonneg:
-        rep = regime_reports(*field.jet_array(field.sample_points(50, rng)))
+        pts = field.sample_points(50, rng)
+        rep = regime_reports(*field.jet_array(pts))
+        _check_scalar_oracles(check, field, pts, rep)
         (A, B), H = rep.factors, rep.spectrum.mean_closed
         check(np.all(np.abs(A + B - H) <= 1e-12 * np.maximum(1.0, np.abs(H))),
               f"A+B != H on {field.kind}")
@@ -187,17 +198,20 @@ def criterion_inequality_chain(seed: int, check) -> str:
     plane = make_catalog_surface("tilted_plane", {"slope": 1.0}, n)
     pts = plane.sample_points(50, rng)
     rep = regime_reports(*plane.jet_array(pts))
+    _check_scalar_oracles(check, plane, pts, rep)
     AB, x1 = rep.factors[0] * rep.factors[1], pts[:, 0]
     check(np.all(np.abs(AB - 1.0) <= 1e-12), "plane AB != 1")
     check(np.all(AB < n - 1), "plane AB not < n-1")
     check(np.all(np.abs(rep.n_subharmonic_density + 2.0 / x1 ** 2)
                  <= 1e-9 / x1 ** 2), "plane density != -2/x1^2")
-    return "A+B=H @1e-12, AB>=n-1, H>=n, density>=0; plane AB=1<2, density=-2/x1^2"
+    return ("A+B=H @1e-12, AB>=n-1, H>=n, density>=0; plane AB=1<2, density=-2/x1^2; "
+            "density=expansion, grad Ricci=adapted @1e-9")
 
 
 @_criterion("fd-oracles", 30.0)
 def criterion_fd_oracles(seed: int, check) -> str:
-    """Codazzi and Gauss residuals converge at order >= 1.9 with terminal <= 1e-4."""
+    """Jets match central differences; Codazzi and Gauss residuals converge at order
+    >= 1.9 with terminal <= 1e-4."""
     rng = np.random.default_rng(seed)
     n = 3
     steps = (1e-3, 5e-4)
@@ -214,68 +228,57 @@ def criterion_fd_oracles(seed: int, check) -> str:
         pts = field.sample_points(20, rng, margin=0.05, **kwargs)
         coarse, fine = (np.stack(fd_residuals(field, pts, step), axis=1) for step in steps)
         for x, point_coarse, point_fine in zip(pts, coarse, fine):
+            check(fd_validate_jet(field, x).max <= 1e-6,
+                  f"jet vs central differences on {field.kind} at {x}")
             for r_coarse, r_fine, tag in zip(point_coarse, point_fine, ("codazzi", "gauss")):
                 check(r_fine <= 1e-4,
                       f"{tag} terminal residual {r_fine:.2e} on {field.kind}")
                 if r_fine > floor:
                     order = math.log2(r_coarse / r_fine)
                     check(order >= 1.9, f"{tag} order {order:.2f} on {field.kind} at {x}")
-    return "codazzi+gauss: order >= 1.9 under halving, terminal <= 1e-4 (20 pts/surface)"
+    return ("jet vs central differences <= 1e-6; codazzi+gauss: order >= 1.9 under "
+            "halving, terminal <= 1e-4 (20 pts/surface)")
+
+
+def _cell_corners(dims, cell_mask):
+    """Node indices of the 2^n corners of each cell in ``cell_mask`` (C order), one row
+    per corner, and the corner sign table: ``signs[k, a]`` is +1 where corner k lies on
+    the cell's upper side along axis a, else -1."""
+    offsets = np.array(list(itertools.product((0, 1), repeat=len(dims))))
+    lowest = np.ravel_multi_index(np.nonzero(cell_mask), dims)
+    return lowest + np.ravel_multi_index(offsets.T, dims)[:, None], 2.0 * offsets - 1.0
 
 
 def _gradient_operator(dims, spacing, cell_mask):
-    """Sparse map from node values to stacked per-cell gradient components."""
-    import scipy.sparse
-
-    n = len(dims)
-    cdims = [d - 1 for d in dims]
-    ncells = int(np.prod(cdims))
-    nnodes = int(np.prod(dims))
-    node_strides = np.array([int(np.prod(dims[k + 1:])) for k in range(n)])
-    cell_multi = np.stack(np.meshgrid(*[np.arange(c) for c in cdims], indexing="ij"),
-                          axis=-1).reshape(-1, n)
-    keep = cell_mask.ravel()
-    rows, cols, vals = [], [], []
-    w = 1.0 / (2 ** (n - 1)) / spacing
-    for axis in range(n):
-        for off in itertools.product((0, 1), repeat=n):
-            sign = 1.0 if off[axis] == 1 else -1.0
-            node = (cell_multi + np.asarray(off)) @ node_strides
-            rows.append(axis * ncells + np.arange(ncells)[keep])
-            cols.append(node[keep])
-            vals.append(np.full(int(keep.sum()), sign * w))
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * ncells, nnodes))
-    return A.tocsr()
+    """Dense map from node values to stacked per-cell gradient components."""
+    corners, signs = _cell_corners(dims, cell_mask)
+    A = np.zeros((len(dims), cell_mask.size, math.prod(dims)))
+    for nodes, sign in zip(corners, signs / (2 ** (len(dims) - 1) * spacing)):
+        A[:, np.flatnonzero(cell_mask), nodes] = sign[:, None]
+    return A.reshape(-1, A.shape[-1])
 
 
 def solve_laplace_linear(boundary_data: GridFunction) -> GridFunction:
-    """p = 2 oracle: direct sparse solve of the discrete Laplace stationarity system.
-
-    Assembles the cell-gradient operator explicitly and solves the normal equations,
-    an independent route from the descent minimizer.
-    """
-    import scipy.sparse.linalg
-
+    """p = 2 oracle: the normal equations ``A_I^T A_I u_I = -A_I^T A_B u_B`` of the cell
+    gradient A, assembled densely from its own index arithmetic, one corner pair at a
+    time, and solved by LU: a route independent of the descent's stencil."""
     gf = boundary_data.copy()
     gf.validate()
-    active = gf.active_mask()
-    cell_mask = plaplace._complete_cells(active)
-    interior = gf.interior_mask().ravel()
-    A = _gradient_operator(gf.dims, gf.spacing, cell_mask)
-    vals = np.where(active, gf.values, 0.0).ravel()
-    AI = A[:, interior]
-    AB = A[:, ~interior]
-    rhs = -AI.T @ (AB @ vals[~interior])
-    K = (AI.T @ AI).tocsc()
-    sol = scipy.sparse.linalg.spsolve(K, rhs)
-    out_vals = vals.copy()
-    out_vals[interior] = sol
-    out = gf.copy()
-    out.values = out_vals.reshape(gf.dims)
-    out.values[~active] = gf.values[~active]
-    return out
+    interior = gf.interior_mask()
+    corners, signs = _cell_corners(gf.dims, plaplace._complete_cells(gf.active_mask()))
+    known = np.where(interior, 0.0, gf.values).ravel()
+    free = np.count_nonzero(interior)
+    row = np.full(known.size, free)     # the other nodes share a last row, dropped
+    row[interior.ravel()] = np.arange(free)
+    # A^T A couples corners a and b of a cell by signs[a] . signs[b] / (2^(n-1) h)^2;
+    # within one pair each cell has its own entry, bar the dropped row and column
+    coupling = signs @ signs.T / (2 ** (gf.ndim - 1) * gf.spacing) ** 2
+    K, rhs = np.zeros((free + 1, free + 1)), np.zeros(free + 1)
+    for a, b in itertools.product(range(len(corners)), repeat=2):
+        K[row[corners[a]], row[corners[b]]] += coupling[a, b]
+        rhs[row[corners[a]]] -= coupling[a, b] * known[corners[b]]
+    gf.values[interior] = np.linalg.solve(K[:-1, :-1], rhs[:-1])
+    return gf
 
 
 @_criterion("n-harmonic-fundamental-solution", 60.0)
@@ -289,20 +292,15 @@ def criterion_fundamental_solution(seed: int, check) -> str:
     start = exact.copy()
     start.values[start.interior_mask()] = float(
         np.mean(start.values[start.boundary_mask]))
-    cfg = plaplace.SolverConfig(p=3.0)
-    res = plaplace.solve_p_harmonic(start, cfg)
+    res = plaplace.solve_p_harmonic(start, plaplace.SolverConfig(p=3.0))
     err = float(np.max(np.abs(res.grid.values - exact.values)))
     check(err <= 1e-3, f"max error vs log|x| is {err:.2e}")
-    mono = bool(np.all(np.diff(res.energy_trace) <= 0.0))
-    check(mono, "energy trace not monotone")
+    check(np.all(np.diff(res.energy_trace) <= 0.0), "energy trace not monotone")
 
-    # p = 2 reduction against the sparse direct solve
-    dims = (9, 9, 9)
-    h2 = 1.0 / 8
-    axes = [h2 * np.arange(9)] * 3
-    mesh = np.meshgrid(*axes, indexing="ij")
-    bnd = 0.02 * (np.sin(3 * mesh[0]) + mesh[1] ** 2 - 0.5 * mesh[2])
-    gf = GridFunction(dims, h2, np.zeros(3), bnd.copy())
+    # p = 2 reduction against the direct solve
+    mesh = np.meshgrid(*[np.arange(9) / 8] * 3, indexing="ij")
+    gf = GridFunction((9, 9, 9), 1 / 8, np.zeros(3),
+                      0.02 * (np.sin(3 * mesh[0]) + mesh[1] ** 2 - 0.5 * mesh[2]))
     gf.values[gf.interior_mask()] = 0.0
     direct = solve_laplace_linear(gf)
     iterative = plaplace.solve_p_harmonic(gf, plaplace.SolverConfig(p=2.0))

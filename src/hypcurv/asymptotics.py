@@ -6,8 +6,7 @@ counted as one asymptotic boundary point, and an unbounded graph domain contribu
 the projection point p_0 on top.  Components use face adjacency on the analysis
 lattice and diameters are Euclidean in the horosphere coordinates.  From labelling to
 report, a sublevel set is held in one form: its runs along the last lattice axis, each
-a first and a last node and a component number.  The labelling is numpy's alone: no
-scipy module is loaded on this path.
+a first and a last node and a component number.
 """
 
 from __future__ import annotations

@@ -72,18 +72,19 @@ class Jet2:
 
 
 def _check_jets(X, f, df, hess):
-    """The invariants of a jet at stacked points X: 0 < f < inf, Df, D2f and
-    1 + |Df|^2 finite, and a symmetric Hessian.
+    """The invariants of a jet at stacked points X: f^4 and f^-4 normal floats, Df, D2f
+    and 1 + |Df|^2 finite, and a symmetric Hessian.
 
     Raises ParameterError naming the first point that fails.
     """
+    least = np.finfo(float).tiny ** 0.25  # the kernel's Gauss terms reach f^-4
     with np.errstate(over="ignore", invalid="ignore"):  # 1 + |Df|^2 is inf or NaN
-        bad = ~((f > 0) & (f < np.inf) & np.isfinite(1.0 + _row_dot(df, df))
+        bad = ~((f >= least) & (f <= 1.0 / least) & np.isfinite(1.0 + _row_dot(df, df))
                 & np.isfinite(hess).all(axis=(-2, -1)))
     if bad.any():
         i = np.argmax(bad)
-        raise ParameterError(f"graph value must be positive and f, Df, D2f, 1 + |Df|^2 "
-                             f"finite, got f={f[i]} at {X[i]}")
+        raise ParameterError(f"graph value must lie in [{least:.3g}, {1.0 / least:.3g}] "
+                             f"and Df, D2f, 1 + |Df|^2 finite, got f={f[i]} at {X[i]}")
     asym = np.abs(hess - hess.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     bad = asym > 1e-12 * np.abs(hess).max(axis=(-2, -1), initial=1.0)
     if bad.any():

@@ -25,7 +25,7 @@ evaluate the energy alone, keeps the recorded energy trace monotonically
 non-increasing.  The descent stops once a trial step predicts a decrease within
 rounding of the energy, or once a step passes the Armijo test with the energy
 unchanged.  For p = 2 the stationarity condition is linear, and
-``acceptance.solve_laplace_linear``, a direct sparse solve of the independently
+``acceptance.solve_laplace_linear``, a direct dense solve of the independently
 assembled system, is the oracle for the descent.
 
 The viscosity probe samples h = log f on a box, solves the p = n Dirichlet problem

@@ -22,9 +22,9 @@ def test_criterion(name, capsys):
     assert result.passed, result.detail
 
 
-def test_only_acceptance_imports_scipy():
-    # the CLI's geometry, classify and solver paths run on numpy alone; scipy serves
-    # the sparse p=2 oracle that verify runs
+def test_no_module_imports_scipy():
+    # the package runs on numpy and click alone; scipy is a test dependency, for the
+    # tests' own oracles
     package = Path(hypcurv.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
@@ -37,4 +37,4 @@ def test_only_acceptance_imports_scipy():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
-    assert importers == {"acceptance.py"}
+    assert importers == set()

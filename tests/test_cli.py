@@ -4,10 +4,7 @@ import gc
 import io
 import json
 import math
-import os
 import struct
-import subprocess
-import sys
 import warnings
 import weakref
 
@@ -312,25 +309,44 @@ def test_default_window_refused_from_n12(runner, tmp_path, command):
 
 #: a slope-1e308 cone: 1 + |Df|^2 overflows at every point and f beyond |x| = 1.8
 HUGE_CONE = {"kind": "equidistant_cone", "n": 3, "slope": 1e308}
+#: horospheres whose f^4 or f^-4 (the Gauss terms' g (x) g reaches f^-4) leaves the
+#: normal floats, and two whose powers stay inside them
+EXTREME_HOROSPHERES = [{"kind": "horosphere", "n": 3, "c": c} for c in (1e200, 1e-200, 1e-150)]
+MODERATE_HOROSPHERES = [{"kind": "horosphere", "n": 3, "c": c} for c in (1e70, 1e-70)]
+JET_COMMANDS = [["analyze", "--point", "0.7,0.2,-0.3"],
+                ["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.5,0.5:3"], ["classify"]]
 
 
-@pytest.mark.parametrize("args,domain,match", [
-    (["analyze", "--point", "0.7,0.2,-0.3"], None, "1 + |Df|^2 finite, got"),
-    (["scan", "--grid", "0.5,-0.5,-0.5:1.5,0.5,0.5:3"], None, "1 + |Df|^2 finite, got"),
-    (["classify"], None, "1 + |Df|^2 finite, got"),
-    (["classify"], 8.0, "f not finite at lattice node"),
-    (["boundary"], 8.0, "f not finite at lattice node"),
-], ids=["analyze", "scan", "classify", "classify-lattice", "boundary-lattice"])
-def test_overflowing_surface_exits_1_with_one_error(runner, tmp_path, args, domain, match):
+@pytest.mark.parametrize("desc,args,domain,match", [
+    (HUGE_CONE, JET_COMMANDS[0], None, "1 + |Df|^2 finite, got"),
+    (HUGE_CONE, JET_COMMANDS[1], None, "1 + |Df|^2 finite, got"),
+    (HUGE_CONE, JET_COMMANDS[2], None, "1 + |Df|^2 finite, got"),
+    (HUGE_CONE, ["classify"], 8.0, "f not finite at lattice node"),
+    (HUGE_CONE, ["boundary"], 8.0, "f not finite at lattice node"),
+] + [(desc, args, None, f"got f={desc['c']:g} at")
+     for desc in EXTREME_HOROSPHERES for args in JET_COMMANDS],
+    ids=["analyze", "scan", "classify", "classify-lattice", "boundary-lattice"]
+    + [f"{args[0]}-c{desc['c']:g}" for desc in EXTREME_HOROSPHERES for args in JET_COMMANDS])
+def test_overflowing_surface_exits_1_with_one_error(runner, tmp_path, desc, args, domain,
+                                                    match):
     # on the domain [-8, 8]^3 the default window reaches |x| = 2 sqrt(3), where f is inf
-    desc = dict(HUGE_CONE)
+    desc = dict(desc)
     if domain is not None:
         desc["domain"] = {"lo": [-domain] * 3, "hi": [domain] * 3}
-    path = tmp_path / "cone.json"
+    path = tmp_path / "surface.json"
     path.write_text(json.dumps(desc))
     result = invoke_without_warnings(runner, [args[0], "--surface", str(path), *args[1:]])
     assert_exit_contract(result, args, huge_nodes=False)
     assert result.exit_code == 1 and match in json.loads(result.stderr)["error"]
+
+
+@pytest.mark.parametrize("desc", MODERATE_HOROSPHERES, ids=["c1e70", "c1e-70"])
+@pytest.mark.parametrize("args", JET_COMMANDS, ids=[args[0] for args in JET_COMMANDS])
+def test_moderate_horosphere_heights_run_clean(runner, tmp_path, desc, args):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(desc))
+    result = invoke_without_warnings(runner, [args[0], "--surface", str(path), *args[1:]])
+    assert (result.exit_code, result.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("command", ["classify", "boundary"])
@@ -595,6 +611,37 @@ def test_fuzz_scan_and_analyze(tmp_path, command, desc, data):
         assert result.stdout.startswith(",".join(f"x{i + 1}" for i in range(n)) + ",f,H,")
 
 
+#: --p values outside the solver's range: below 2, non-finite or not a number
+BAD_P = ["1.5", "nan", "inf", "x"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["solve", "probe"]), desc=catalog_descriptors(),
+       data=st.data(),
+       p=st.one_of(st.none(), st.floats(2.0, 6.0).map(repr), st.sampled_from(BAD_P)))
+def test_fuzz_solve_and_probe(tmp_path, command, desc, data, p):
+    # the solver commands on drawn surfaces, exponents and grids of at most 9 nodes per
+    # axis: an exit code and its output, never a traceback or a warning
+    grid_spec = data.draw(grid_specs(desc["n"], most=9).filter(bool))
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(desc))
+    args = [command, "--surface", str(surface), "--grid", grid_spec]
+    if p is not None:
+        args += ["--p", p]
+    if command == "solve" and data.draw(st.booleans()):
+        args += ["--out", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, args)
+    assert_exit_contract(result, (args, desc), has_huge_nodes(grid_spec))
+    if p in BAD_P:
+        assert result.exit_code == 2
+    elif result.exit_code == 0:
+        doc = json.loads(result.stdout)
+        assert set(nan_keys(doc)) == set()
+        assert doc["stop_reason"] in {"stalled", "zero_gradient", "line_search_exhausted",
+                                      "max_iterations"}
+
+
 #: each command's options, in the order its --help lists them
 OPTIONS = {
     "analyze": ["--surface", "--point", "--step", "--out"],
@@ -701,62 +748,6 @@ def test_in_process_calls_release_redirected_streams(surfaces, args):
     del out, err
     gc.collect()
     assert [r() for r in refs] == [None, None]
-
-
-#: runs CLI commands (a JSON list of argument lists, argv[2]) in this fresh interpreter
-#: with the package under argv[1]; prints their exit codes and the scipy modules loaded
-COLD_START = """
-import contextlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
-from hypcurv import cli
-codes = []
-for args in json.loads(sys.argv[2]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            cli.main.main(args=args, prog_name="hypcurv", standalone_mode=False)
-            codes.append(0)
-        except SystemExit as exc:
-            codes.append(exc.code)
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
-"""
-
-
-def cold_start(surface, commands, tmp_path):
-    """Run each command, [name, *arguments], on ``surface`` in one fresh interpreter;
-    returns their exit codes and the scipy modules loaded."""
-    args = [[cmd, "--surface", surface, *rest] for cmd, *rest in commands]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hypcurv.__file__)))
-    out = subprocess.run([sys.executable, "-c", COLD_START, src, json.dumps(args)],
-                         capture_output=True, text=True, timeout=120, cwd=tmp_path)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-class TestColdStart:
-    def test_point_and_solver_commands_load_no_scipy(self, surfaces, tmp_path):
-        box = "0.5,-0.5,-0.5:1.5,0.5,0.5"
-        got = cold_start(surfaces["cone"], [
-            ["scan", "--grid", f"{box}:5"], ["analyze", "--point", "1,0,0"],
-            ["solve", "--grid", f"{box}:9", "--out", str(tmp_path / "solve")],
-            ["probe", "--grid", f"{box}:9"]], tmp_path)
-        assert got == {"codes": [0, 0, 0, 0], "scipy": []}
-
-    def test_classify_and_boundary_load_no_scipy(self, surfaces, tmp_path):
-        got = cold_start(surfaces["cone"], [["classify", "--samples", "10"],
-                                            ["boundary", "--levels", "1,2"]], tmp_path)
-        assert got == {"codes": [0, 0], "scipy": []}
-
-    def test_classify_measures_diameters_without_scipy_spatial(self, tmp_path):
-        # the level-1 component of this cone on this window has 31463 nodes, 2402
-        # lattice-row ends and 1112 nodes that end a run along every axis
-        cone = tmp_path / "cone12.json"
-        cone.write_text(json.dumps({"kind": "equidistant_cone", "n": 3, "slope": 1.2}))
-        got = cold_start(str(cone), [["classify", "--grid", "-0.5,-0.5,-0.5:0.5,0.5,0.5:65",
-                                      "--samples", "10"]], tmp_path)
-        assert got["codes"] == [0]
-        assert got["scipy"] == []
-        assert [m for m in got["scipy"] if m.startswith("scipy.spatial")] == []
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -82,6 +83,15 @@ def unit_grid(nodes=9):
 
 def grid_from(values, h):
     return GridFunction(values.shape, h, np.zeros(values.ndim), values)
+
+
+def verify_p2_grid():
+    """The 9^3 unit box of the verify suite's p = 2 check: smooth boundary data, a
+    zero interior."""
+    mesh, h = unit_grid()
+    vals = 0.02 * (np.sin(3 * mesh[0]) + mesh[1] ** 2 - 0.5 * mesh[2])
+    vals[1:-1, 1:-1, 1:-1] = 0.0
+    return grid_from(vals, h)
 
 
 def box_heights(fn, lo, hi, spacing):
@@ -257,11 +267,7 @@ class TestSolver:
         assert np.max(np.abs(sols[0] - sols[1])) <= 1e-6
 
     def test_p2_matches_direct_solve(self):
-        mesh, h = unit_grid()
-        bnd = 0.02 * (np.sin(3 * mesh[0]) + mesh[1] ** 2 - 0.5 * mesh[2])
-        vals = bnd.copy()
-        vals[1:-1, 1:-1, 1:-1] = 0.0
-        gf = grid_from(vals, h)
+        gf = verify_p2_grid()
         direct = solve_laplace_linear(gf)
         res = solve_p_harmonic(gf, SolverConfig(p=2.0))
         assert np.max(np.abs(direct.values - res.grid.values)) <= 1e-8
@@ -330,9 +336,9 @@ class TestSolver:
         inner = np.zeros(dims, dtype=bool)
         inner[tuple(slice(1, -1) for _ in dims)] = True
         AI = A[:, inner.ravel()]
-        K = (p * h ** len(dims) * (AI.T @ AI)).tocsc()
+        K = p * h ** len(dims) * (AI.T @ AI)
         g = np.random.default_rng(len(dims)).normal(size=[d - 2 for d in dims])
-        want = scipy.sparse.linalg.spsolve(K, g.ravel()).reshape(g.shape)
+        want = np.linalg.solve(K, g.ravel()).reshape(g.shape)
         got = _box_preconditioner(dims, h, p)[0](g)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -407,6 +413,26 @@ class TestSolver:
         assert res.converged and res.held_nodes == 27 and res.iterations <= 2
         assert np.max(np.abs(direct.values[active] - res.grid.values[active])) <= 1e-8
 
+    @pytest.mark.parametrize("grid,excised", [
+        (verify_p2_grid(), 0),
+        (tighten_boundary(sample_height_grid(
+            make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3),
+            [-0.5] * 3, [0.5] * 3, 1.0 / 8)), 1),
+    ], ids=["verify", "apex"])
+    def test_p2_oracle_matches_sparse_reference(self, grid, excised):
+        # the sparse route the oracle replaced: spsolve of A_I^T A_I u_I = -A_I^T A_B u_B
+        # in CSR, A over the complete cells, I the interior nodes
+        active = grid.active_mask()
+        interior = grid.interior_mask().ravel()
+        A = _gradient_operator(grid.dims, grid.spacing, _complete_cells(active))
+        vals = np.where(active, grid.values, 0.0).ravel()
+        AI, AB = A[:, interior], A[:, ~interior]
+        want = scipy.sparse.linalg.spsolve(scipy.sparse.csr_matrix(AI.T @ AI),
+                                           -AI.T @ (AB @ vals[~interior]))
+        got = solve_laplace_linear(grid).values.ravel()[interior]
+        assert np.count_nonzero(~active) == excised
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     @pytest.mark.parametrize("dims,held", [((7, 7, 7), 12), ((5, 9, 7), 9), ((9, 8), 5)])
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_direction_inverts_free_node_block(self, dims, held, p):
@@ -420,7 +446,7 @@ class TestSolver:
         interior.ravel()[rng.choice(inside, size=held, replace=False)] = False
         A = _gradient_operator(dims, h, np.ones([d - 1 for d in dims], dtype=bool))
         AF = A[:, interior.ravel()]
-        K = (p * h ** len(dims) * (AF.T @ AF)).toarray()
+        K = p * h ** len(dims) * (AF.T @ AF)
         g = np.where(interior, rng.normal(size=dims), 0.0)
         direction, k = _free_node_inverse(interior, h, p)
         assert k == held
