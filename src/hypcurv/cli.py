@@ -267,8 +267,10 @@ def classify(field, manifest, out, levels, grid_spec, samples, seed, tolerance_p
 def solve(field, manifest, out, grid_spec, p):
     """p-harmonic Dirichlet solve with boundary data h = log f.
 
-    With --out, writes the solution grid and energy_trace.csv, whose step column is
-    the accepted length along the preconditioned descent direction.
+    With --out, writes the solution grid and energy_trace.csv, whose row 0 holds the
+    energy of the descent's chosen start (the samples of h or the p=2 predictor) and
+    whose step column is the accepted length along the preconditioned descent
+    direction.
     """
     lo, hi, spacing = _window(field, grid_spec)
     p = float(field.n) if p is None else p

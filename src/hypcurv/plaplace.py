@@ -20,13 +20,14 @@ of the current iterate (each node's coefficient, clipped to within a factor
 cone apex), a capacitance matrix corrects that inverse to the exact inverse of the
 free-node block, so the iteration count does not grow with the lattice; above the cap
 the direction is a principal block of the box inverse, weaker where many nodes are
-held.  A backtracking (Armijo) line search, whose rejected trials
-evaluate the energy alone, keeps the recorded energy trace monotonically
-non-increasing.  The descent stops once a trial step predicts a decrease within
-rounding of the energy, or once a step passes the Armijo test with the energy
-unchanged.  For p = 2 the stationarity condition is linear, and
-``acceptance.solve_laplace_linear``, a direct dense solve of the independently
-assembled system, is the oracle for the descent.
+held.  The descent starts from the given interior values or from the p = 2 predictor,
+one exact p = 2 step from them, whichever has the lower energy.  A backtracking
+(Armijo) line search, whose rejected trials evaluate the energy alone, keeps the
+recorded energy trace monotonically non-increasing.  The descent stops once a trial
+step predicts a decrease within rounding of the energy, or once a step passes the
+Armijo test with the energy unchanged.  For p = 2 the stationarity condition is
+linear, and ``acceptance.solve_laplace_linear``, a direct dense solve of the
+independently assembled system, is the oracle for the descent.
 
 The viscosity probe samples h = log f on a box, solves the p = n Dirichlet problem
 with boundary h, and reports whether the p-harmonic solution dominates h up to a
@@ -204,12 +205,16 @@ def tighten_boundary(gf: GridFunction) -> GridFunction:
 class PHarmonicResult:
     """Solver output: the final grid, the full (monotone) energy trace and why it stopped.
 
+    ``start`` is ``"given"`` where the descent started from the interior values it was
+    given and ``"harmonic"`` where it started from the p = 2 predictor
+    (:func:`solve_p_harmonic`); ``energy_trace[0]`` is the energy of that start.
     ``step_trace`` holds the accepted step length of each iteration; it scales the
     preconditioned direction, not the raw gradient.  ``iterations`` counts the accepted
-    steps, ``len(step_trace)``, whatever the stop reason.  ``stop_reason`` is one of
-    ``"stalled"``, ``"zero_gradient"``, ``"line_search_exhausted"`` or
-    ``"max_iterations"``; only the last leaves ``converged`` false.  ``grad_norm`` is
-    the Euclidean norm of the energy gradient over the interior nodes at the result.
+    steps, ``len(step_trace)``, whatever the stop reason; the predictor is not one.
+    ``stop_reason`` is one of ``"stalled"``, ``"zero_gradient"``,
+    ``"line_search_exhausted"`` or ``"max_iterations"``; only the last leaves
+    ``converged`` false.  ``grad_norm`` is the Euclidean norm of the energy gradient
+    over the interior nodes at the result.
     ``backtracks`` counts the rejected Armijo trials; each costs one energy evaluation.
     ``held_nodes`` counts the nodes off the box faces that the solve held fixed; the
     direction inverted the free-node block exactly when it is at most
@@ -225,6 +230,7 @@ class PHarmonicResult:
     grad_norm: float
     backtracks: int
     held_nodes: int
+    start: str
 
 
 def _box_preconditioner(dims, spacing, p):
@@ -380,21 +386,30 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     stays an SPD map of g on F, zero off F.  The step is a Barzilai-Borwein length in
     that metric, ``t = t_prev^2 (g_prev.z_prev) / (du.dg)`` with du and dg the last
     changes of u and g, backtracked until the Armijo test ``E(u - t z) <= E(u) -
-    armijo t g.z`` holds, so the energy trace is monotone.  ``tighten_boundary`` holds every corner of every incomplete cell, so on
-    a tightened lattice ``P_FF`` is the p=2 operator itself and, at p = 2, s is
-    exactly 1 on F: a p=2 solve ends after one step, and the iteration count does not
-    grow with the lattice (a cone's apex holds 27 nodes); above the cap it does.  A
-    trial step costs one energy evaluation (:func:`_energy`); the gradient and the
-    scale are built from its retained cell components only once the step is accepted
-    (:func:`_energy_gradient`), so a solve makes ``iterations + 1`` gradient builds
-    and ``len(energy_trace) + backtracks`` energy evaluations, one more when its last
-    trial passed the Armijo test but was not accepted.  ``iterations ==
-    len(step_trace)`` for every stop reason.
+    armijo t g.z`` holds, so the energy trace is monotone.  ``tighten_boundary`` holds
+    every corner of every incomplete cell, so on a tightened lattice ``P_FF`` is the
+    p=2 operator itself and, at p = 2, s is exactly 1 on F; the iteration count does
+    not grow with the lattice (a cone's apex holds 27 nodes); above the cap it does.
 
-    Interior entries of ``boundary_data`` are the starting point (a warm start with
-    the height samples themselves, in the probe's case).  Termination: before each line
-    search, the trial step predicts a decrease ``t g.z`` of at most
-    ``config.tolerance * |E|`` (``"stalled"``) or the gradient vanishes
+    Start: from the interior entries ``u_0`` of ``boundary_data`` (the height samples
+    themselves, in the probe's case) or from the p = 2 predictor ``u_h = u_0 - (p/2)
+    z(g_2)``, with ``g_2`` the p = 2 energy gradient at ``u_0`` and z the direction at a
+    unit scale, which inverts ``P_2 = (2/p) P`` on F.  The descent starts from ``u_h``
+    only where ``E(u_h) < E(u_0)`` (a NaN energy never wins), so from a cold start it
+    skips the steps a p = 2 solve would take, and a p=2 solve on a tightened lattice
+    with at most ``MAX_HELD_NODES`` held nodes starts at its minimizer and takes no
+    step.  Where ``u_0`` wins every iterate is the same as without the predictor.
+
+    A trial step costs one energy evaluation (:func:`_energy`); the gradient and the
+    scale are built from its retained cell components only once the step is accepted
+    (:func:`_energy_gradient`), so a solve makes ``iterations + 2`` gradient builds
+    (one is ``g_2``), ``iterations + 1`` scales and ``len(energy_trace) + backtracks +
+    1`` energy evaluations (one is ``E(u_h)``), one more when its last trial passed the
+    Armijo test but was not accepted.  ``iterations == len(step_trace)`` for every stop
+    reason.
+
+    Termination: before each line search, the trial step predicts a decrease ``t g.z``
+    of at most ``config.tolerance * |E|`` (``"stalled"``) or the gradient vanishes
     (``"zero_gradient"``); a step passes the Armijo test with the energy unchanged
     (``"stalled"``, the step is not accepted: it passed on rounding alone, as happens
     where the minimum energy is about 0 and ``tolerance |E|`` lies below every step's
@@ -417,6 +432,16 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     direction, held = _free_node_inverse(interior, h, p)
     free = interior[tuple(slice(1, -1) for _ in interior.shape)]
     energy, state = _energy(vals, h, p, eps, weights)
+    # the p = 2 predictor: the p = 2 gradient is the adjoint chain of the start's own
+    # cell components weighted by the cells alone, and a unit scale inverts
+    # P_2 = (2/p) P on the free nodes
+    grad = _energy_gradient((*state[:3], weights), h, 2.0)
+    harmonic = vals - (p / 2.0) * direction(grad, free.astype(float))
+    e_harmonic, state_harmonic = _energy(harmonic, h, p, eps, weights)
+    start = "given"
+    if e_harmonic < energy:  # a NaN energy never wins
+        start, vals, energy, state = "harmonic", harmonic, e_harmonic, state_harmonic
+    del harmonic, state_harmonic
     # masked to the interior once, after the loop: inside it every product reading g
     # off the free nodes meets a zero (the direction's scale, z, the step u - u_prev)
     grad = _energy_gradient(state, h, p)
@@ -468,7 +493,7 @@ def solve_p_harmonic(boundary_data: GridFunction, config: SolverConfig) -> PHarm
     out.values = np.where(active, vals, gf.values)
     return PHarmonicResult(out, np.asarray(trace), np.asarray(steps), converged, len(steps),
                            stop_reason, float(np.sqrt(np.sum(grad * grad))), backtracks,
-                           held)
+                           held, start)
 
 
 @dataclass(frozen=True)

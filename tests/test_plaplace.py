@@ -271,6 +271,9 @@ class TestSolver:
         direct = solve_laplace_linear(gf)
         res = solve_p_harmonic(gf, SolverConfig(p=2.0))
         assert np.max(np.abs(direct.values - res.grid.values)) <= 1e-8
+        # every cell is complete and no node is held inside the box, so the p = 2
+        # predictor is the exact minimizer and the descent takes no step
+        assert (res.held_nodes, res.start, res.iterations) == (0, "harmonic", 0)
 
     def test_non_convergence_flagged(self):
         mesh, h = unit_grid()
@@ -292,13 +295,20 @@ class TestSolver:
         res = solve_p_harmonic(grid_from(vals, h), SolverConfig(p=3.0))
         assert (res.converged, res.stop_reason) == (True, "stalled")
         assert res.grad_norm <= 1e-6
-        # at p = 2 the unit step is the exact minimizer and lowers the energy by g.z/2,
-        # so an Armijo fraction of 0.9 with a single trial step rejects it
+        # at p = 3 an Armijo fraction of 0.9 with a single trial step rejects the first
+        # step from the p = 2 predictor
         res = solve_p_harmonic(grid_from(vals, h),
-                               SolverConfig(p=2.0, armijo=0.9, max_backtracks=1))
+                               SolverConfig(p=3.0, armijo=0.9, max_backtracks=1))
         assert (res.converged, res.stop_reason) == (True, "line_search_exhausted")
         assert res.step_trace.size == 0
         assert res.backtracks == 1
+        # at p = 2 the predictor is the exact minimizer: the first trial step predicts
+        # a decrease within rounding, and no step is taken
+        res = solve_p_harmonic(grid_from(vals, h),
+                               SolverConfig(p=2.0, armijo=0.9, max_backtracks=1))
+        assert (res.converged, res.stop_reason, res.start) == (True, "stalled", "harmonic")
+        assert res.step_trace.size == 0 and res.backtracks == 0
+        assert res.grad_norm <= 1e-10
 
     def test_zero_gradient_where_the_coefficient_underflows(self):
         # at p = 60 a flat start's coefficient eps^(p-2) underflows to 0 on every cell;
@@ -307,6 +317,7 @@ class TestSolver:
         res = solve_p_harmonic(grid_from(np.full(mesh[0].shape, 1.5), h),
                                SolverConfig(p=60.0))
         assert (res.stop_reason, res.iterations, res.grad_norm) == ("zero_gradient", 0, 0.0)
+        assert res.start == "given"
 
     def test_iterations_count_accepted_steps(self):
         # every stop reason reports the accepted steps, len(step_trace), and the
@@ -319,7 +330,8 @@ class TestSolver:
             (wavy, SolverConfig(p=3.0), "stalled"),
             (constant_boundary_grid(), SolverConfig(p=3.0, tolerance=1e-15), "stalled"),
             (flat, SolverConfig(p=3.0), "zero_gradient"),
-            (wavy, SolverConfig(p=2.0, armijo=0.9, max_backtracks=1), "line_search_exhausted"),
+            (wavy, SolverConfig(p=3.0, armijo=0.9, max_backtracks=1), "line_search_exhausted"),
+            (wavy, SolverConfig(p=2.0, armijo=0.9, max_backtracks=1), "stalled"),
             (wavy, SolverConfig(p=3.0, max_iterations=3), "max_iterations"),
         ]
         for grid, config, stop_reason in cases:
@@ -363,12 +375,24 @@ class TestSolver:
         monkeypatch.setattr(plaplace, "_energy_gradient",
                             counted("gradient", _energy_gradient))
         monkeypatch.setattr(plaplace, "_node_scale", counted("scale", _node_scale))
-        res = solve_p_harmonic(cold_log_norm(33)[1], SolverConfig(p=3.0))
-        assert res.stop_reason == "stalled" and res.backtracks > 0
-        # the direction's scale is rebuilt from the same state as each gradient
-        assert calls["gradient"] == calls["scale"] == res.iterations + 1
-        # after the initial evaluation, one per accepted and one per rejected trial
-        assert calls["energy"] - 1 == len(res.energy_trace) - 1 + res.backtracks
+        cap = make_catalog_surface(
+            "geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0}, 3)
+        cone = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+        # the 13^3 cap starts from the predictor, the 17^3 apex box from its own samples
+        for field, lo, hi, nodes, start in [(cap, -0.3, 0.3, 13, "harmonic"),
+                                            (cone, -0.5, 0.5, 17, "given")]:
+            grid = tighten_boundary(sample_height_grid(field, [lo] * 3, [hi] * 3,
+                                                       (hi - lo) / (nodes - 1)))
+            calls.update(energy=0, gradient=0, scale=0)
+            res = solve_p_harmonic(grid, SolverConfig(p=3.0))
+            assert res.stop_reason == "stalled" and res.backtracks > 0
+            assert res.start == start
+            # the direction's scale is rebuilt from the same state as each gradient;
+            # the predictor adds one p = 2 gradient
+            assert calls["scale"] == res.iterations + 1
+            assert calls["gradient"] == res.iterations + 2
+            # the start and the predictor, then one per accepted and per rejected trial
+            assert calls["energy"] - 2 == len(res.energy_trace) - 1 + res.backtracks
 
     @pytest.mark.parametrize("max_held", [plaplace.MAX_HELD_NODES, 0])
     def test_gradient_masked_once_keeps_every_iterate(self, monkeypatch, max_held):
@@ -403,15 +427,73 @@ class TestSolver:
 
     def test_p2_matches_direct_solve_with_excision(self):
         # the apex box holds 27 nodes, so the direction inverts the p=2 operator on the
-        # free nodes exactly and the unit step lands on the minimizer
+        # free nodes exactly and the predictor lands on the minimizer
         field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
         grid = tighten_boundary(sample_height_grid(field, [-0.5] * 3, [0.5] * 3, 1.0 / 16))
         assert not np.all(grid.active_mask())
         direct = solve_laplace_linear(grid)
         res = solve_p_harmonic(grid, SolverConfig(p=2.0))
         active = grid.active_mask()
-        assert res.converged and res.held_nodes == 27 and res.iterations <= 2
+        assert res.converged and res.held_nodes == 27
+        assert (res.start, res.iterations) == ("harmonic", 0)
         assert np.max(np.abs(direct.values[active] - res.grid.values[active])) <= 1e-8
+
+    @pytest.mark.parametrize("nodes", [17, 25, 33])
+    def test_cold_ladder_starts_harmonic(self, nodes):
+        # from the constant start the descent took 14, 15 and 16 iterations with 2, 3
+        # and 4 rejected trials; from the p = 2 predictor it needs no rejected trial
+        exact, start = cold_log_norm(nodes)
+        res = solve_p_harmonic(start, SolverConfig(p=3.0))
+        assert res.start == "harmonic" and res.stop_reason == "stalled"
+        assert res.iterations <= 10 and res.backtracks == 0
+        assert np.max(np.abs(res.grid.values - exact.values)) <= 1.5e-3
+
+    @pytest.mark.parametrize("case,start", [("cold", "harmonic"), ("apex", "given"),
+                                            ("wavy", "harmonic")])
+    def test_energy_trace_starts_at_the_lower_start(self, case, start):
+        # oracle: the predictor u_h = u_0 - (p/2) z(g_2), g_2 from a full p = 2 energy
+        # pass and z at a unit scale on the free nodes; the trace opens at the lower of
+        # E(u_0) and E(u_h)
+        if case == "cold":
+            grid = cold_log_norm(17)[1]
+        elif case == "apex":
+            field = make_catalog_surface("equidistant_cone", {"slope": 1.0}, 3)
+            grid = tighten_boundary(sample_height_grid(field, [-0.5] * 3, [0.5] * 3, 1 / 8))
+        else:
+            mesh, h = unit_grid()
+            vals = np.sin(4 * mesh[0]) + mesh[1] ** 2
+            vals[1:-1, 1:-1, 1:-1] = 0.0
+            grid = grid_from(vals, h)
+        config = SolverConfig(p=3.0)
+        h, eps, interior = grid.spacing, config.epsilon, grid.interior_mask()
+        active = grid.active_mask()
+        weights = _cell_weights(active)
+        u0 = np.where(active, grid.values, 0.0)
+        g2 = _energy_gradient(_energy(u0, h, 2.0, eps, weights)[1], h, 2.0)
+        direction, _ = _free_node_inverse(interior, h, config.p)
+        free = interior[tuple(slice(1, -1) for _ in interior.shape)]
+        uh = u0 - config.p / 2 * direction(g2, free.astype(float))
+        e0, eh = (_energy(u, h, config.p, eps, weights)[0] for u in (u0, uh))
+        res = solve_p_harmonic(grid, config)
+        assert res.energy_trace[0] == min(e0, eh)
+        assert res.start == start == ("harmonic" if eh < e0 else "given")
+        assert np.all(np.diff(res.energy_trace) <= 0.0)
+
+    @pytest.mark.parametrize("kind,params,lo,hi,nodes", [
+        ("equidistant_cone", {"slope": 1.0}, (0.5, -0.5, -0.5), (1.5, 0.5, 0.5), 17),
+        ("equidistant_cone", {"slope": 1.0}, (-0.5,) * 3, (0.5,) * 3, 9),
+        ("equidistant_cone", {"slope": 1.0}, (-0.5,) * 3, (0.5,) * 3, 33),
+        ("horosphere", {"c": 1.0}, (-0.5,) * 3, (0.5,) * 3, 17),
+    ], ids=["cone", "apex9", "apex33", "horosphere"])
+    def test_warm_start_kept(self, kind, params, lo, hi, nodes):
+        # where h itself is closer to the p = 3 minimizer than the p = 2 predictor is,
+        # the descent starts from h
+        field = make_catalog_surface(kind, params, 3)
+        spacing = (hi[0] - lo[0]) / (nodes - 1)
+        grid = tighten_boundary(sample_height_grid(field, lo, hi, spacing))
+        res = solve_p_harmonic(grid, SolverConfig(p=3.0))
+        assert res.start == "given"
+        assert res.energy_trace[0] == p_dirichlet_energy(grid, 3.0, 1e-8)
 
     @pytest.mark.parametrize("grid,excised", [
         (verify_p2_grid(), 0),
@@ -607,7 +689,7 @@ class TestViscosityProbe:
         pytest.param("tilted_plane", {"slope": 1.0}, (1.0, -0.5, -0.5), (2.0, 0.5, 0.5),
                      33, False, "stalled", 2, None, id="plane"),
         pytest.param("geodesic_sphere_cap", {"center_height": 2.0, "euclidean_radius": 1.0},
-                     (-0.3,) * 3, (0.3,) * 3, 13, True, "stalled", None, None, id="cap"),
+                     (-0.3,) * 3, (0.3,) * 3, 13, True, "stalled", None, 30, id="cap"),
         pytest.param("horosphere", {"c": 1.0}, (-0.5,) * 3, (0.5,) * 3, 17, True,
                      "zero_gradient", 0, None, id="horosphere"),
     ])
